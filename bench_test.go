@@ -267,42 +267,52 @@ func BenchmarkPromptBuild(b *testing.B) {
 }
 
 // BenchmarkExpertCompletion measures a single diagnosis completion
-// (prompt → simulated expert → steps/code/conclusion).
+// (prompt → simulated expert → steps/code/conclusion). Each iteration
+// uses a fresh client, so it loads the CSVs and analyzes the trace as a
+// new job's first request does, rather than reading cached reports.
 func BenchmarkExpertCompletion(b *testing.B) {
-	out, _, err := testutil.Extracted("ior-hard")
-	if err != nil {
-		b.Fatal(err)
-	}
-	kb := knowledge.NewBase(knowledge.FromExtract(out))
-	req, err := prompt.NewBuilder(kb).Diagnosis(issue.SharedFile, out)
-	if err != nil {
-		b.Fatal(err)
-	}
-	client := expertsim.New()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.Complete(context.Background(), req); err != nil {
-			b.Fatal(err)
-		}
+	for _, name := range []string{"ior-hard", "openpmd-optimized"} {
+		b.Run(name, func(b *testing.B) {
+			out, _, err := testutil.Extracted(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			kb := knowledge.NewBase(knowledge.FromExtract(out))
+			req, err := prompt.NewBuilder(kb).Diagnosis(issue.SharedFile, out)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := expertsim.New().Complete(context.Background(), req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkAnalyzeEndToEnd measures the complete Analyzer (all issues,
-// parallel fan-out, summary) on an already-extracted trace.
+// parallel fan-out, summary) on an already-extracted trace, with a
+// fresh expert client per iteration as each new job has.
 func BenchmarkAnalyzeEndToEnd(b *testing.B) {
-	out, _, err := testutil.Extracted("e2e-baseline")
-	if err != nil {
-		b.Fatal(err)
-	}
-	fw, err := ion.New(ion.Config{Client: expertsim.New()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fw.AnalyzeExtracted(context.Background(), out, "e2e"); err != nil {
-			b.Fatal(err)
-		}
+	for _, name := range []string{"e2e-baseline", "openpmd-optimized"} {
+		b.Run(name, func(b *testing.B) {
+			out, _, err := testutil.Extracted(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fw, err := ion.New(ion.Config{Client: expertsim.New()})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := fw.AnalyzeExtracted(context.Background(), out, name); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

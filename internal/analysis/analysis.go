@@ -7,22 +7,38 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"ion/internal/darshan"
 	"ion/internal/extractor"
 	"ion/internal/knowledge"
+	"ion/internal/table"
 )
 
 // Env bundles everything an analysis needs: the extracted tables and
-// the system hyperparameters.
+// the system hyperparameters. It is safe for concurrent use: the DXT
+// parse and the shared-file report are each computed once, by the
+// first analysis that needs them, and shared by every later one.
 type Env struct {
 	Out   *extractor.Output
 	Hyper knowledge.Hyperparams
 
-	events []Event // lazily parsed DXT cache
+	eventsOnce sync.Once
+	events     []Event
+	files      []string // file index → file name
+	eventsErr  error
+
+	sharedOnce sync.Once
+	shared     SharedFileReport
+	sharedErr  error
+	sharedRuns atomic.Int32
 }
 
 // NewEnv builds an analysis environment.
@@ -32,62 +48,102 @@ func NewEnv(out *extractor.Output, hyper knowledge.Hyperparams) *Env {
 
 // Event is one parsed DXT row.
 type Event struct {
-	FileID   string
-	FileName string
-	Module   string
-	Rank     int64
-	Op       string // "read" or "write"
-	Offset   int64
-	Length   int64
-	Start    float64
-	End      float64
+	File   int32 // dense per-trace file index; Env.FileName maps it back
+	Write  bool  // a write; DXT records only reads and writes
+	Rank   int64
+	Offset int64
+	Length int64
+	Start  float64
+	End    float64
 }
 
-// Events parses and caches the DXT table. It returns an error when the
-// trace has no DXT data — callers fall back to counter-only analyses.
+// Events parses the DXT table on first use and caches it. It returns
+// an error when the trace has no DXT data — callers fall back to
+// counter-only analyses.
 func (e *Env) Events() ([]Event, error) {
-	if e.events != nil {
-		return e.events, nil
-	}
-	t := e.Out.Table(extractor.TableDXT)
+	e.eventsOnce.Do(func() {
+		e.events, e.files, e.eventsErr = parseEvents(e.Out.Table(extractor.TableDXT))
+	})
+	return e.events, e.eventsErr
+}
+
+// FileName returns the name of the file an event's File index denotes.
+func (e *Env) FileName(file int32) string { return e.files[file] }
+
+// The DXT columns the analyses read, indexed by the dxt* constants.
+var dxtCols = [...]string{"file_name", "op", "rank", "offset", "length", "start", "end"}
+
+const (
+	dxtFile = iota
+	dxtOp
+	dxtRank
+	dxtOffset
+	dxtLength
+	dxtStart
+	dxtEnd
+)
+
+// parseEvents converts the DXT table into events, resolving each
+// column once and interning file names to dense indices in order of
+// first appearance.
+func parseEvents(t *table.Table) ([]Event, []string, error) {
 	if t == nil {
-		return nil, fmt.Errorf("analysis: trace has no DXT table")
+		return nil, nil, fmt.Errorf("analysis: trace has no DXT table")
 	}
-	evs := make([]Event, 0, t.NumRows())
-	for i := 0; i < t.NumRows(); i++ {
-		var ev Event
+	var col [len(dxtCols)]int
+	for c, name := range dxtCols {
+		i, err := t.ColIndex(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		col[c] = i
+	}
+	evs := make([]Event, len(t.Rows))
+	var files []string
+	index := map[string]int32{}
+	var cur int32
+	bad := func(i, c int, want string) error {
+		return fmt.Errorf("table %s: %s[%d] = %q is not %s", t.Name, dxtCols[c], i, t.Rows[i][col[c]], want)
+	}
+	for i, row := range t.Rows {
+		ev := &evs[i]
+		// DXT rows come grouped by file, so most rows repeat the
+		// previous row's name and skip the map.
+		if name := row[col[dxtFile]]; len(files) == 0 || name != files[cur] {
+			f, ok := index[name]
+			if !ok {
+				f = int32(len(files))
+				files = append(files, name)
+				index[name] = f
+			}
+			cur = f
+		}
+		ev.File = cur
+		switch row[col[dxtOp]] {
+		case string(darshan.OpWrite):
+			ev.Write = true
+		case string(darshan.OpRead):
+		default:
+			return nil, nil, bad(i, dxtOp, "read or write")
+		}
 		var err error
-		if ev.FileID, err = t.Value(i, "file_id"); err != nil {
-			return nil, err
+		if ev.Rank, err = strconv.ParseInt(row[col[dxtRank]], 10, 64); err != nil {
+			return nil, nil, bad(i, dxtRank, "an integer")
 		}
-		if ev.FileName, err = t.Value(i, "file_name"); err != nil {
-			return nil, err
+		if ev.Offset, err = strconv.ParseInt(row[col[dxtOffset]], 10, 64); err != nil {
+			return nil, nil, bad(i, dxtOffset, "an integer")
 		}
-		if ev.Module, err = t.Value(i, "module"); err != nil {
-			return nil, err
+		if ev.Length, err = strconv.ParseInt(row[col[dxtLength]], 10, 64); err != nil {
+			return nil, nil, bad(i, dxtLength, "an integer")
 		}
-		if ev.Rank, err = t.Int(i, "rank"); err != nil {
-			return nil, err
+		if ev.Start, err = strconv.ParseFloat(row[col[dxtStart]], 64); err != nil {
+			return nil, nil, bad(i, dxtStart, "a number")
 		}
-		if ev.Op, err = t.Value(i, "op"); err != nil {
-			return nil, err
+		if ev.End, err = strconv.ParseFloat(row[col[dxtEnd]], 64); err != nil {
+			return nil, nil, bad(i, dxtEnd, "a number")
 		}
-		if ev.Offset, err = t.Int(i, "offset"); err != nil {
-			return nil, err
-		}
-		if ev.Length, err = t.Int(i, "length"); err != nil {
-			return nil, err
-		}
-		if ev.Start, err = t.Float(i, "start"); err != nil {
-			return nil, err
-		}
-		if ev.End, err = t.Float(i, "end"); err != nil {
-			return nil, err
-		}
-		evs = append(evs, ev)
 	}
-	e.events = evs
-	return evs, nil
+	return evs, files, nil
 }
 
 // SumPosix sums one POSIX counter column across records; missing table
@@ -168,11 +224,11 @@ func fshare(num, den float64) float64 {
 // Pct formats a share as a percentage with two decimals.
 func Pct(f float64) string { return fmt.Sprintf("%.2f%%", 100*f) }
 
-// streamID keys per-(file, rank, kind) access streams.
-type streamID struct {
-	file string
-	rank int64
-	op   string
+// stream keys one per-(file, rank, op) access stream.
+type stream struct {
+	file  int32
+	write bool
+	rank  int64
 }
 
 // --- Small I/O ---
@@ -203,8 +259,7 @@ func SmallIO(env *Env) (SmallIOReport, error) {
 		return SmallIOReport{}, err
 	}
 	r := SmallIOReport{RPCSize: env.Hyper.RPCSize, StripeSize: env.Hyper.StripeSize}
-	prevEnd := map[streamID]int64{}
-	seen := map[streamID]bool{}
+	prevEnd := map[stream]int64{}
 	ranks := map[int64]bool{}
 	for _, ev := range evs {
 		r.TotalOps++
@@ -218,11 +273,10 @@ func SmallIO(env *Env) (SmallIOReport, error) {
 		if ev.Length < env.Hyper.StripeSize {
 			r.TinyOps++
 		}
-		id := streamID{ev.FileName, ev.Rank, ev.Op}
-		if seen[id] && small && ev.Offset == prevEnd[id] {
+		id := stream{ev.File, ev.Write, ev.Rank}
+		if end, seen := prevEnd[id]; seen && small && ev.Offset == end {
 			r.ConsecSmall++
 		}
-		seen[id] = true
 		prevEnd[id] = ev.Offset + ev.Length
 	}
 	r.SmallShare = share(r.SmallOps, r.TotalOps)
@@ -331,46 +385,38 @@ func Pattern(env *Env) (PatternReport, error) {
 		return PatternReport{}, err
 	}
 	var r PatternReport
-	prevEnd := map[streamID]int64{}
-	prevStart := map[streamID]int64{}
-	prevLen := map[streamID]int64{}
-	seen := map[streamID]bool{}
+	type extent struct{ offset, length int64 }
+	prev := map[stream]extent{}
 	randPerRank := map[int64]int64{}
 	for _, ev := range evs {
 		r.TotalBytes += ev.Length
-		if ev.Op == "read" {
+		if !ev.Write {
 			r.Reads++
 		}
-		id := streamID{ev.FileName, ev.Rank, ev.Op}
-		if seen[id] {
+		id := stream{ev.File, ev.Write, ev.Rank}
+		if p, seen := prev[id]; seen {
 			r.Classified++
+			end := p.offset + p.length
 			switch {
-			case ev.Offset == prevEnd[id]:
+			case ev.Offset == end:
 				r.Consecutive++
-			case ev.Offset == prevStart[id] && ev.Length == prevLen[id]:
+			case ev.Offset == p.offset && ev.Length == p.length:
 				r.Repeats++
-			case ev.Offset > prevEnd[id]:
-				r.ForwardJumps++
-				r.RandomOps++
-				r.RandomBytes += ev.Length
-				randPerRank[ev.Rank]++
-				if ev.Op == "read" {
-					r.RandomReads++
-				}
 			default:
-				r.BackwardJumps++
+				if ev.Offset > end {
+					r.ForwardJumps++
+				} else {
+					r.BackwardJumps++
+				}
 				r.RandomOps++
 				r.RandomBytes += ev.Length
 				randPerRank[ev.Rank]++
-				if ev.Op == "read" {
+				if !ev.Write {
 					r.RandomReads++
 				}
 			}
 		}
-		seen[id] = true
-		prevEnd[id] = ev.Offset + ev.Length
-		prevStart[id] = ev.Offset
-		prevLen[id] = ev.Length
+		prev[id] = extent{ev.Offset, ev.Length}
 	}
 	r.NonContig = r.ForwardJumps + r.BackwardJumps
 	r.ConsecShare = share(r.Consecutive, r.Classified)
@@ -406,92 +452,130 @@ type SharedFileReport struct {
 	StripeSize          int64
 }
 
-// SharedFile computes the shared-file report.
+// SharedFile returns the shared-file report. It is computed once per
+// Env and shared, since several issues' analyses consult it.
 func SharedFile(env *Env) (SharedFileReport, error) {
+	env.sharedOnce.Do(func() {
+		env.sharedRuns.Add(1)
+		env.shared, env.sharedErr = sharedFile(env)
+	})
+	return env.shared, env.sharedErr
+}
+
+// SharedFileRuns reports how many times the shared-file report has
+// been computed for env: never more than once.
+func (e *Env) SharedFileRuns() int { return int(e.sharedRuns.Load()) }
+
+// stripeVisit is one event's access to one stripe of one file.
+type stripeVisit struct {
+	file   int32
+	event  int32
+	stripe int64
+}
+
+// sharedFile reconstructs stripe sharing in one pass over every
+// (file, stripe, event) visit, sorted so each stripe's visits are
+// adjacent and in trace order.
+func sharedFile(env *Env) (SharedFileReport, error) {
 	evs, err := env.Events()
 	if err != nil {
 		return SharedFileReport{}, err
 	}
 	r := SharedFileReport{StripeSize: env.Hyper.StripeSize}
-	type stripeKey struct {
-		file   string
-		stripe int64
-	}
-	ranksPerFile := map[string]map[int64]bool{}
-	writersPerStripe := map[stripeKey]map[int64]bool{}
-	stripes := map[stripeKey]bool{}
-	// For temporal overlap: track the latest access per stripe; only
-	// conflicts involving at least one write count (concurrent reads of
-	// one stripe are benign).
-	type interval struct {
-		rank  int64
-		end   float64
-		write bool
-	}
-	lastOnStripe := map[stripeKey]interval{}
-
-	for _, ev := range evs {
-		if ranksPerFile[ev.FileName] == nil {
-			ranksPerFile[ev.FileName] = map[int64]bool{}
-		}
-		ranksPerFile[ev.FileName][ev.Rank] = true
-		first := ev.Offset / r.StripeSize
-		last := (ev.Offset + max64(ev.Length, 1) - 1) / r.StripeSize
-		for s := first; s <= last; s++ {
-			k := stripeKey{ev.FileName, s}
-			stripes[k] = true
-			if ev.Op == "write" {
-				if writersPerStripe[k] == nil {
-					writersPerStripe[k] = map[int64]bool{}
-				}
-				writersPerStripe[k][ev.Rank] = true
-			}
-			if prev, ok := lastOnStripe[k]; ok && prev.rank != ev.Rank && ev.Start < prev.end &&
-				(prev.write || ev.Op == "write") {
-				r.OverlapEvents++
-			}
-			if cur, ok := lastOnStripe[k]; !ok || ev.End > cur.end {
-				lastOnStripe[k] = interval{rank: ev.Rank, end: ev.End, write: ev.Op == "write"}
-			}
-		}
-		if ev.Op == "write" {
-			r.WriteOps++
-		}
-	}
-	for file, ranks := range ranksPerFile {
-		if len(ranks) > 1 {
+	for f, n := range ranksPerFile(evs, len(env.files)) {
+		if n > 1 {
 			r.SharedFiles++
 		}
-		if len(ranks) > r.MaxRanks {
-			r.MaxRanks = len(ranks)
-			r.BusiestFile = file
+		// Ties go to the lexically first name, so the report does not
+		// depend on the order files appear in the trace.
+		if name := env.FileName(int32(f)); n > r.MaxRanks || n == r.MaxRanks && name < r.BusiestFile {
+			r.MaxRanks = n
+			r.BusiestFile = name
 		}
 	}
-	conflict := map[stripeKey]bool{}
-	for k, writers := range writersPerStripe {
-		if len(writers) > 1 {
-			conflict[k] = true
-			r.ConflictStripes++
-		}
-	}
-	r.StripesTouched = int64(len(stripes))
-	r.ConflictShare = share(r.ConflictStripes, r.StripesTouched)
-	// Second pass for writes landing on conflict stripes.
-	for _, ev := range evs {
-		if ev.Op != "write" {
-			continue
+	visits := make([]stripeVisit, 0, len(evs))
+	for i := range evs {
+		ev := &evs[i]
+		if ev.Write {
+			r.WriteOps++
 		}
 		first := ev.Offset / r.StripeSize
 		last := (ev.Offset + max64(ev.Length, 1) - 1) / r.StripeSize
 		for s := first; s <= last; s++ {
-			if conflict[stripeKey{ev.FileName, s}] {
-				r.WritesOnShared++
-				break
+			visits = append(visits, stripeVisit{file: ev.File, event: int32(i), stripe: s})
+		}
+	}
+	slices.SortFunc(visits, func(a, b stripeVisit) int {
+		if c := cmp.Compare(a.file, b.file); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.stripe, b.stripe); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.event, b.event)
+	})
+	onShared := make([]bool, len(evs)) // writes landing on a conflict stripe
+	for lo := 0; lo < len(visits); {
+		hi := lo + 1
+		for hi < len(visits) && visits[hi].file == visits[lo].file && visits[hi].stripe == visits[lo].stripe {
+			hi++
+		}
+		stripe := visits[lo:hi]
+		lo = hi
+		r.StripesTouched++
+		// latest is the access with the latest end so far: a later
+		// access overlapping it in time, from another rank, with at
+		// least one of the two a write, is a conflict (concurrent
+		// reads of one stripe are benign).
+		var latest *Event
+		var writer int64
+		writers := 0 // distinct writing ranks, counted up to two
+		for _, v := range stripe {
+			ev := &evs[v.event]
+			if latest != nil && latest.Rank != ev.Rank && ev.Start < latest.End && (latest.Write || ev.Write) {
+				r.OverlapEvents++
+			}
+			if latest == nil || ev.End > latest.End {
+				latest = ev
+			}
+			if ev.Write && (writers == 0 || writers == 1 && ev.Rank != writer) {
+				writer = ev.Rank
+				writers++
+			}
+		}
+		if writers > 1 {
+			r.ConflictStripes++
+			for _, v := range stripe {
+				onShared[v.event] = onShared[v.event] || evs[v.event].Write
 			}
 		}
 	}
+	for _, on := range onShared {
+		if on {
+			r.WritesOnShared++
+		}
+	}
+	r.ConflictShare = share(r.ConflictStripes, r.StripesTouched)
 	r.WritesOnSharedShare = share(r.WritesOnShared, r.WriteOps)
 	return r, nil
+}
+
+// ranksPerFile counts the distinct ranks accessing each file index.
+func ranksPerFile(evs []Event, files int) []int {
+	type fileRank struct {
+		file int32
+		rank int64
+	}
+	counts := make([]int, files)
+	seen := map[fileRank]struct{}{}
+	for i := range evs {
+		k := fileRank{evs[i].File, evs[i].Rank}
+		if _, ok := seen[k]; !ok {
+			seen[k] = struct{}{}
+			counts[k.file]++
+		}
+	}
+	return counts
 }
 
 // --- Load imbalance ---
@@ -670,18 +754,14 @@ func Interface(env *Env) (InterfaceReport, error) {
 		r.UsesSTDIO = r.StdioDataOps > 0
 	}
 	if evs, err := env.Events(); err == nil {
-		ranks := map[int64]bool{}
-		perFile := map[string]map[int64]bool{}
-		for _, ev := range evs {
-			ranks[ev.Rank] = true
-			if perFile[ev.FileName] == nil {
-				perFile[ev.FileName] = map[int64]bool{}
+		for i := range evs {
+			if evs[i].Rank != evs[0].Rank {
+				r.MultiRankData = true
+				break
 			}
-			perFile[ev.FileName][ev.Rank] = true
 		}
-		r.MultiRankData = len(ranks) > 1
-		for _, rs := range perFile {
-			if len(rs) > 1 {
+		for _, n := range ranksPerFile(evs, len(env.files)) {
+			if n > 1 {
 				r.SharedFiles++
 			}
 		}
@@ -761,8 +841,16 @@ func TimeImbalance(env *Env) (TimeReport, error) {
 	if r.ActiveRanks == 0 {
 		return r, nil
 	}
+	// Visit ranks in ascending order: the float sum is then the same on
+	// every run, and the lowest rank wins a tie for slowest.
+	ranks := make([]int64, 0, len(per))
+	for rank := range per {
+		ranks = append(ranks, rank)
+	}
+	slices.Sort(ranks)
 	var sum float64
-	for rank, t := range per {
+	for _, rank := range ranks {
+		t := per[rank]
 		sum += t
 		if t > r.SlowestTime {
 			r.SlowestTime = t

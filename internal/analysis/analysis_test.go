@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -280,6 +282,39 @@ func TestMissingTables(t *testing.T) {
 	// Collective degrades gracefully (no MPI-IO is a valid state).
 	if r, err := Collective(empty); err != nil || r.HasMPIIO {
 		t.Errorf("Collective on empty env: %+v, %v", r, err)
+	}
+}
+
+// TestMalformedDXT checks that a bad DXT cell or a missing column is
+// reported with its position rather than analyzed.
+func TestMalformedDXT(t *testing.T) {
+	cols := []string{"file_name", "op", "rank", "offset", "length", "start", "end"}
+	good := []string{"/f", "write", "0", "0", "10", "0", "1"}
+	for _, c := range []struct {
+		col, val, want string
+	}{
+		{"op", "append", `table DXT: op[1] = "append" is not read or write`},
+		{"rank", "r0", `table DXT: rank[1] = "r0" is not an integer`},
+		{"length", "", `table DXT: length[1] = "" is not an integer`},
+		{"end", "later", `table DXT: end[1] = "later" is not a number`},
+	} {
+		tab := table.New(extractor.TableDXT, cols)
+		bad := append([]string(nil), good...)
+		bad[slices.Index(cols, c.col)] = c.val
+		for _, row := range [][]string{good, bad} {
+			if err := tab.Append(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		env := NewEnv(&extractor.Output{Tables: map[string]*table.Table{extractor.TableDXT: tab}}, knowledge.DefaultHyperparams())
+		if _, err := SmallIO(env); err == nil || err.Error() != c.want {
+			t.Errorf("bad %s: error %v, want %q", c.col, err, c.want)
+		}
+	}
+	noEnd := table.New(extractor.TableDXT, cols[:len(cols)-1])
+	env := NewEnv(&extractor.Output{Tables: map[string]*table.Table{extractor.TableDXT: noEnd}}, knowledge.DefaultHyperparams())
+	if _, err := SharedFile(env); err == nil || !strings.Contains(err.Error(), `no column "end"`) {
+		t.Errorf("missing column: error %v", err)
 	}
 }
 

@@ -34,18 +34,36 @@ import (
 // ModelName is reported in completions.
 const ModelName = "ion-expertsim-1"
 
+// envCacheSize bounds how many CSV directories a client keeps loaded.
+// A directory is needed while one job's issues fan out (plus any shadow
+// re-run of that job), so a few beyond the service's concurrent jobs
+// suffice.
+const envCacheSize = 8
+
 // Client is the simulated expert model. It is safe for concurrent use.
 type Client struct {
 	// LoadDir loads extracted CSVs; tests may override it.
 	LoadDir func(dir string) (*extractor.Output, error)
 
 	mu   sync.Mutex
-	envs map[string]*analysis.Env
+	envs map[string]*envEntry // at most envCacheSize, by recency
+	tick uint64               // recency clock for envs
+}
+
+// envEntry is one CSV directory's analysis environment. The first
+// request for the directory loads it; concurrent requests for the same
+// directory wait on ready instead of loading it again, and requests
+// for other directories do not wait at all.
+type envEntry struct {
+	ready chan struct{} // closed once env and err are set
+	env   *analysis.Env
+	err   error
+	used  uint64 // Client.tick at the last request; guarded by Client.mu
 }
 
 // New returns a simulated expert client.
 func New() *Client {
-	return &Client{LoadDir: extractor.LoadDir, envs: map[string]*analysis.Env{}}
+	return &Client{LoadDir: extractor.LoadDir, envs: map[string]*envEntry{}}
 }
 
 // Name implements llm.Client.
@@ -67,7 +85,7 @@ func (c *Client) Complete(ctx context.Context, req llm.Request) (llm.Completion,
 	)
 	switch kind {
 	case prompt.KindDiagnosis:
-		out, err = c.diagnose(req, content)
+		out, err = c.diagnose(ctx, req, content)
 	case prompt.KindSummary:
 		out, err = summarize(content)
 	case prompt.KindChat:
@@ -117,7 +135,7 @@ func classify(content string) string {
 var issueIDRe = regexp.MustCompile(`(?m)^Issue-ID:\s*([a-z-]+)\s*$`)
 
 // diagnose runs the per-issue analysis plan.
-func (c *Client) diagnose(req llm.Request, content string) (string, error) {
+func (c *Client) diagnose(ctx context.Context, req llm.Request, content string) (string, error) {
 	id := issue.ID(req.Metadata[prompt.MetaIssue])
 	if id == "" {
 		if m := issueIDRe.FindStringSubmatch(content); m != nil {
@@ -127,7 +145,7 @@ func (c *Client) diagnose(req llm.Request, content string) (string, error) {
 	if !issue.Valid(id) {
 		return "", fmt.Errorf("expertsim: diagnosis prompt does not identify a known issue (got %q)", id)
 	}
-	env, err := c.envFor(req, content)
+	env, err := c.envFor(ctx, req, content)
 	if err != nil {
 		return "", err
 	}
@@ -138,9 +156,10 @@ func (c *Client) diagnose(req llm.Request, content string) (string, error) {
 	return p.render(), nil
 }
 
-// envFor resolves and caches the analysis environment for the request's
-// CSV directory.
-func (c *Client) envFor(req llm.Request, content string) (*analysis.Env, error) {
+// envFor resolves the analysis environment for the request's CSV
+// directory, loading it at most once however many requests ask
+// concurrently.
+func (c *Client) envFor(ctx context.Context, req llm.Request, content string) (*analysis.Env, error) {
 	dir := req.Metadata[prompt.MetaCSVDir]
 	if dir == "" && len(req.Files) > 0 {
 		dir = filepath.Dir(req.Files[0])
@@ -151,20 +170,53 @@ func (c *Client) envFor(req llm.Request, content string) (*analysis.Env, error) 
 	hyper := parseHyper(content)
 	key := dir + "|" + fmt.Sprint(hyper)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if env, ok := c.envs[key]; ok {
-		return env, nil
+	e, loaded := c.envs[key]
+	if !loaded {
+		e = &envEntry{ready: make(chan struct{})}
+		c.envs[key] = e
 	}
+	c.tick++
+	e.used = c.tick
+	c.evictLocked()
+	c.mu.Unlock()
+
+	if loaded {
+		select {
+		case <-e.ready:
+			return e.env, e.err
+		case <-ctx.Done():
+			return nil, fmt.Errorf("expertsim: waiting for trace CSVs: %w", ctx.Err())
+		}
+	}
+	defer close(e.ready)
 	out, err := c.LoadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("expertsim: loading trace CSVs: %w", err)
+		e.err = fmt.Errorf("expertsim: loading trace CSVs: %w", err)
+		// Forget the failure so a later request retries the load.
+		c.mu.Lock()
+		if c.envs[key] == e {
+			delete(c.envs, key)
+		}
+		c.mu.Unlock()
+		return nil, e.err
 	}
-	env := analysis.NewEnv(out, hyper)
-	// Pre-parse DXT under the lock so the lazily cached event slice is
-	// written once, keeping the env safe for the parallel fan-out.
-	_, _ = env.Events()
-	c.envs[key] = env
-	return env, nil
+	e.env = analysis.NewEnv(out, hyper)
+	return e.env, nil
+}
+
+// evictLocked drops the least recently used directories beyond
+// envCacheSize. Requests already holding an evicted entry still get its
+// result; the next request for that directory loads it again.
+func (c *Client) evictLocked() {
+	for len(c.envs) > envCacheSize {
+		var oldest string
+		for k, e := range c.envs {
+			if oldest == "" || e.used < c.envs[oldest].used {
+				oldest = k
+			}
+		}
+		delete(c.envs, oldest)
+	}
 }
 
 var hyperRe = regexp.MustCompile(`(?m)^- (lustre_stripe_size|rpc_size|mem_alignment) = (\d+) bytes$`)

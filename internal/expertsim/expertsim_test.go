@@ -2,9 +2,13 @@ package expertsim
 
 import (
 	"context"
+	"errors"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"ion/internal/analysis"
 	"ion/internal/extractor"
 	"ion/internal/ion"
 	"ion/internal/issue"
@@ -357,5 +361,252 @@ Small but consecutive operations aggregate fine.
 	}
 	if !strings.Contains(a2.Content, "Imbalanced I/O Workload") {
 		t.Errorf("follow-up lost the topic: %s", a2.Content)
+	}
+}
+
+// diagnosisRequests builds the nine diagnosis prompts for a workload
+// and returns them with the workload's CSV directory.
+func diagnosisRequests(t *testing.T, workload string) (string, []llm.Request) {
+	t.Helper()
+	out, dir, err := testutil.Extracted(workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := prompt.NewBuilder(knowledge.NewBase(knowledge.FromExtract(out)))
+	reqs := make([]llm.Request, 0, len(issue.All))
+	for _, id := range issue.All {
+		req, err := b.Diagnosis(id, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, req)
+	}
+	return dir, reqs
+}
+
+// TestDiagnosesDeterministic renders every diagnosis of every bundled
+// family with several fresh clients: the completions must be
+// byte-identical, whatever order Go's maps iterate in.
+func TestDiagnosesDeterministic(t *testing.T) {
+	const clients = 4
+	for _, w := range append(workloads.All(), workloads.Extras()...) {
+		t.Run(w.Name, func(t *testing.T) {
+			dir, reqs := diagnosisRequests(t, w.Name)
+			out, err := extractor.LoadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var first []string
+			for n := 0; n < clients; n++ {
+				c := New()
+				c.LoadDir = func(string) (*extractor.Output, error) { return out, nil }
+				for i, req := range reqs {
+					comp, err := c.Complete(context.Background(), req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n == 0 {
+						first = append(first, comp.Content)
+					} else if comp.Content != first[i] {
+						t.Fatalf("%s: client %d wrote a different completion\n--- client 0 ---\n%s\n--- client %d ---\n%s",
+							issue.All[i], n, first[i], n, comp.Content)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestEnvCacheBounded diagnoses more directories than the cache holds:
+// the cache stays at its bound, an evicted directory reloads with
+// identical output, and a failed load is retried rather than cached.
+func TestEnvCacheBounded(t *testing.T) {
+	c := New()
+	loads := map[string]int{}
+	c.LoadDir = func(d string) (*extractor.Output, error) {
+		loads[d]++
+		return extractor.LoadDir(d)
+	}
+	var dirs []string
+	var reqs []llm.Request
+	for _, w := range append(workloads.All(), workloads.Extras()...) {
+		dir, rs := diagnosisRequests(t, w.Name)
+		dirs = append(dirs, dir)
+		reqs = append(reqs, rs[0])
+	}
+	if len(dirs) <= envCacheSize {
+		t.Fatalf("only %d directories for a cache of %d", len(dirs), envCacheSize)
+	}
+	var firstOut string
+	for i, req := range reqs {
+		comp, err := c.Complete(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			firstOut = comp.Content
+		}
+		if n := len(c.envs); n > envCacheSize {
+			t.Fatalf("after %d directories the cache holds %d, bound %d", i+1, n, envCacheSize)
+		}
+	}
+	comp, err := c.Complete(context.Background(), reqs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loads[dirs[0]] != 2 {
+		t.Errorf("evicted directory loaded %d times, want 2", loads[dirs[0]])
+	}
+	if comp.Content != firstOut {
+		t.Errorf("reloaded directory diagnosed differently:\n%s\n---\n%s", firstOut, comp.Content)
+	}
+
+	fail := true
+	c.LoadDir = func(d string) (*extractor.Output, error) {
+		loads[d]++
+		if fail {
+			return nil, errors.New("read failed")
+		}
+		return extractor.LoadDir(d)
+	}
+	last := reqs[len(reqs)-1]
+	before := loads[dirs[len(dirs)-1]]
+	c.mu.Lock()
+	clear(c.envs) // force the next request to load
+	c.mu.Unlock()
+	if _, err := c.Complete(context.Background(), last); err == nil {
+		t.Fatal("failed load reported no error")
+	}
+	fail = false
+	if _, err := c.Complete(context.Background(), last); err != nil {
+		t.Fatalf("retry after a failed load: %v", err)
+	}
+	if got := loads[dirs[len(dirs)-1]] - before; got != 2 {
+		t.Errorf("failed directory loaded %d times across two requests, want 2 (failure not cached)", got)
+	}
+}
+
+// TestEnvLoadPerDirectory gates one directory's load and shows a second
+// directory's diagnoses complete meanwhile, that requests for the gated
+// directory share its one load, and that a waiter gives up when its
+// context ends.
+func TestEnvLoadPerDirectory(t *testing.T) {
+	dirA, reqsA := diagnosisRequests(t, "ior-hard")
+	dirB, reqsB := diagnosisRequests(t, "e2e-optimized")
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	var mu sync.Mutex
+	loads := map[string]int{}
+	c := New()
+	c.LoadDir = func(d string) (*extractor.Output, error) {
+		mu.Lock()
+		loads[d]++
+		first := loads[d] == 1
+		mu.Unlock()
+		if d == dirA {
+			if first {
+				close(started)
+			}
+			<-gate
+		}
+		return extractor.LoadDir(d)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, len(reqsA))
+	for _, req := range reqsA {
+		wg.Add(1)
+		go func(req llm.Request) {
+			defer wg.Done()
+			if _, err := c.Complete(context.Background(), req); err != nil {
+				errs <- err
+			}
+		}(req)
+	}
+	<-started
+
+	doneB := make(chan error, 1)
+	go func() {
+		for _, req := range reqsB {
+			if _, err := c.Complete(context.Background(), req); err != nil {
+				doneB <- err
+				return
+			}
+		}
+		doneB <- nil
+	}()
+	select {
+	case err := <-doneB:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		close(gate)
+		t.Fatal("diagnoses of one directory waited for another directory's load")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := c.Complete(ctx, reqsA[0])
+		waiter <- err
+	}()
+	cancel()
+	if err := <-waiter; !errors.Is(err, context.Canceled) {
+		t.Errorf("waiter on a gated load returned %v, want context.Canceled", err)
+	}
+
+	close(gate)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if loads[dirA] != 1 || loads[dirB] != 1 {
+		t.Errorf("loads = %v, want each directory loaded once", loads)
+	}
+}
+
+// TestPlannersConcurrentOnOneEnv runs all nine planners at once, twice
+// over, on one Env: each must render what it renders alone, and the
+// shared-file report, which two planners consult, is computed once.
+func TestPlannersConcurrentOnOneEnv(t *testing.T) {
+	out, _, err := testutil.Extracted("openpmd-optimized")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hyper := knowledge.FromExtract(out)
+	want := map[issue.ID]string{}
+	for _, id := range issue.All {
+		p, err := planFor(id, analysis.NewEnv(out, hyper))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = p.render()
+	}
+
+	env := analysis.NewEnv(out, hyper)
+	var wg sync.WaitGroup
+	for round := 0; round < 2; round++ {
+		for _, id := range issue.All {
+			wg.Add(1)
+			go func(id issue.ID) {
+				defer wg.Done()
+				p, err := planFor(id, env)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := p.render(); got != want[id] {
+					t.Errorf("%s rendered differently under concurrency:\n%s\n---\n%s", id, want[id], got)
+				}
+			}(id)
+		}
+	}
+	wg.Wait()
+	if n := env.SharedFileRuns(); n != 1 {
+		t.Errorf("shared-file report computed %d times, want 1", n)
 	}
 }

@@ -144,20 +144,6 @@ func TestQualityAgreementSelfGate(t *testing.T) {
 	}
 }
 
-// waitShadow polls until the job's scorecard carries a shadow result.
-func waitShadow(t *testing.T, qual *quality.Store, id string) quality.Scorecard {
-	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		if card, ok := qual.Get(id); ok && card.Shadow != nil {
-			return card
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("job %s was never shadowed", id)
-	return quality.Scorecard{}
-}
-
 // TestShadowFlipSurvivesRestart is the reuse-decay half of the
 // acceptance criteria. Generation 1 (faithful expertsim) indexes a cold
 // diagnosis; generation 2 restarts onto the same journals with a
@@ -218,7 +204,14 @@ func TestShadowFlipSurvivesRestart(t *testing.T) {
 		t.Fatalf("perturbed job state = %s (%s), want reused", got2.State, got2.Error)
 	}
 
-	card := waitShadow(t, qual2, j2.ID)
+	// The shadow re-run was scheduled before the job finished. Wait for
+	// it to return, which is after its last effect: the scorecard, the
+	// job's provenance and the flip-ratio gauge are all published.
+	svc2.shadowWG.Wait()
+	card, ok := qual2.Get(j2.ID)
+	if !ok || card.Shadow == nil {
+		t.Fatalf("job %s was never shadowed", j2.ID)
+	}
 	if card.Mode != quality.ModeVerbatim {
 		t.Errorf("shadowed scorecard mode = %q, want verbatim", card.Mode)
 	}
