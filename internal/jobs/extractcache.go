@@ -66,6 +66,18 @@ func (c *extractCache) get(key string) (*extractor.Output, bool) {
 	return el.Value.(*extractCacheEntry).out, true
 }
 
+// has reports whether a trace hash is cached, without counting a hit
+// or a miss and without refreshing its recency.
+func (c *extractCache) has(key string) bool {
+	if c == nil {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[key]
+	return ok
+}
+
 // put stores an extraction output, evicting least-recently-used
 // entries until the byte budget holds. Outputs larger than the whole
 // budget are not cached.

@@ -88,8 +88,9 @@ type Ingest struct {
 	Mode string `json:"mode"`
 	// Bytes is the trace body size.
 	Bytes int64 `json:"bytes"`
-	// Shards is how many parse shards the body was cut into (streaming
-	// ingestion only).
+	// Shards is how many parse shards the body was cut into. Zero for
+	// a binary container parsed whole, and for a whole-body upload
+	// whose extraction was already cached, which is not parsed again.
 	Shards int `json:"shards,omitempty"`
 	// ParseOverlapped reports that at least one shard finished parsing
 	// while the client was still uploading — the property the streaming

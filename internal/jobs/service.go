@@ -228,11 +228,10 @@ type Service struct {
 	closed bool
 	busy   int
 
-	// preParsed hands logs parsed during streamed ingestion to the
-	// worker that runs the job, so the parse that overlapped the upload
-	// is not repeated. Bounded FIFO keyed by trace hash.
-	preParsed      map[string]*darshan.Log
-	preParsedOrder []string
+	// parked hands each submission's parse to the worker that runs its
+	// job, so a trace is parsed once. Keyed by job id, filled by admit
+	// just before the enqueue and emptied by run; see maxParked.
+	parked map[string]parsedTrace
 
 	submitted, completed, failed, retried, cacheHits, recovered int64
 	semHits, semConditioned, semAdopted                         int64
@@ -241,8 +240,21 @@ type Service struct {
 // defaultStreamMaxBuffer bounds in-flight streaming-upload memory.
 const defaultStreamMaxBuffer = 256 << 20
 
-// maxPreParsed bounds how many streamed parses wait for their worker.
-const maxPreParsed = 8
+// maxParked bounds how many parsed submissions wait for their worker.
+// A job admitted while the park is full is not parked; its worker
+// parses the stored trace instead, and the entries of the jobs ahead
+// of it stay put.
+const maxParked = 8
+
+// parsedTrace is a submission's parse waiting for the worker that runs
+// its job.
+type parsedTrace struct {
+	log *darshan.Log
+	// tracer holds the parse span and its parse_shard children; the
+	// worker records the job's spans in it too. nil for a streamed
+	// upload, whose parse overlapped the upload and is not timed.
+	tracer *obs.Tracer
+}
 
 // Open starts a Service over cfg.Dir, recovering any jobs a previous
 // process left queued or in flight (they restart as queued).
@@ -293,11 +305,11 @@ func Open(cfg Config) (*Service, error) {
 		abort:   cancel,
 		stop:    make(chan struct{}),
 		// Recovered jobs must all fit alongside a full queue.
-		queue:     make(chan string, cfg.QueueDepth+len(pending)),
-		jobs:      make(map[string]*Job, len(existing)),
-		done:      make(map[string]chan struct{}, len(existing)),
-		byHash:    make(map[string]string, len(existing)),
-		preParsed: make(map[string]*darshan.Log),
+		queue:  make(chan string, cfg.QueueDepth+len(pending)),
+		jobs:   make(map[string]*Job, len(existing)),
+		done:   make(map[string]chan struct{}, len(existing)),
+		byHash: make(map[string]string, len(existing)),
+		parked: make(map[string]parsedTrace, maxParked),
 	}
 	s.shadowCtx, s.shadowCancel = context.WithCancel(ctx)
 	s.shadowSem = make(chan struct{}, cfg.ShadowConcurrency)
@@ -517,20 +529,37 @@ func (s *Service) Draining() bool {
 // job is the cached one. Returns ErrQueueFull when the queue is at
 // capacity, ErrBadTrace when the bytes do not parse, ErrClosed after
 // shutdown has begun.
+//
+// The parse that validates the trace is the job's only one: its log
+// (and its parse spans) wait for the worker that runs the job. Bytes
+// whose extraction is already cached have parsed before, so they are
+// not parsed again; their job skips parse and extract alike.
 func (s *Service) Submit(name string, trace []byte) (Job, bool, error) {
-	if _, err := s.parseTrace(context.Background(), trace); err != nil {
-		return Job{}, false, err
-	}
 	sum := sha256.Sum256(trace)
 	hash := hex.EncodeToString(sum[:])
 	ingest := &Ingest{Mode: IngestBody, Bytes: int64(len(trace))}
-	return s.admit(name, hash, trace, ingest)
+	var pre *parsedTrace
+	if !s.cache.has(hash) {
+		tracer := obs.NewTracer()
+		ctx, span := obs.StartSpan(obs.WithTracer(context.Background(), tracer), "parse")
+		log, shards, err := s.parseTrace(ctx, trace)
+		span.SetError(err)
+		span.End()
+		if err != nil {
+			return Job{}, false, err
+		}
+		ingest.Shards = shards
+		pre = &parsedTrace{log: log, tracer: tracer}
+	}
+	return s.admit(name, hash, trace, ingest, pre)
 }
 
 // admit runs the post-validation half of a submission — dedup lookup,
 // queue admission, persistence, enqueue — shared by the whole-body and
-// streaming paths. hash is the hex SHA-256 of trace.
-func (s *Service) admit(name, hash string, trace []byte, ingest *Ingest) (Job, bool, error) {
+// streaming paths. hash is the hex SHA-256 of trace; pre, when not
+// nil, is the submission's parse, parked for the job's worker unless
+// the park is full. Dedup hits and refusals park nothing.
+func (s *Service) admit(name, hash string, trace []byte, ingest *Ingest, pre *parsedTrace) (Job, bool, error) {
 	if name == "" {
 		name = "trace-" + hash[:8]
 	}
@@ -570,11 +599,15 @@ func (s *Service) admit(name, hash string, trace []byte, ingest *Ingest) (Job, b
 	s.done[j.ID] = make(chan struct{})
 	s.byHash[hash] = j.ID
 	s.submitted++
+	if pre != nil && len(s.parked) < maxParked {
+		s.parked[j.ID] = *pre
+	}
 	select {
 	case s.queue <- j.ID:
 	default:
 		// Unreachable: the depth check above holds s.mu and workers only
 		// drain the channel, but fail closed rather than block.
+		delete(s.parked, j.ID)
 		delete(s.jobs, j.ID)
 		delete(s.done, j.ID)
 		delete(s.byHash, hash)
@@ -748,14 +781,18 @@ func (s *Service) worker() {
 	}
 }
 
-// run executes one job: parse the stored trace, extract its tables
-// (or reuse the extract cache keyed by trace hash, skipping both
-// stages), then run the analysis with a per-attempt timeout, retrying
-// transient failures with backoff + jitter. The whole execution is
-// traced; the span timeline is persisted next to the report (win or
-// lose) and folded into the stage-latency histogram.
+// run executes one job: take the log its submission parsed (or parse
+// the stored trace when none was parked), extract its tables (or reuse
+// the extract cache keyed by trace hash, skipping both stages), then
+// run the analysis with a per-attempt timeout, retrying transient
+// failures with backoff + jitter. The whole execution is traced; the
+// span timeline is persisted next to the report (win or lose) and
+// folded into the stage-latency histogram.
 func (s *Service) run(id string) {
 	s.mu.Lock()
+	// Take the parked parse first, so no outcome below leaves it behind.
+	pre := s.parked[id]
+	delete(s.parked, id)
 	j, ok := s.jobs[id]
 	if !ok || j.State.Terminal() {
 		s.mu.Unlock()
@@ -770,13 +807,19 @@ func (s *Service) run(id string) {
 		s.mu.Unlock()
 	}()
 
-	tracer := obs.NewTracer()
+	tracer := pre.tracer
+	if tracer == nil {
+		tracer = obs.NewTracer()
+	}
 	logger := s.log.With("job", id)
 	ctx := obs.WithLogger(obs.WithTracer(s.baseCtx, tracer), logger)
 	// Stamp the analysis context so every LLM call made on this job's
 	// behalf is attributed to it in the audit ledger.
 	ctx = llm.WithJobID(ctx, id)
 	ctx, root := obs.StartSpan(ctx, "job", obs.L("job", id))
+	// The submission's parse spans join the job's tree. They end before
+	// the job span starts, so it still measures the run alone.
+	root.AdoptRoots()
 
 	if out, ok := s.cache.get(hash); ok {
 		root.Annotate("extract_cache", "hit")
@@ -786,34 +829,34 @@ func (s *Service) run(id string) {
 		return
 	}
 
-	trace, err := s.store.Trace(id)
-	if err == nil {
-		var log *darshan.Log
-		if pre := s.takePreParsed(hash); pre != nil {
-			// Streamed ingestion already parsed this trace while the
-			// body was uploading; don't repeat the work.
-			root.Annotate("parse", "streamed")
-			logger.Info("using parse from streamed ingestion", "hash", hash[:12])
-			log = pre
-		} else {
+	log := pre.log
+	var err error
+	if log == nil {
+		// Recovered, or admitted while the park was full: parse the
+		// stored trace.
+		var trace []byte
+		if trace, err = s.store.Trace(id); err == nil {
 			pctx, span := obs.StartSpan(ctx, "parse")
-			log, err = s.parseTrace(pctx, trace)
+			log, _, err = s.parseTrace(pctx, trace)
 			span.SetError(err)
 			span.End()
 		}
-		if err == nil {
-			ectx, espan := obs.StartSpan(ctx, "extract")
-			out, eerr := extractor.ExtractToDirContext(ectx, log, s.store.WorkDir(id))
-			espan.SetError(eerr)
-			espan.End()
-			if eerr == nil {
-				s.cache.put(hash, out)
-				state, cause := s.diagnose(ctx, id, hash, out)
-				s.settle(id, state, cause, tracer, root)
-				return
-			}
-			err = eerr
+	} else if pre.tracer == nil {
+		root.Annotate("parse", "streamed")
+		logger.Info("using parse from streamed ingestion", "hash", hash[:12])
+	}
+	if err == nil {
+		ectx, espan := obs.StartSpan(ctx, "extract")
+		out, eerr := extractor.ExtractToDirContext(ectx, log, s.store.WorkDir(id))
+		espan.SetError(eerr)
+		espan.End()
+		if eerr == nil {
+			s.cache.put(hash, out)
+			state, cause := s.diagnose(ctx, id, hash, out)
+			s.settle(id, state, cause, tracer, root)
+			return
 		}
+		err = eerr
 	}
 	logger.Error("job unrunnable", "err", err)
 	s.settle(id, StateFailed, err, tracer, root)
@@ -1011,18 +1054,24 @@ func ParseTrace(data []byte) (*darshan.Log, error) {
 }
 
 // parseTrace is ParseTrace bounded by the configured shard concurrency,
-// with per-shard spans and throughput metrics.
-func (s *Service) parseTrace(ctx context.Context, data []byte) (*darshan.Log, error) {
+// with per-shard spans and throughput metrics. It also returns how many
+// shards a text parse used (0 for a binary container).
+func (s *Service) parseTrace(ctx context.Context, data []byte) (*darshan.Log, int, error) {
+	var shards atomic.Int32
+	hook := s.shardHook(ctx)
 	opts := darshan.ParallelOptions{
 		Workers: s.cfg.ParseWorkers,
-		OnShard: s.shardHook(ctx),
+		OnShard: func(shard int, chunk []byte) func(error) {
+			shards.Add(1)
+			return hook(shard, chunk)
+		},
 	}
 	start := time.Now()
 	log, err := parseTraceOpts(data, opts)
 	if err == nil {
 		s.recordParseRate(int64(len(data)), time.Since(start))
 	}
-	return log, err
+	return log, int(shards.Load()), err
 }
 
 // shardHook returns a ParallelOptions.OnShard callback that opens one
@@ -1066,40 +1115,6 @@ func parseTraceOpts(data []byte, opts darshan.ParallelOptions) (*darshan.Log, er
 		return nil, fmt.Errorf("%w: no module records", ErrBadTrace)
 	}
 	return log, nil
-}
-
-// putPreParsed stores a streamed upload's parsed log for the worker
-// that will run its job, bounded FIFO so abandoned entries cannot
-// accumulate. Caller must hold s.mu.
-func (s *Service) putPreParsedLocked(hash string, log *darshan.Log) {
-	if _, ok := s.preParsed[hash]; !ok {
-		s.preParsedOrder = append(s.preParsedOrder, hash)
-	}
-	s.preParsed[hash] = log
-	for len(s.preParsedOrder) > maxPreParsed {
-		evict := s.preParsedOrder[0]
-		s.preParsedOrder = s.preParsedOrder[1:]
-		delete(s.preParsed, evict)
-	}
-}
-
-// takePreParsed removes and returns the pre-parsed log for hash, if a
-// streamed upload left one.
-func (s *Service) takePreParsed(hash string) *darshan.Log {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	log, ok := s.preParsed[hash]
-	if !ok {
-		return nil
-	}
-	delete(s.preParsed, hash)
-	for i, h := range s.preParsedOrder {
-		if h == hash {
-			s.preParsedOrder = append(s.preParsedOrder[:i], s.preParsedOrder[i+1:]...)
-			break
-		}
-	}
-	return log
 }
 
 // newID returns a fresh job id: "j-" + 12 random hex chars.

@@ -56,7 +56,7 @@ func TestSubmitStreamAndComplete(t *testing.T) {
 	}
 	// The parse handed off during ingestion must be consumed, not leak.
 	svc.mu.Lock()
-	parked := len(svc.preParsed)
+	parked := len(svc.parked)
 	svc.mu.Unlock()
 	if parked != 0 {
 		t.Errorf("%d pre-parsed logs leaked after completion", parked)
@@ -92,15 +92,15 @@ func TestSubmitStreamDedupAcrossPaths(t *testing.T) {
 	if !dedup || j2.ID != j1.ID {
 		t.Fatalf("streamed copy not deduplicated: dedup=%v id=%s want %s", dedup, j2.ID, j1.ID)
 	}
-	// The dedup hit parked a pre-parsed log that no worker will claim;
-	// it must have been reclaimed.
+	// The dedup hit must park nothing, and the body submission's own
+	// parse is parked until its worker takes it.
+	waitDone(t, svc, j1.ID)
 	svc.mu.Lock()
-	parked := len(svc.preParsed)
+	parked := len(svc.parked)
 	svc.mu.Unlock()
 	if parked != 0 {
 		t.Errorf("%d pre-parsed logs leaked after dedup hit", parked)
 	}
-	waitDone(t, svc, j1.ID)
 }
 
 func TestSubmitStreamMatchesBodyReport(t *testing.T) {

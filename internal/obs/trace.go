@@ -104,6 +104,23 @@ func (s *Span) Annotate(key, value string) {
 	s.t.mu.Unlock()
 }
 
+// AdoptRoots makes s the parent of every root span its tracer started
+// before s, so work recorded ahead of s (a parse done when a job was
+// submitted, say) joins s's tree. Adopted spans keep their times, so
+// they may start before s does.
+func (s *Span) AdoptRoots() {
+	if s.t == nil {
+		return
+	}
+	s.t.mu.Lock()
+	for _, o := range s.t.spans {
+		if o.parent == 0 && o.id < s.id {
+			o.parent = s.id
+		}
+	}
+	s.t.mu.Unlock()
+}
+
 // SpanRecord is the exported form of one span in a timeline.
 type SpanRecord struct {
 	ID     int       `json:"id"`
@@ -119,7 +136,8 @@ type SpanRecord struct {
 
 // Timeline is a JSON-serializable snapshot of one traced run: the span
 // tree, ordered by start time (ties break by id, so a parent always
-// precedes the children it started).
+// precedes the children it started). A span adopted through AdoptRoots
+// may start before its parent and so precede it.
 type Timeline struct {
 	Trace string       `json:"trace,omitempty"`
 	Spans []SpanRecord `json:"spans"`

@@ -132,3 +132,44 @@ func TestObserveStagesAndSummarize(t *testing.T) {
 		t.Errorf("diagnose stats inconsistent: %+v", stats[0])
 	}
 }
+
+// TestAdoptRoots checks the hand-off shape: spans recorded before a
+// root started (a parse with its shard children) become that root's
+// children, keep their times, and leave it the only root; spans the
+// tracer starts later as roots are not adopted.
+func TestAdoptRoots(t *testing.T) {
+	tr := NewTracer()
+	ctx := WithTracer(context.Background(), tr)
+	pctx, parse := StartSpan(ctx, "parse")
+	_, shard := StartSpan(pctx, "parse_shard")
+	shard.End()
+	parse.End()
+
+	_, root := StartSpan(ctx, "job")
+	root.AdoptRoots()
+	root.AdoptRoots() // idempotent
+	_, late := StartSpan(ctx, "late")
+	late.End()
+	root.End()
+
+	tl := tr.Timeline()
+	byName := map[string]SpanRecord{}
+	for _, r := range tl.Spans {
+		byName[r.Name] = r
+	}
+	if tl.Spans[0].Name != "parse" {
+		t.Errorf("first span = %q, want the adopted parse (it started first)", tl.Spans[0].Name)
+	}
+	if p := byName["parse"]; p.Parent != byName["job"].ID || p.Start.After(byName["job"].Start) {
+		t.Errorf("parse = %+v, want a child of job that starts no later than it", p)
+	}
+	if s := byName["parse_shard"]; s.Parent != byName["parse"].ID {
+		t.Errorf("parse_shard parent = %d, want parse (%d)", s.Parent, byName["parse"].ID)
+	}
+	if roots := tl.Roots(); len(roots) != 2 || roots[0] != byName["job"].ID || roots[1] != byName["late"].ID {
+		t.Errorf("roots = %v, want job then the later root", roots)
+	}
+
+	var noop Span
+	noop.AdoptRoots() // the no-op span must not panic
+}
