@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"ion/internal/advisor"
 	"ion/internal/consistency"
@@ -30,7 +31,10 @@ import (
 	"ion/internal/issue"
 	"ion/internal/knowledge"
 	"ion/internal/llm"
+	"ion/internal/llm/ledger"
+	"ion/internal/obs/prof"
 	"ion/internal/prompt"
+	"ion/internal/quality"
 	"ion/internal/rag"
 	"ion/internal/semcache"
 	"ion/internal/testutil"
@@ -698,6 +702,130 @@ func BenchmarkSemcacheLookup(b *testing.B) {
 		}
 	}
 	b.ReportMetric(entries, "entries")
+}
+
+// journalStores opens each journaled store at path with its production
+// defaults, except that prof keeps as many windows as the others keep
+// records, and returns a writer of record i and the store's closer.
+var journalStores = []struct {
+	name string
+	open func(path string) (put func(i int) error, closeFn func() error, err error)
+}{
+	{"semcache", func(path string) (func(int) error, func() error, error) {
+		st, err := semcache.Open(semcache.Options{Path: path})
+		return func(i int) error {
+			sig := make(semcache.Signature, len(semcache.Dimensions()))
+			for d := range sig {
+				sig[d] = float64((i*31+d*17)%97) / 96
+			}
+			return st.Put(semcache.Entry{
+				JobID:     fmt.Sprintf("j-%012d", i),
+				TraceHash: fmt.Sprintf("%064x", i),
+				Trace:     "ior-hard.darshan",
+				Signature: sig,
+				Issues:    []string{"small-io", "random-access"},
+				Outcome:   "full",
+				CreatedAt: time.Unix(1700000000+int64(i), 0).UTC(),
+			})
+		}, st.Close, err
+	}},
+	{"ledger", func(path string) (func(int) error, func() error, error) {
+		st, err := ledger.Open(ledger.StoreOptions{Path: path})
+		return func(i int) error {
+			return st.Append(ledger.Entry{
+				ID:        fmt.Sprintf("e-%012x", i),
+				Time:      time.Unix(1700000000+int64(i), 0).UTC(),
+				Job:       fmt.Sprintf("j-%012d", i/10),
+				Template:  "diagnosis",
+				Issue:     "small-io",
+				PromptSHA: fmt.Sprintf("%064x", i),
+				Backend:   "expertsim",
+				Model:     "ion-expertsim-1",
+				TokensIn:  1867, TokensOut: 345, LatencyMS: 41.5,
+				Outcome: "ok", Attempt: 1, CostUSD: 0.0011,
+			})
+		}, st.Close, err
+	}},
+	{"quality", func(path string) (func(int) error, func() error, error) {
+		st, err := quality.Open(quality.Options{Path: path})
+		return func(i int) error {
+			c := quality.Scorecard{
+				JobID:     fmt.Sprintf("j-%012d", i),
+				Trace:     "ior-hard.darshan",
+				TraceHash: fmt.Sprintf("%064x", i),
+				Mode:      quality.ModeFull,
+				CreatedAt: time.Unix(1700000000+int64(i), 0).UTC(),
+			}
+			for _, id := range issue.All {
+				c.Issues = append(c.Issues, quality.IssueScore{Issue: id, Verdict: issue.VerdictDetected, Drishti: true, Agree: true})
+			}
+			c.Summarize()
+			return st.Put(c)
+		}, st.Close, err
+	}},
+	{"prof", func(path string) (func(int) error, func() error, error) {
+		st, err := prof.OpenStore(prof.StoreOptions{Path: path, MaxWindows: 4096})
+		return func(i int) error {
+			end := time.Unix(1700000000+int64(i), 0).UTC()
+			w := prof.Window{
+				ID: fmt.Sprintf("w-cpu-%d", i), Kind: "cpu", Unit: "nanoseconds",
+				Start: end.Add(-time.Second), End: end, Total: 1e9, KeptValue: 8e8,
+			}
+			for f := 0; f < 10; f++ {
+				w.Functions = append(w.Functions, prof.FuncStat{Name: fmt.Sprintf("ion/internal/darshan.(*binDecoder).f%d", f), Flat: 1e8, Cum: 2e8, FlatShare: 0.1, CumShare: 0.2})
+			}
+			for k := 0; k < 5; k++ {
+				w.Stacks = append(w.Stacks, prof.Stack{Frames: []string{"runtime.main", "main.main", "ion/internal/jobs.(*Service).run", fmt.Sprintf("ion/internal/darshan.f%d", k)}, Value: 1.6e8})
+			}
+			return st.Add(w)
+		}, st.Close, err
+	}},
+}
+
+// BenchmarkJournalStores appends 4,096 records to each journaled store,
+// then replays them as a restarted service does at open. The records
+// are shaped like production ones, so ns/record compares the stores'
+// write and restart costs.
+func BenchmarkJournalStores(b *testing.B) {
+	const records = 4096
+	for _, s := range journalStores {
+		fill := func(b *testing.B, path string) {
+			put, closeFn, err := s.open(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < records; i++ {
+				if err := put(i); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := closeFn(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(s.name+"/append", func(b *testing.B) {
+			dir := b.TempDir()
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				fill(b, filepath.Join(dir, fmt.Sprintf("j-%d.jsonl", n)))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+		})
+		b.Run(s.name+"/replay", func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "j.jsonl")
+			fill(b, path)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				_, closeFn, err := s.open(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				closeFn()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+		})
+	}
 }
 
 // BenchmarkSignatureExtract measures projecting an extracted trace into

@@ -1,13 +1,11 @@
 // Package ledger is the LLM interaction audit journal: one JSONL entry
 // per Complete call — job, prompt template, prompt hash, backend,
 // model, tokens, latency, outcome, retry index, and estimated cost —
-// appended to a journal under the service data directory with the same
-// crash discipline as the semantic cache and profile stores: unreadable
-// (torn) lines are skipped on replay, re-journaled ids supersede, and
-// the journal is compacted via temp file + rename when dead lines
-// outnumber live entries. Raw prompt and response text is NOT stored
-// unless capture is explicitly opted into; by default the ledger is an
-// audit trail that can be shared without leaking workload contents.
+// appended to a journal (internal/journal) under the service data
+// directory, where a re-journaled id supersedes. Raw prompt and
+// response text is NOT stored unless capture is explicitly opted into;
+// by default the ledger is an audit trail that can be shared without
+// leaking workload contents.
 //
 // On top of the store, the package provides the price table that turns
 // tokens into estimated dollars, the recording client wrapper that
@@ -16,16 +14,15 @@
 package ledger
 
 import (
-	"bufio"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
+
+	"ion/internal/journal"
 )
 
 // Entry is one recorded LLM call.
@@ -77,6 +74,14 @@ func (e Entry) size() int64 {
 		len(e.PromptText)+len(e.ResponseText)+len(e.Error)) + 200
 }
 
+// check rejects an entry without an id or a backend.
+func (e Entry) check() error {
+	if e.ID == "" || e.Backend == "" {
+		return errors.New("entry needs an id and a backend")
+	}
+	return nil
+}
+
 // StoreOptions configures a ledger Store.
 type StoreOptions struct {
 	// Path is the JSON-lines journal file; required.
@@ -87,10 +92,6 @@ type StoreOptions struct {
 	// MaxBytes bounds the estimated retained bytes (default 16 MiB;
 	// negative disables).
 	MaxBytes int64
-	// MaxAge drops entries older than this relative to the newest
-	// (0 or negative disables the age bound; cost audit history is
-	// kept until the count/byte bounds push it out).
-	MaxAge time.Duration
 }
 
 func (o *StoreOptions) applyDefaults() {
@@ -138,99 +139,43 @@ type Filter struct {
 // Store is the journaled, retention-bounded audit log. All methods are
 // safe for concurrent use and safe on a nil receiver.
 type Store struct {
-	mu   sync.Mutex
-	opts StoreOptions
-	file *os.File
-	ents []storedEntry // oldest first
-	size int64
-	// lines counts journal records since the last compaction; evictions
-	// are not journaled, so compaction triggers when dead lines
-	// outnumber live entries.
-	lines   int
-	evicted int64
+	opts StoreOptions // defaults applied
+	j    *journal.Store[Entry]
 
-	// Lifetime accounting survives eviction (but not restart beyond
-	// what the journal retained — document, don't pretend otherwise).
+	// mu guards the lifetime accounting, which survives eviction (but
+	// not restart beyond what the journal retained — document, don't
+	// pretend otherwise).
+	mu                                           sync.Mutex
 	calls, tokensIn, tokensOut, errors, timeouts int64
 	costUSD                                      float64
 }
 
-type storedEntry struct {
-	e    Entry
-	size int64
-}
-
 // Open loads (or creates) the journal at opts.Path, replaying it with
-// the bounds enforced. Unreadable lines — including a torn final write
-// from a crash — are skipped, never fatal.
+// the bounds enforced and re-seeding the lifetime totals from every
+// record it holds.
 func Open(opts StoreOptions) (*Store, error) {
-	if opts.Path == "" {
-		return nil, fmt.Errorf("ledger: StoreOptions.Path is required")
-	}
 	opts.applyDefaults()
-	if err := os.MkdirAll(filepath.Dir(opts.Path), 0o755); err != nil {
-		return nil, fmt.Errorf("ledger: %w", err)
-	}
 	st := &Store{opts: opts}
-	if err := st.replay(); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(opts.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	j, err := journal.Open(journal.Options[Entry]{
+		Path:       opts.Path,
+		Key:        func(e Entry) string { return e.ID },
+		Size:       Entry.size,
+		Check:      Entry.check,
+		MaxRecords: opts.MaxEntries,
+		MaxBytes:   opts.MaxBytes,
+		Replayed:   st.count,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("ledger: %w", err)
 	}
-	// A crash can leave the journal without a final newline; terminate
-	// the torn line so the next append starts a fresh record instead of
-	// concatenating onto garbage.
-	if info, err := f.Stat(); err == nil && info.Size() > 0 {
-		tail := make([]byte, 1)
-		if rf, err := os.Open(opts.Path); err == nil {
-			if _, err := rf.ReadAt(tail, info.Size()-1); err == nil && tail[0] != '\n' {
-				f.Write([]byte{'\n'})
-			}
-			rf.Close()
-		}
-	}
-	st.file = f
+	st.j = j
 	return st, nil
 }
 
-// replay loads the journal into memory, oldest first, re-seeding the
-// lifetime totals from what survived retention.
-func (st *Store) replay() error {
-	f, err := os.Open(st.opts.Path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("ledger: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	for sc.Scan() {
-		st.lines++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			continue
-		}
-		if e.ID == "" || e.Backend == "" {
-			continue
-		}
-		st.insertLocked(e)
-		st.countLocked(e)
-	}
-	// Scanner errors (a torn oversized tail) degrade to a partial load,
-	// same policy as unreadable lines.
-	return nil
-}
-
-// countLocked folds one entry into the lifetime totals.
-func (st *Store) countLocked(e Entry) {
+// count folds one entry into the lifetime totals.
+func (st *Store) count(e Entry) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	st.calls++
 	st.tokensIn += int64(e.TokensIn)
 	st.tokensOut += int64(e.TokensOut)
@@ -243,43 +188,6 @@ func (st *Store) countLocked(e Entry) {
 	}
 }
 
-// insertLocked appends an entry and applies the bounds. A re-written
-// ID (same entry journaled twice) supersedes the earlier record.
-func (st *Store) insertLocked(e Entry) {
-	for i := range st.ents {
-		if st.ents[i].e.ID == e.ID {
-			st.size -= st.ents[i].size
-			st.ents = append(st.ents[:i], st.ents[i+1:]...)
-			break
-		}
-	}
-	se := storedEntry{e: e, size: e.size()}
-	st.ents = append(st.ents, se)
-	st.size += se.size
-	st.evictLocked(e.Time)
-}
-
-// evictLocked drops oldest-first until the age, count, and byte bounds
-// hold, keeping at least the newest entry.
-func (st *Store) evictLocked(now time.Time) {
-	cutoff := time.Time{}
-	if st.opts.MaxAge > 0 {
-		cutoff = now.Add(-st.opts.MaxAge)
-	}
-	for len(st.ents) > 1 {
-		victim := st.ents[0]
-		over := (st.opts.MaxEntries > 0 && len(st.ents) > st.opts.MaxEntries) ||
-			(st.opts.MaxBytes > 0 && st.size > st.opts.MaxBytes) ||
-			(!cutoff.IsZero() && victim.e.Time.Before(cutoff))
-		if !over {
-			return
-		}
-		st.size -= victim.size
-		st.ents = st.ents[1:]
-		st.evicted++
-	}
-}
-
 // Append journals and retains one entry, assigning an ID if empty.
 func (st *Store) Append(e Entry) error {
 	if st == nil {
@@ -288,81 +196,14 @@ func (st *Store) Append(e Entry) error {
 	if e.ID == "" {
 		e.ID = newEntryID()
 	}
-	if e.Backend == "" {
-		return fmt.Errorf("ledger: entry needs a backend")
-	}
 	if e.Time.IsZero() {
 		e.Time = time.Now().UTC()
 	}
-	line, err := json.Marshal(e)
-	if err != nil {
+	if err := st.j.Put(e); err != nil {
 		return fmt.Errorf("ledger: %w", err)
 	}
-	line = append(line, '\n')
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.file != nil {
-		if _, err := st.file.Write(line); err != nil {
-			return fmt.Errorf("ledger: journaling entry: %w", err)
-		}
-		st.lines++
-	}
-	st.insertLocked(e)
-	st.countLocked(e)
-	st.compactLocked()
+	st.count(e)
 	return nil
-}
-
-// compactLocked rewrites the journal when evicted lines outnumber live
-// entries, via temp file + rename so a crash mid-compact leaves the
-// old journal intact.
-func (st *Store) compactLocked() {
-	if st.file == nil || st.lines <= 2*len(st.ents)+16 {
-		return
-	}
-	tmp := st.opts.Path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return
-	}
-	w := bufio.NewWriter(f)
-	n := 0
-	for _, se := range st.ents {
-		line, err := json.Marshal(se.e)
-		if err != nil {
-			continue
-		}
-		line = append(line, '\n')
-		if _, err := w.Write(line); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return
-		}
-		n++
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	if err := os.Rename(tmp, st.opts.Path); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	old := st.file
-	nf, err := os.OpenFile(st.opts.Path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		// Keep appending to the renamed-over handle; only post-compaction
-		// writes are lost on this degenerate path.
-		return
-	}
-	old.Close()
-	st.file = nf
-	st.lines = n
 }
 
 // Entries returns retained entries newest first, filtered.
@@ -370,22 +211,13 @@ func (st *Store) Entries(f Filter) []Entry {
 	if st == nil {
 		return nil
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]Entry, 0, len(st.ents))
-	for i := len(st.ents) - 1; i >= 0; i-- {
-		e := st.ents[i].e
-		if f.Job != "" && e.Job != f.Job {
-			continue
+	out := make([]Entry, 0, st.j.Len())
+	st.j.Each(func(e Entry) bool {
+		if (f.Job == "" || e.Job == f.Job) && (f.Backend == "" || e.Backend == f.Backend) {
+			out = append(out, e)
 		}
-		if f.Backend != "" && e.Backend != f.Backend {
-			continue
-		}
-		out = append(out, e)
-		if f.Limit > 0 && len(out) >= f.Limit {
-			break
-		}
-	}
+		return f.Limit <= 0 || len(out) < f.Limit
+	})
 	return out
 }
 
@@ -405,17 +237,15 @@ func (st *Store) SumJob(job string) JobSum {
 	if st == nil {
 		return sum
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, se := range st.ents {
-		if se.e.Job != job {
-			continue
+	st.j.Each(func(e Entry) bool {
+		if e.Job == job {
+			sum.Calls++
+			sum.TokensIn += e.TokensIn
+			sum.TokensOut += e.TokensOut
+			sum.CostUSD += e.CostUSD
 		}
-		sum.Calls++
-		sum.TokensIn += se.e.TokensIn
-		sum.TokensOut += se.e.TokensOut
-		sum.CostUSD += se.e.CostUSD
-	}
+		return true
+	})
 	return sum
 }
 
@@ -425,23 +255,22 @@ func (st *Store) JobSums(limit int) []JobSum {
 	if st == nil {
 		return nil
 	}
-	st.mu.Lock()
 	byJob := map[string]*JobSum{}
-	for _, se := range st.ents {
-		if se.e.Job == "" {
-			continue
+	st.j.Each(func(e Entry) bool {
+		if e.Job == "" {
+			return true
 		}
-		s := byJob[se.e.Job]
+		s := byJob[e.Job]
 		if s == nil {
-			s = &JobSum{Job: se.e.Job}
-			byJob[se.e.Job] = s
+			s = &JobSum{Job: e.Job}
+			byJob[e.Job] = s
 		}
 		s.Calls++
-		s.TokensIn += se.e.TokensIn
-		s.TokensOut += se.e.TokensOut
-		s.CostUSD += se.e.CostUSD
-	}
-	st.mu.Unlock()
+		s.TokensIn += e.TokensIn
+		s.TokensOut += e.TokensOut
+		s.CostUSD += e.CostUSD
+		return true
+	})
 	out := make([]JobSum, 0, len(byJob))
 	for _, s := range byJob {
 		out = append(out, *s)
@@ -464,16 +293,15 @@ func (st *Store) TemplateTokens() map[string]int64 {
 	if st == nil {
 		return nil
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	out := map[string]int64{}
-	for _, se := range st.ents {
-		t := se.e.Template
+	st.j.Each(func(e Entry) bool {
+		t := e.Template
 		if t == "" {
 			t = "other"
 		}
-		out[t] += int64(se.e.TokensIn + se.e.TokensOut)
-	}
+		out[t] += int64(e.TokensIn + e.TokensOut)
+		return true
+	})
 	return out
 }
 
@@ -491,9 +319,9 @@ func (st *Store) Totals() Totals {
 		CostUSD:   st.costUSD,
 		Errors:    st.errors,
 		Timeouts:  st.timeouts,
-		Entries:   len(st.ents),
-		Bytes:     st.size,
-		Evicted:   st.evicted,
+		Entries:   st.j.Len(),
+		Bytes:     st.j.Bytes(),
+		Evicted:   st.j.Evicted(),
 	}
 }
 
@@ -502,9 +330,7 @@ func (st *Store) Len() int {
 	if st == nil {
 		return 0
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.ents)
+	return st.j.Len()
 }
 
 // Bytes returns the estimated retained bytes.
@@ -512,24 +338,15 @@ func (st *Store) Bytes() int64 {
 	if st == nil {
 		return 0
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.size
+	return st.j.Bytes()
 }
 
-// Close flushes and closes the journal.
+// Close closes the journal.
 func (st *Store) Close() error {
 	if st == nil {
 		return nil
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.file == nil {
-		return nil
-	}
-	err := st.file.Close()
-	st.file = nil
-	return err
+	return st.j.Close()
 }
 
 // newEntryID returns a fresh entry id: "e-" + 12 random hex chars.

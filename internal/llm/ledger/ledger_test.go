@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ion/internal/journal"
 	"ion/internal/llm"
 	"ion/internal/obs"
 	"ion/internal/prompt"
@@ -183,16 +184,6 @@ func TestStoreRetention(t *testing.T) {
 	}
 	if stb.Bytes() > 800 || stb.Len() == 0 {
 		t.Fatalf("byte bound: bytes=%d len=%d", stb.Bytes(), stb.Len())
-	}
-
-	// Age bound, relative to the newest entry.
-	sta := testStore(t, StoreOptions{MaxAge: time.Hour})
-	old := entry("e-old", "j", "b")
-	old.Time = time.Now().UTC().Add(-2 * time.Hour)
-	sta.Append(old)
-	sta.Append(entry("e-new", "j", "b"))
-	if sta.Len() != 1 || sta.Entries(Filter{})[0].ID != "e-new" {
-		t.Fatalf("age bound kept %+v", sta.Entries(Filter{}))
 	}
 }
 
@@ -441,6 +432,37 @@ func TestReplayErrors(t *testing.T) {
 	rep, err := NewReplay(mixed, nil)
 	if err != nil || rep.Len() != 1 {
 		t.Fatalf("mixed replay: %v len=%d", err, rep.Len())
+	}
+}
+
+// TestReplaySkipsOverLimitLine checks that -replay-ledger reads past a
+// line longer than the journal's limit, as store replay does.
+func TestReplaySkipsOverLimitLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger.jsonl")
+	record := func(content string) {
+		st, err := Open(StoreOptions{Path: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := testReq()
+		req.Messages[0].Content = content
+		Wrap(&fakeClient{}, st, WrapOptions{CaptureText: true}).Complete(context.Background(), req)
+		st.Close()
+	}
+	record("before")
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(strings.Repeat("x", journal.MaxLine+1) + "\n")
+	f.Close()
+	record("after")
+	rep, err := NewReplay(path, nil)
+	if err != nil {
+		t.Fatalf("NewReplay: %v", err)
+	}
+	if rep.Len() != 2 {
+		t.Fatalf("replay over an over-limit line indexed %d prompts, want 2", rep.Len())
 	}
 }
 

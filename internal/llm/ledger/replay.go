@@ -1,12 +1,12 @@
 package ledger
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 
+	"ion/internal/journal"
 	"ion/internal/llm"
 )
 
@@ -21,9 +21,10 @@ type Replay struct {
 
 // NewReplay loads a ledger journal and indexes its text-bearing
 // entries (those recorded with -ledger-capture-text). Later entries
-// for the same prompt hash win. Unreadable lines are skipped, same as
-// store replay; a file with zero replayable entries is an error — a
-// hash-only ledger cannot answer prompts.
+// for the same prompt hash win. It reads the file with the journal's
+// line reader, so it skips the torn, unparseable and over-long lines
+// store replay skips; a file with zero replayable entries is an error —
+// a hash-only ledger cannot answer prompts.
 func NewReplay(path string, fallback llm.Client) (*Replay, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -31,21 +32,14 @@ func NewReplay(path string, fallback llm.Client) (*Replay, error) {
 	}
 	defer f.Close()
 	entries := map[string]Entry{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	_, _, err = journal.ReadLines(f, func(line []byte) {
 		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			continue
+		if json.Unmarshal(line, &e) == nil && e.PromptSHA != "" && e.ResponseText != "" {
+			entries[e.PromptSHA] = e
 		}
-		if e.PromptSHA == "" || e.ResponseText == "" {
-			continue
-		}
-		entries[e.PromptSHA] = e
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ledger: replay: %w", err)
 	}
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("ledger: replay: %s has no text-captured entries (record with -ledger-capture-text)", path)

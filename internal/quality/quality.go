@@ -13,6 +13,7 @@
 package quality
 
 import (
+	"errors"
 	"time"
 
 	"ion/internal/drishti"
@@ -94,9 +95,14 @@ type Scorecard struct {
 	Disagreements int `json:"disagreements"`
 	// Shadow is set once a background re-run has checked this job.
 	Shadow *Shadow `json:"shadow,omitempty"`
+}
 
-	// Deleted marks a tombstone line in the journal.
-	Deleted bool `json:"deleted,omitempty"`
+// check rejects a scorecard without a job id.
+func (c Scorecard) check() error {
+	if c.JobID == "" {
+		return errors.New("scorecard needs a job id")
+	}
+	return nil
 }
 
 // size estimates the retained bytes of a scorecard (also its

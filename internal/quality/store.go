@@ -1,16 +1,12 @@
 package quality
 
 import (
-	"bufio"
-	"container/list"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"ion/internal/issue"
+	"ion/internal/journal"
 )
 
 // Defaults for Options left at zero.
@@ -73,249 +69,49 @@ type Stats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// Store persists scorecards with the same journal discipline as the
-// semantic cache: an in-memory LRU journaled as JSON lines, torn-tail
-// tolerant replay, supersede-by-job-id, tombstones, count/byte bounds,
-// and temp+rename compaction. All methods are safe for concurrent use
-// and safe on a nil receiver (quality tracking disabled).
+// Store persists scorecards in a journal (internal/journal) keyed by
+// job id. All methods are safe for concurrent use and safe on a nil
+// receiver (quality tracking disabled).
 type Store struct {
-	mu    sync.Mutex
-	opts  Options
-	file  *os.File
-	byJob map[string]*list.Element
-	order *list.List // front = most recently used
-	size  int64
-	// lines counts journal records written since the last compaction;
-	// when it exceeds twice the live entry count the journal is
-	// rewritten in place.
-	lines int
-
-	puts, evictions int64
-}
-
-type storeEntry struct {
-	c    Scorecard
-	size int64
+	j    *journal.Store[Scorecard]
+	puts atomic.Int64
 }
 
 // Open loads (or creates) the store at opts.Path, replaying the
 // journal: later records supersede earlier ones with the same job id,
-// tombstones delete, and the count/byte bounds are enforced
-// oldest-first.
+// and the count/byte bounds are enforced oldest-first.
 func Open(opts Options) (*Store, error) {
-	if opts.Path == "" {
-		return nil, fmt.Errorf("quality: Options.Path is required")
-	}
 	if opts.MaxEntries == 0 {
 		opts.MaxEntries = DefaultMaxEntries
 	}
 	if opts.MaxBytes == 0 {
 		opts.MaxBytes = DefaultMaxBytes
 	}
-	if err := os.MkdirAll(filepath.Dir(opts.Path), 0o755); err != nil {
-		return nil, fmt.Errorf("quality: %w", err)
-	}
-
-	st := &Store{
-		opts:  opts,
-		byJob: map[string]*list.Element{},
-		order: list.New(),
-	}
-	if err := st.replay(); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(opts.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	j, err := journal.Open(journal.Options[Scorecard]{
+		Path:       opts.Path,
+		Key:        func(c Scorecard) string { return c.JobID },
+		Size:       Scorecard.size,
+		Check:      Scorecard.check,
+		MaxRecords: opts.MaxEntries,
+		MaxBytes:   opts.MaxBytes,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("quality: %w", err)
 	}
-	st.file = f
-	return st, nil
-}
-
-// replay loads the journal into memory. Unreadable lines are skipped
-// rather than failing the open: a torn final write from a crash must
-// not take the scorecard history down.
-func (st *Store) replay() error {
-	f, err := os.Open(st.opts.Path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("quality: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		st.lines++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var c Scorecard
-		if err := json.Unmarshal(line, &c); err != nil {
-			continue
-		}
-		if c.Deleted {
-			st.dropLocked(c.JobID)
-			continue
-		}
-		if c.JobID == "" {
-			continue
-		}
-		st.insertLocked(c)
-	}
-	// Scanner errors (oversized line at the tail) degrade to a partial
-	// load, same policy as unreadable lines.
-	return nil
-}
-
-// insertLocked adds or replaces a scorecard in memory and applies the
-// bounds. Caller holds st.mu (or is single-threaded during replay).
-func (st *Store) insertLocked(c Scorecard) {
-	if el, ok := st.byJob[c.JobID]; ok {
-		st.removeLocked(el)
-	}
-	se := &storeEntry{c: c, size: c.size()}
-	st.byJob[c.JobID] = st.order.PushFront(se)
-	st.size += se.size
-	st.evictLocked()
-}
-
-func (st *Store) removeLocked(el *list.Element) {
-	se := el.Value.(*storeEntry)
-	st.order.Remove(el)
-	delete(st.byJob, se.c.JobID)
-	st.size -= se.size
-}
-
-func (st *Store) dropLocked(jobID string) {
-	if el, ok := st.byJob[jobID]; ok {
-		st.removeLocked(el)
-	}
-}
-
-// evictLocked drops least-recently-used scorecards until both bounds
-// hold.
-func (st *Store) evictLocked() {
-	for (st.opts.MaxEntries > 0 && st.order.Len() > st.opts.MaxEntries) ||
-		(st.opts.MaxBytes > 0 && st.size > st.opts.MaxBytes) {
-		el := st.order.Back()
-		if el == nil {
-			return
-		}
-		st.removeLocked(el)
-		st.evictions++
-	}
+	return &Store{j: j}, nil
 }
 
 // Put journals and indexes a scorecard, superseding any prior record
 // for the same job (how shadow results update an existing card).
-// Evictions are not journaled individually; bounds re-apply on the
-// next load.
 func (st *Store) Put(c Scorecard) error {
 	if st == nil {
 		return nil
 	}
-	if c.JobID == "" {
-		return fmt.Errorf("quality: scorecard needs a job id")
-	}
-	line, err := json.Marshal(c)
-	if err != nil {
+	if err := st.j.Put(c); err != nil {
 		return fmt.Errorf("quality: %w", err)
 	}
-	line = append(line, '\n')
-
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.file != nil {
-		if _, err := st.file.Write(line); err != nil {
-			return fmt.Errorf("quality: journaling scorecard: %w", err)
-		}
-		st.lines++
-	}
-	st.puts++
-	st.insertLocked(c)
-	st.compactLocked()
+	st.puts.Add(1)
 	return nil
-}
-
-// Delete tombstones a scorecard (e.g. its job was deleted) so it stops
-// influencing the aggregates and stays gone after a restart.
-func (st *Store) Delete(jobID string) error {
-	if st == nil || jobID == "" {
-		return nil
-	}
-	line, err := json.Marshal(Scorecard{JobID: jobID, Deleted: true})
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.dropLocked(jobID)
-	if st.file != nil {
-		if _, err := st.file.Write(line); err != nil {
-			return fmt.Errorf("quality: journaling tombstone: %w", err)
-		}
-		st.lines++
-	}
-	st.compactLocked()
-	return nil
-}
-
-// compactLocked rewrites the journal when superseded/tombstoned lines
-// outnumber live entries, via temp file + rename so a crash mid-compact
-// leaves the old journal intact.
-func (st *Store) compactLocked() {
-	if st.file == nil || st.lines <= 2*st.order.Len()+16 {
-		return
-	}
-	tmp := st.opts.Path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return
-	}
-	w := bufio.NewWriter(f)
-	n := 0
-	// Oldest first, so replay rebuilds the same recency order.
-	for el := st.order.Back(); el != nil; el = el.Prev() {
-		line, err := json.Marshal(el.Value.(*storeEntry).c)
-		if err != nil {
-			continue
-		}
-		line = append(line, '\n')
-		if _, err := w.Write(line); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return
-		}
-		n++
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	if err := os.Rename(tmp, st.opts.Path); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	old := st.file
-	nf, err := os.OpenFile(st.opts.Path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		// Keep appending to the (renamed-over) old handle; the next
-		// open replays the compacted file plus nothing, which only
-		// loses post-compaction writes on this degenerate path.
-		return
-	}
-	old.Close()
-	st.file = nf
-	st.lines = n
 }
 
 // Get returns the scorecard for a job.
@@ -323,13 +119,7 @@ func (st *Store) Get(jobID string) (Scorecard, bool) {
 	if st == nil {
 		return Scorecard{}, false
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	el, ok := st.byJob[jobID]
-	if !ok {
-		return Scorecard{}, false
-	}
-	return el.Value.(*storeEntry).c, true
+	return st.j.Get(jobID)
 }
 
 // Entries returns a snapshot of the live scorecards, most recent first
@@ -338,12 +128,11 @@ func (st *Store) Entries() []Scorecard {
 	if st == nil {
 		return nil
 	}
-	st.mu.Lock()
-	out := make([]Scorecard, 0, st.order.Len())
-	for el := st.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*storeEntry).c)
-	}
-	st.mu.Unlock()
+	out := make([]Scorecard, 0, st.j.Len())
+	st.j.Each(func(c Scorecard) bool {
+		out = append(out, c)
+		return true
+	})
 	sort.SliceStable(out, func(i, j int) bool {
 		if !out[i].CreatedAt.Equal(out[j].CreatedAt) {
 			return out[i].CreatedAt.After(out[j].CreatedAt)
@@ -372,10 +161,8 @@ func (st *Store) IssueAgreement() map[issue.ID]AgreeStat {
 	if st == nil {
 		return out
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for el := st.order.Front(); el != nil; el = el.Next() {
-		for _, s := range el.Value.(*storeEntry).c.Issues {
+	st.j.Each(func(c Scorecard) bool {
+		for _, s := range c.Issues {
 			a := out[s.Issue]
 			a.Total++
 			switch s.Kind {
@@ -388,7 +175,8 @@ func (st *Store) IssueAgreement() map[issue.ID]AgreeStat {
 			}
 			out[s.Issue] = a
 		}
-	}
+		return true
+	})
 	return out
 }
 
@@ -399,20 +187,17 @@ func (st *Store) FlipStats() map[Mode]FlipStat {
 	if st == nil {
 		return out
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for el := st.order.Front(); el != nil; el = el.Next() {
-		c := el.Value.(*storeEntry).c
-		if c.Shadow == nil {
-			continue
+	st.j.Each(func(c Scorecard) bool {
+		if c.Shadow != nil {
+			f := out[c.Mode]
+			f.Shadowed++
+			if len(c.Shadow.Flips) > 0 {
+				f.Flipped++
+			}
+			out[c.Mode] = f
 		}
-		f := out[c.Mode]
-		f.Shadowed++
-		if len(c.Shadow.Flips) > 0 {
-			f.Flipped++
-		}
-		out[c.Mode] = f
-	}
+		return true
+	})
 	return out
 }
 
@@ -421,9 +206,7 @@ func (st *Store) Len() int {
 	if st == nil {
 		return 0
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.order.Len()
+	return st.j.Len()
 }
 
 // Bytes returns the estimated retained bytes.
@@ -431,9 +214,7 @@ func (st *Store) Bytes() int64 {
 	if st == nil {
 		return 0
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.size
+	return st.j.Bytes()
 }
 
 // Stats returns a counters snapshot.
@@ -441,27 +222,18 @@ func (st *Store) Stats() Stats {
 	if st == nil {
 		return Stats{}
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	return Stats{
-		Entries:   st.order.Len(),
-		Bytes:     st.size,
-		Puts:      st.puts,
-		Evictions: st.evictions,
+		Entries:   st.j.Len(),
+		Bytes:     st.j.Bytes(),
+		Puts:      st.puts.Load(),
+		Evictions: st.j.Evicted(),
 	}
 }
 
-// Close flushes and closes the journal.
+// Close closes the journal.
 func (st *Store) Close() error {
 	if st == nil {
 		return nil
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.file == nil {
-		return nil
-	}
-	err := st.file.Close()
-	st.file = nil
-	return err
+	return st.j.Close()
 }

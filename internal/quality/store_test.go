@@ -71,7 +71,7 @@ func TestStorePutGetSupersede(t *testing.T) {
 	}
 }
 
-func TestStoreReplaySupersedeAndTombstone(t *testing.T) {
+func TestStoreReplaySupersede(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "q.jsonl")
 	st := openStore(t, Options{Path: path})
 	t0 := time.Unix(1719000000, 0).UTC()
@@ -85,24 +85,18 @@ func TestStoreReplaySupersedeAndTombstone(t *testing.T) {
 	if err := st.Put(c); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	if err := st.Delete("j-3"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
 	st.Close()
 
 	st2 := openStore(t, Options{Path: path})
-	if st2.Len() != 2 {
-		t.Fatalf("replayed Len = %d, want 2", st2.Len())
-	}
-	if _, ok := st2.Get("j-3"); ok {
-		t.Fatal("tombstoned j-3 survived replay")
+	if st2.Len() != 3 {
+		t.Fatalf("replayed Len = %d, want 3", st2.Len())
 	}
 	if got, ok := st2.Get("j-2"); !ok || got.Shadow == nil {
 		t.Fatalf("superseded j-2 lost its shadow on replay: %+v %v", got, ok)
 	}
 	ag := st2.IssueAgreement()
-	if a := ag[issue.SmallIO]; a.Total != 2 || a.LLMOnly != 2 {
-		t.Fatalf("IssueAgreement = %+v, want 2 llm_only of 2", a)
+	if a := ag[issue.SmallIO]; a.Total != 3 || a.LLMOnly != 3 {
+		t.Fatalf("IssueAgreement = %+v, want 3 llm_only of 3", a)
 	}
 	fs := st2.FlipStats()
 	if f := fs[ModeFull]; f.Shadowed != 1 || f.Flipped != 0 {
@@ -181,9 +175,6 @@ func TestStoreNilReceiver(t *testing.T) {
 	var st *Store
 	if err := st.Put(Scorecard{JobID: "j"}); err != nil {
 		t.Fatalf("nil Put: %v", err)
-	}
-	if err := st.Delete("j"); err != nil {
-		t.Fatalf("nil Delete: %v", err)
 	}
 	if _, ok := st.Get("j"); ok {
 		t.Fatal("nil Get returned a scorecard")

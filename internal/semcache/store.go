@@ -1,15 +1,13 @@
 package semcache
 
 import (
-	"bufio"
-	"container/list"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
+
+	"ion/internal/journal"
 )
 
 // Defaults for Options left at zero.
@@ -26,7 +24,8 @@ type Entry struct {
 	// JobID is the job whose report this entry points at.
 	JobID string `json:"job_id"`
 	// TraceHash is the hex SHA-256 of the trace bytes (the exact-dedup
-	// key); a re-run of the same bytes replaces its prior entry.
+	// key and the journal key); a re-run of the same bytes replaces its
+	// prior entry.
 	TraceHash string `json:"trace_hash"`
 	// Trace is the display name of the diagnosed trace.
 	Trace string `json:"trace"`
@@ -39,9 +38,24 @@ type Entry struct {
 	Outcome string `json:"outcome,omitempty"`
 	// CreatedAt is when the diagnosis completed.
 	CreatedAt time.Time `json:"created_at"`
+}
 
-	// deleted marks a tombstone line in the journal.
-	Deleted bool `json:"deleted,omitempty"`
+// key is the journal key: the trace hash, or the job id for an entry
+// without one.
+func (e Entry) key() string {
+	if e.TraceHash != "" {
+		return e.TraceHash
+	}
+	return e.JobID
+}
+
+// check rejects entries without a job id or a signature, and entries
+// replayed from an older signature schema.
+func (e Entry) check() error {
+	if e.SigVersion != Version || e.JobID == "" || len(e.Signature) == 0 {
+		return errors.New("entry needs a job id and a signature")
+	}
+	return nil
 }
 
 // size estimates the retained bytes of an entry (also its journal-line
@@ -74,9 +88,6 @@ type Options struct {
 	// MaxBytes bounds the estimated retained bytes (default 16 MiB;
 	// negative disables the byte bound).
 	MaxBytes int64
-	// QuantStep overrides the signature quantization grid (default
-	// DefaultQuantStep).
-	QuantStep float64
 }
 
 // Stats is a counters snapshot for /api/semcache and /metrics.
@@ -90,22 +101,16 @@ type Stats struct {
 	Evictions   int64 `json:"evictions"`
 }
 
-// Store is the persistent signature store: an in-memory LRU over
-// entries, journaled as JSON lines so a restarted service reloads its
+// Store is the persistent signature store: an LRU over entries kept in
+// a journal (internal/journal), so a restarted service reloads its
 // accumulated diagnoses. All methods are safe for concurrent use and
 // safe on a nil receiver (semantic cache disabled).
 type Store struct {
-	mu    sync.Mutex
-	opts  Options
-	file  *os.File
-	byJob map[string]*list.Element
-	order *list.List // front = most recently used
-	size  int64
-	// lines counts journal records written since the last compaction;
-	// when it exceeds twice the live entry count the journal is
-	// rewritten in place.
-	lines int
+	j *journal.Store[Entry]
 
+	// mu guards the trust weights and the policy counters. Lookup holds
+	// it across its scan of j.
+	mu sync.Mutex
 	// weights holds the per-dimension trust learned from shadow-rerun
 	// verdict flips: dimensions whose deltas participated in a flipped
 	// reuse decay toward weightFloor, growing the similarity penalty
@@ -113,7 +118,7 @@ type Store struct {
 	// resets trust to 1.
 	weights []float64
 
-	lookups, hits, conditioned, misses, evictions int64
+	lookups, hits, conditioned, misses int64
 }
 
 // Flip-feedback tuning: each flip multiplies the implicated dimension
@@ -123,241 +128,44 @@ const (
 	weightFloor = 0.2
 )
 
-type storeEntry struct {
-	e    Entry
-	size int64
-}
-
 // Open loads (or creates) the store at opts.Path, replaying the
-// journal: later records supersede earlier ones with the same job id
-// or trace hash, tombstones delete, and the count/byte bounds are
-// enforced oldest-first.
+// journal: a later record supersedes an earlier one with the same trace
+// hash, and the count/byte bounds evict least recently used entries.
 func Open(opts Options) (*Store, error) {
-	if opts.Path == "" {
-		return nil, fmt.Errorf("semcache: Options.Path is required")
-	}
 	if opts.MaxEntries == 0 {
 		opts.MaxEntries = DefaultMaxEntries
 	}
 	if opts.MaxBytes == 0 {
 		opts.MaxBytes = DefaultMaxBytes
 	}
-	if opts.QuantStep <= 0 {
-		opts.QuantStep = DefaultQuantStep
-	}
-	if err := os.MkdirAll(filepath.Dir(opts.Path), 0o755); err != nil {
-		return nil, fmt.Errorf("semcache: %w", err)
-	}
-
-	st := &Store{
-		opts:    opts,
-		byJob:   map[string]*list.Element{},
-		order:   list.New(),
-		weights: newWeights(),
-	}
-	if err := st.replay(); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(opts.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	j, err := journal.Open(journal.Options[Entry]{
+		Path:       opts.Path,
+		Key:        Entry.key,
+		Size:       Entry.size,
+		Check:      Entry.check,
+		MaxRecords: opts.MaxEntries,
+		MaxBytes:   opts.MaxBytes,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("semcache: %w", err)
 	}
-	st.file = f
-	return st, nil
-}
-
-// replay loads the journal into memory. Unreadable lines are skipped
-// rather than failing the open: a torn final write from a crash must
-// not take the whole cache down.
-func (st *Store) replay() error {
-	f, err := os.Open(st.opts.Path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("semcache: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		st.lines++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			continue
-		}
-		if e.Deleted {
-			st.dropLocked(e.JobID)
-			continue
-		}
-		if e.SigVersion != Version || e.JobID == "" || len(e.Signature) == 0 {
-			continue
-		}
-		st.insertLocked(e)
-	}
-	// Scanner errors (oversized line at the tail) degrade to a partial
-	// load, same policy as unreadable lines.
-	return nil
-}
-
-// insertLocked adds or replaces an entry in memory and applies the
-// bounds. Caller holds st.mu (or is single-threaded during replay).
-func (st *Store) insertLocked(e Entry) {
-	// A re-run of the same trace bytes (or a rewrite of the same job)
-	// replaces the prior entry instead of duplicating the neighborhood.
-	if el, ok := st.byJob[e.JobID]; ok {
-		st.removeLocked(el)
-	}
-	for el := st.order.Front(); el != nil; el = el.Next() {
-		if el.Value.(*storeEntry).e.TraceHash == e.TraceHash && e.TraceHash != "" {
-			st.removeLocked(el)
-			break
-		}
-	}
-	se := &storeEntry{e: e, size: e.size()}
-	st.byJob[e.JobID] = st.order.PushFront(se)
-	st.size += se.size
-	st.evictLocked()
-}
-
-func (st *Store) removeLocked(el *list.Element) {
-	se := el.Value.(*storeEntry)
-	st.order.Remove(el)
-	delete(st.byJob, se.e.JobID)
-	st.size -= se.size
-}
-
-func (st *Store) dropLocked(jobID string) {
-	if el, ok := st.byJob[jobID]; ok {
-		st.removeLocked(el)
-	}
-}
-
-// evictLocked drops least-recently-used entries until both bounds hold.
-func (st *Store) evictLocked() {
-	for (st.opts.MaxEntries > 0 && st.order.Len() > st.opts.MaxEntries) ||
-		(st.opts.MaxBytes > 0 && st.size > st.opts.MaxBytes) {
-		el := st.order.Back()
-		if el == nil {
-			return
-		}
-		st.removeLocked(el)
-		st.evictions++
-	}
+	return &Store{j: j, weights: newWeights()}, nil
 }
 
 // Put indexes a completed diagnosis: the signature is quantized, the
-// entry journaled, and the bounds enforced. Evictions are not
-// journaled individually; bounds re-apply on the next load.
+// entry journaled, and the bounds enforced. A re-run of the same trace
+// bytes replaces its prior entry instead of duplicating the
+// neighborhood.
 func (st *Store) Put(e Entry) error {
 	if st == nil {
 		return nil
 	}
 	e.SigVersion = Version
-	e.Signature = e.Signature.Quantize(st.opts.QuantStep)
-	if e.JobID == "" || len(e.Signature) == 0 {
-		return fmt.Errorf("semcache: entry needs a job id and a signature")
-	}
-	line, err := json.Marshal(e)
-	if err != nil {
+	e.Signature = e.Signature.Quantize(DefaultQuantStep)
+	if err := st.j.Put(e); err != nil {
 		return fmt.Errorf("semcache: %w", err)
 	}
-	line = append(line, '\n')
-
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.file != nil {
-		if _, err := st.file.Write(line); err != nil {
-			return fmt.Errorf("semcache: journaling entry: %w", err)
-		}
-		st.lines++
-	}
-	st.insertLocked(e)
-	st.compactLocked()
 	return nil
-}
-
-// Delete tombstones an entry (e.g. its job was deleted or its report
-// turned out bad) so it stops answering lookups and stays gone after a
-// restart.
-func (st *Store) Delete(jobID string) error {
-	if st == nil || jobID == "" {
-		return nil
-	}
-	line, err := json.Marshal(Entry{JobID: jobID, Deleted: true})
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.dropLocked(jobID)
-	if st.file != nil {
-		if _, err := st.file.Write(line); err != nil {
-			return fmt.Errorf("semcache: journaling tombstone: %w", err)
-		}
-		st.lines++
-	}
-	st.compactLocked()
-	return nil
-}
-
-// compactLocked rewrites the journal when superseded/tombstoned lines
-// outnumber live entries, via temp file + rename so a crash mid-compact
-// leaves the old journal intact.
-func (st *Store) compactLocked() {
-	if st.file == nil || st.lines <= 2*st.order.Len()+16 {
-		return
-	}
-	tmp := st.opts.Path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return
-	}
-	w := bufio.NewWriter(f)
-	n := 0
-	// Oldest first, so replay rebuilds the same recency order.
-	for el := st.order.Back(); el != nil; el = el.Prev() {
-		line, err := json.Marshal(el.Value.(*storeEntry).e)
-		if err != nil {
-			continue
-		}
-		line = append(line, '\n')
-		if _, err := w.Write(line); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return
-		}
-		n++
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	if err := os.Rename(tmp, st.opts.Path); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	old := st.file
-	nf, err := os.OpenFile(st.opts.Path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		// Keep appending to the (renamed-over) old handle; the next
-		// open replays the compacted file plus nothing, which only
-		// loses post-compaction writes on this degenerate path.
-		return
-	}
-	old.Close()
-	st.file = nf
-	st.lines = n
 }
 
 // Lookup quantizes the query signature and returns the most similar
@@ -374,28 +182,28 @@ func (st *Store) Lookup(sig Signature) (Match, bool) {
 	if st == nil {
 		return Match{}, false
 	}
-	q := sig.Quantize(st.opts.QuantStep)
+	q := sig.Quantize(DefaultQuantStep)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.lookups++
 	var (
-		best    *list.Element
+		best    Entry
 		bestSim = -1.0
 	)
-	for el := st.order.Front(); el != nil; el = el.Next() {
-		if sim := st.similarityLocked(q, el.Value.(*storeEntry).e.Signature); sim > bestSim {
-			bestSim, best = sim, el
+	st.j.Each(func(e Entry) bool {
+		if sim := st.similarityLocked(q, e.Signature); sim > bestSim {
+			bestSim, best = sim, e
 		}
-	}
-	if best == nil {
+		return true
+	})
+	if bestSim < 0 {
 		return Match{}, false
 	}
-	st.order.MoveToFront(best)
-	e := best.Value.(*storeEntry).e
+	st.j.Touch(best.key())
 	return Match{
-		Entry:      e,
+		Entry:      best,
 		Similarity: bestSim,
-		Deltas:     Deltas(q, e.Signature),
+		Deltas:     Deltas(q, best.Signature),
 	}, true
 }
 
@@ -501,22 +309,12 @@ func (st *Store) DimensionWeights() map[string]float64 {
 	return out
 }
 
-// QuantStep returns the quantization grid in effect.
-func (st *Store) QuantStep() float64 {
-	if st == nil {
-		return DefaultQuantStep
-	}
-	return st.opts.QuantStep
-}
-
 // Len returns the number of live entries.
 func (st *Store) Len() int {
 	if st == nil {
 		return 0
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.order.Len()
+	return st.j.Len()
 }
 
 // Bytes returns the estimated retained bytes.
@@ -524,9 +322,7 @@ func (st *Store) Bytes() int64 {
 	if st == nil {
 		return 0
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.size
+	return st.j.Bytes()
 }
 
 // Stats returns a counters snapshot.
@@ -537,13 +333,13 @@ func (st *Store) Stats() Stats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return Stats{
-		Entries:     st.order.Len(),
-		Bytes:       st.size,
+		Entries:     st.j.Len(),
+		Bytes:       st.j.Bytes(),
 		Lookups:     st.lookups,
 		Hits:        st.hits,
 		Conditioned: st.conditioned,
 		Misses:      st.misses,
-		Evictions:   st.evictions,
+		Evictions:   st.j.Evicted(),
 	}
 }
 
@@ -553,12 +349,11 @@ func (st *Store) Entries() []Entry {
 	if st == nil {
 		return nil
 	}
-	st.mu.Lock()
-	out := make([]Entry, 0, st.order.Len())
-	for el := st.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*storeEntry).e)
-	}
-	st.mu.Unlock()
+	out := make([]Entry, 0, st.j.Len())
+	st.j.Each(func(e Entry) bool {
+		out = append(out, e)
+		return true
+	})
 	sort.SliceStable(out, func(i, j int) bool {
 		if !out[i].CreatedAt.Equal(out[j].CreatedAt) {
 			return out[i].CreatedAt.After(out[j].CreatedAt)
@@ -568,17 +363,10 @@ func (st *Store) Entries() []Entry {
 	return out
 }
 
-// Close flushes and closes the journal.
+// Close closes the journal.
 func (st *Store) Close() error {
 	if st == nil {
 		return nil
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.file == nil {
-		return nil
-	}
-	err := st.file.Close()
-	st.file = nil
-	return err
+	return st.j.Close()
 }

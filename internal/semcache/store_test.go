@@ -155,25 +155,6 @@ func TestStoreBoundsReapplyOnLoad(t *testing.T) {
 	}
 }
 
-func TestStoreDeleteTombstone(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "semcache.jsonl")
-	st := testStore(t, Options{Path: path})
-	if err := st.Put(entryN(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Delete("j-000000000001"); err != nil {
-		t.Fatal(err)
-	}
-	if st.Len() != 0 {
-		t.Fatal("delete left the entry live")
-	}
-	st.Close()
-	st2 := testStore(t, Options{Path: path})
-	if st2.Len() != 0 {
-		t.Fatal("tombstone did not survive restart")
-	}
-}
-
 func TestStoreCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "semcache.jsonl")
 	st := testStore(t, Options{Path: path, MaxEntries: 4})

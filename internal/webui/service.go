@@ -397,7 +397,7 @@ func (s *JobServer) handleSemcache(w http.ResponseWriter, r *http.Request) {
 		Stats:              sem.Stats(),
 		ReuseThreshold:     reuse,
 		ConditionThreshold: condition,
-		QuantStep:          sem.QuantStep(),
+		QuantStep:          semcache.DefaultQuantStep,
 		Dimensions:         semcache.Dimensions(),
 		Entries:            entries,
 	})
