@@ -47,7 +47,6 @@ func main() {
 		logPath      = flag.String("log", "", "Darshan log to submit as the first job")
 		reportPath   = flag.String("report", "", "serve a previously saved report JSON instead of running the service")
 		dataDir      = flag.String("data", "", "service data directory for jobs, traces, and reports (default: <log>.ionserve or ./ionserve-data)")
-		workdir      = flag.String("workdir", "", "deprecated alias for -data")
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address")
 		htmlOut      = flag.String("html", "", "write the report page to this file and exit (no server)")
 		workers      = flag.Int("workers", 2, "analysis worker pool size")
@@ -133,9 +132,6 @@ func main() {
 	}
 
 	dir := *dataDir
-	if dir == "" {
-		dir = *workdir
-	}
 	if dir == "" {
 		if *logPath != "" {
 			dir = *logPath + ".ionserve"

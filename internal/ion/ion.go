@@ -175,15 +175,13 @@ func (f *Framework) AnalyzeExtracted(ctx context.Context, out *extractor.Output,
 }
 
 // AnalyzeOptions tunes one analysis run without rebuilding the
-// Framework — the semantic cache's conditioning knobs.
+// Framework — the semantic cache's conditioning knob.
 type AnalyzeOptions struct {
 	// Retrieved maps issue ids to retrieved context from a similar
 	// prior diagnosis, injected into that issue's prompt so the model
-	// confirms or adjusts instead of diagnosing from scratch.
+	// confirms or adjusts instead of diagnosing from scratch. Every
+	// issue is still asked.
 	Retrieved map[issue.ID]string
-	// Adopted maps issue ids to diagnoses reused verbatim from a
-	// similar prior report: no LLM call is made for those issues.
-	Adopted map[issue.ID]*IssueDiagnosis
 }
 
 // AnalyzeExtractedOpts is AnalyzeExtracted with per-run options.
@@ -232,22 +230,7 @@ func (f *Framework) analyze(ctx context.Context, out *extractor.Output, trace st
 		mu       sync.Mutex
 		firstErr error
 	)
-	// Adopted diagnoses are filled in before the fan-out starts so the
-	// map writes need no synchronization with the worker goroutines.
-	var remaining []issue.ID
 	for _, id := range issues {
-		if d, ok := opts.Adopted[id]; ok && d != nil {
-			// Adopted verbatim from a similar prior diagnosis: no LLM
-			// call. Copy the struct so the neighbor's report stays
-			// untouched if a consumer mutates ours.
-			adopted := *d
-			adopted.Issue = id
-			report.Diagnoses[id] = &adopted
-			continue
-		}
-		remaining = append(remaining, id)
-	}
-	for _, id := range remaining {
 		id := id
 		wg.Add(1)
 		sem <- struct{}{}

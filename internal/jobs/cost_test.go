@@ -71,8 +71,8 @@ func TestJobCostAttribution(t *testing.T) {
 	if math.Abs(got.Cost.EstUSD-usd) > 1e-12 || usd == 0 {
 		t.Fatalf("Cost.EstUSD = %v, ledger sum %v", got.Cost.EstUSD, usd)
 	}
-	if got.Cost.ReusedRatio != 0 {
-		t.Fatalf("cold run ReusedRatio = %v, want 0", got.Cost.ReusedRatio)
+	if got.ReusedFrom != nil {
+		t.Fatalf("cold run carries reuse provenance: %+v", got.ReusedFrom)
 	}
 
 	// Stats carries the cumulative ledger totals.
@@ -85,7 +85,7 @@ func TestJobCostAttribution(t *testing.T) {
 }
 
 // TestSemanticHitCost proves a verbatim semantic hit records zero new
-// ledger calls but a reused_ratio of 1.0, and that the attribution is
+// ledger calls and semantic_hit provenance, and that the attribution is
 // persisted with the job (visible after a service restart).
 func TestSemanticHitCost(t *testing.T) {
 	dir := t.TempDir()
@@ -121,8 +121,8 @@ func TestSemanticHitCost(t *testing.T) {
 	if got.Cost == nil || got.Cost.Calls != 0 || got.Cost.EstUSD != 0 {
 		t.Fatalf("semantic-hit cost = %+v, want zero calls and dollars", got.Cost)
 	}
-	if got.Cost.ReusedRatio != 1 {
-		t.Fatalf("semantic-hit ReusedRatio = %v, want 1", got.Cost.ReusedRatio)
+	if got.ReusedFrom == nil || got.ReusedFrom.Mode != ReuseSemanticHit {
+		t.Fatalf("semantic-hit provenance = %+v, want mode %s", got.ReusedFrom, ReuseSemanticHit)
 	}
 	if n := len(lst.Entries(ledger.Filter{Job: j2.ID})); n != 0 {
 		t.Fatalf("ledger holds %d entries for the reused job, want 0", n)
@@ -138,7 +138,7 @@ func TestSemanticHitCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.Cost == nil || re.Cost.ReusedRatio != 1 {
-		t.Fatalf("cost attribution lost across restart: %+v", re.Cost)
+	if re.Cost == nil || re.Cost.Calls != 0 || re.ReusedFrom == nil || re.ReusedFrom.Mode != ReuseSemanticHit {
+		t.Fatalf("cost attribution lost across restart: cost %+v, provenance %+v", re.Cost, re.ReusedFrom)
 	}
 }

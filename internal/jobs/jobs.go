@@ -61,8 +61,8 @@ func (s State) Valid() bool {
 // /api/jobs/{id} as "reused_from".
 type Reuse struct {
 	// Mode is "semantic_hit" (report served verbatim, zero LLM calls)
-	// or "conditioned" (LLM ran with the neighbor's conclusions as
-	// retrieved context and its clean verdicts adopted).
+	// or "conditioned" (every issue asked, with the neighbor's
+	// conclusions as retrieved context).
 	Mode string `json:"mode"`
 	// From is the neighbor job id the diagnosis derives from.
 	From string `json:"from"`
@@ -105,19 +105,15 @@ const (
 )
 
 // Cost is the per-job LLM cost attribution, summed from the audit
-// ledger's entries for this job: calls made, tokens moved, estimated
-// dollars, and how much of the diagnosis was served without fresh LLM
-// calls. Surfaced on job pages and in /api/jobs/{id} as "cost".
+// ledger's entries for this job: calls made, tokens moved and estimated
+// dollars. A verbatim semantic hit costs zero calls; Job.ReusedFrom
+// says where its report came from. Surfaced on job pages and in
+// /api/jobs/{id} as "cost".
 type Cost struct {
 	Calls     int     `json:"calls"`
 	TokensIn  int     `json:"tokens_in"`
 	TokensOut int     `json:"tokens_out"`
 	EstUSD    float64 `json:"est_usd"`
-	// ReusedRatio is the fraction of the diagnosis answered from prior
-	// work instead of fresh LLM calls: 1.0 for a verbatim semantic hit
-	// (zero calls), adopted/(adopted+fresh) for a conditioned run, 0 for
-	// a full analysis.
-	ReusedRatio float64 `json:"reused_ratio"`
 }
 
 // Quality is the per-job diagnosis-quality provenance: how well the
@@ -220,12 +216,9 @@ type Stats struct {
 	Recovered int64 `json:"recovered"`
 	// SemanticHits counts jobs served verbatim from the semantic
 	// cache; Conditioned counts jobs whose analysis was conditioned on
-	// a similar prior diagnosis; AdoptedVerdicts counts the per-issue
-	// verdicts conditioned runs adopted from their neighbor without
-	// fresh LLM calls.
-	SemanticHits    int64 `json:"semantic_hits"`
-	Conditioned     int64 `json:"conditioned"`
-	AdoptedVerdicts int64 `json:"adopted_verdicts"`
+	// a similar prior diagnosis.
+	SemanticHits int64 `json:"semantic_hits"`
+	Conditioned  int64 `json:"conditioned"`
 	// LLMCalls/LLMTokensIn/LLMTokensOut/LLMCostUSD are the cumulative
 	// LLM accounting from the audit ledger (zero when no ledger is
 	// configured). These survive restarts to the extent the ledger

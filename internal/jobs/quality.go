@@ -12,6 +12,7 @@ import (
 	"ion/internal/llm"
 	"ion/internal/obs"
 	"ion/internal/quality"
+	"ion/internal/semcache"
 	"ion/internal/workloads"
 )
 
@@ -25,6 +26,9 @@ const (
 	// shadow re-runs are skipped: the background fan-out must never
 	// compete with a backlog of real jobs for LLM capacity.
 	shadowPressureMax = 0.5
+	// shadowConcurrency bounds concurrent shadow re-runs; further
+	// candidates are skipped, not queued.
+	shadowConcurrency = 1
 )
 
 // observeQuality scores a successful diagnosis against the
@@ -90,7 +94,7 @@ func (s *Service) observeQuality(ctx context.Context, id, hash string, out *extr
 // queued) when the sample misses, the job queue is under pressure, or
 // the shadow concurrency bound is reached — the hot path must not feel
 // the observatory.
-func (s *Service) maybeShadow(id string, out *extractor.Output, served *ion.Report, mode quality.Mode, deltas map[string]float64) {
+func (s *Service) maybeShadow(id string, out *extractor.Output, served *ion.Report, mode quality.Mode, from semcache.Entry) {
 	if s.qual == nil || s.cfg.ShadowSampleRate <= 0 {
 		return
 	}
@@ -115,16 +119,16 @@ func (s *Service) maybeShadow(id string, out *extractor.Output, served *ion.Repo
 			<-s.shadowSem
 			s.shadowWG.Done()
 		}()
-		s.runShadow(id, out, served, mode, deltas)
+		s.runShadow(id, out, served, mode, from)
 	}()
 }
 
 // runShadow re-runs one diagnosis through full fan-out, compares the
 // verdicts against the report that was actually served, records the
 // flips on the job's scorecard (superseding it in the journal so the
-// flip survives restarts), and feeds the reuse-decision deltas back
-// into the semantic cache when verdicts flipped.
-func (s *Service) runShadow(id string, out *extractor.Output, served *ion.Report, mode quality.Mode, deltas map[string]float64) {
+// flip survives restarts), and, when verdicts flipped, revokes the
+// semantic-cache entry the job was served or conditioned from.
+func (s *Service) runShadow(id string, out *extractor.Output, served *ion.Report, mode quality.Mode, from semcache.Entry) {
 	ctx, cancel := context.WithTimeout(s.shadowCtx, s.cfg.JobTimeout)
 	defer cancel()
 	// Ledger attribution: shadow calls are tagged "<job>-shadow" so the
@@ -157,13 +161,13 @@ func (s *Service) runShadow(id string, out *extractor.Output, served *ion.Report
 		q.Flips = len(flips)
 	})
 	if len(flips) > 0 {
-		// The reuse decision that served (or conditioned) this job
-		// produced wrong verdicts: down-weight the signature dimensions
-		// it diverged along, so similar divergence scores below the
-		// reuse thresholds next time.
-		s.sem.FlipFeedback(deltas)
-		logger.Warn("shadow re-run flipped verdicts; down-weighting signature dimensions",
-			"flips", len(flips), "dimensions", len(deltas))
+		// The neighbor this job derived from led to verdicts a fresh
+		// fan-out contradicts: stop reusing it.
+		if err := s.sem.Revoke(from); err != nil {
+			logger.Warn("revoking semantic-cache entry", "neighbor", from.JobID, "err", err)
+		}
+		logger.Warn("shadow re-run flipped verdicts; revoked the semantic-cache entry it derived from",
+			"flips", len(flips), "neighbor", from.JobID)
 	}
 	s.refreshQualityMetrics()
 }

@@ -144,14 +144,16 @@ func TestQualityAgreementSelfGate(t *testing.T) {
 	}
 }
 
-// TestShadowFlipSurvivesRestart is the reuse-decay half of the
+// TestShadowFlipSurvivesRestart is the revocation half of the
 // acceptance criteria. Generation 1 (faithful expertsim) indexes a cold
 // diagnosis; generation 2 restarts onto the same journals with a
 // drifted backend (every verdict forced to not-detected) and a 100%
 // shadow sample rate. A perturbed resubmission is served verbatim from
 // the cache, the background shadow re-run contradicts the served
-// verdicts, the flip is journaled, the flip-ratio gauge fires, and a
-// third generation replays it all from disk.
+// verdicts, the flip is journaled, the flip-ratio gauge fires, and the
+// entry that served it is revoked, so the next variant runs fresh. A
+// third generation replays it all from disk and keeps the entry
+// revoked.
 func TestShadowFlipSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	semPath := filepath.Join(dir, "semcache.jsonl")
@@ -231,10 +233,17 @@ func TestShadowFlipSurvivesRestart(t *testing.T) {
 	if v := gatherGauge(t, reg2, "ion_semcache_flip_ratio", obs.L("mode", string(quality.ModeVerbatim))); v != 1 {
 		t.Fatalf("ion_semcache_flip_ratio{mode=verbatim} = %v, want 1", v)
 	}
+	// The flip revoked j1's entry, though the variant matched it at
+	// similarity 1.0: the next variant runs fresh.
+	j3 := submitWait(t, svc2, "ior-hard-gen2b", textTrace(t, "ior-hard", 3))
+	if j3.State != StateDone || j3.ReusedFrom != nil {
+		t.Fatalf("variant after the flip: state %s, provenance %+v; want a fresh run", j3.State, j3.ReusedFrom)
+	}
 	ctx, cancel = context.WithTimeout(context.Background(), 10*time.Second)
 	svc2.Close(ctx)
 	cancel()
 	qual2.Close()
+	sem2.Close()
 
 	// Generation 3: the flip survives restart via journal replay and the
 	// gauge republishes at Open, before any new traffic.
@@ -242,11 +251,47 @@ func TestShadowFlipSurvivesRestart(t *testing.T) {
 	if fs := qual3.FlipStats()[quality.ModeVerbatim]; fs.Ratio() != 1 {
 		t.Fatalf("replayed flip stats = %+v, want ratio 1", fs)
 	}
+	sem3, err := semcache.Open(semcache.Options{Path: semPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sem3.Close() })
 	reg3 := obs.NewRegistry()
-	openService(t, Config{Dir: dir, Workers: 1, Quality: qual3, Obs: reg3})
+	// The backend is faithful again.
+	svc3 := openService(t, Config{
+		Dir:              dir,
+		Workers:          1,
+		SemCache:         sem3,
+		Quality:          qual3,
+		ShadowSampleRate: 1,
+		Obs:              reg3,
+	})
 	if v := gatherGauge(t, reg3, "ion_semcache_flip_ratio", obs.L("mode", string(quality.ModeVerbatim))); v != 1 {
 		t.Fatalf("post-restart flip gauge = %v, want 1", v)
 	}
+	// j3's drifted diagnosis is the one live neighbor: it serves the next
+	// variant, and the faithful shadow re-run revokes it in turn.
+	j4 := submitWait(t, svc3, "ior-hard-gen3", textTrace(t, "ior-hard", 4))
+	if j4.State != StateReused || j4.ReusedFrom == nil || j4.ReusedFrom.From != j3.ID {
+		t.Fatalf("gen-3 variant: state %s, provenance %+v; want served from %s", j4.State, j4.ReusedFrom, j3.ID)
+	}
+	svc3.shadowWG.Wait()
+	// With both neighbors revoked the next variant runs fresh. Had j1's
+	// revocation been lost at restart, j1 would serve it.
+	j5 := submitWait(t, svc3, "ior-hard-gen3b", textTrace(t, "ior-hard", 5))
+	if j5.State != StateDone || j5.ReusedFrom != nil {
+		t.Fatalf("gen-3 variant after both flips: state %s, provenance %+v; want a fresh run", j5.State, j5.ReusedFrom)
+	}
+}
+
+// submitWait submits a trace and waits for its job to settle.
+func submitWait(t *testing.T, svc *Service, name string, trace []byte) Job {
+	t.Helper()
+	j, _, err := svc.Submit(name, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return waitDone(t, svc, j.ID)
 }
 
 // TestShadowSkippedWhenDisabled: without a sample rate no shadow runs,

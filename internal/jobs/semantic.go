@@ -10,7 +10,6 @@ import (
 	"ion/internal/extractor"
 	"ion/internal/ion"
 	"ion/internal/issue"
-	"ion/internal/llm/ledger"
 	"ion/internal/obs"
 	"ion/internal/quality"
 	"ion/internal/rag"
@@ -29,112 +28,122 @@ const (
 	semHitRatioMinLookups = 20
 )
 
-// diagnose applies the semantic reuse ladder to one job and returns
-// the terminal state to settle:
-//
-//  1. similarity ≥ SemReuseThreshold → serve the neighbor's report
-//     verbatim (StateReused, zero LLM calls);
-//  2. similarity ≥ SemConditionThreshold → run the analysis with the
-//     neighbor's conclusions as retrieved context and its not-detected
-//     verdicts adopted (fewer LLM calls);
-//  3. otherwise → full fan-out.
-//
-// Completed runs (full or conditioned) are indexed back into the
-// store; verbatim hits are not re-indexed — their signature would
-// duplicate the neighbor's neighborhood without adding information.
-// Exact-hash dedup has already happened at Submit, so everything here
-// is a genuinely new trace.
+// diagnose produces the job's report and records it: lookup → report
+// → record. Exact-hash dedup has already happened at Submit, so
+// everything here is a genuinely new trace.
 func (s *Service) diagnose(ctx context.Context, id, hash string, out *extractor.Output) (State, error) {
-	if s.sem == nil {
-		state, rep, cause := s.attempts(ctx, id, out, ion.AnalyzeOptions{})
-		s.attachCost(id, 0, false)
-		if state == StateDone && rep != nil {
-			s.observeQuality(ctx, id, hash, out, rep, quality.ModeFull)
-		}
-		return state, cause
-	}
-	logger := obs.LoggerFrom(ctx)
 	sig := semcache.Extract(out)
-	_, span := obs.StartSpan(ctx, "semcache_lookup")
-	match, ok := s.sem.Lookup(sig)
-	span.End()
-	if ok && s.semSim != nil {
-		s.semSim.Observe(match.Similarity)
-	}
-
-	if ok && match.Entry.JobID != id && match.Similarity >= s.cfg.SemReuseThreshold {
-		if rep, err := s.serveFromNeighbor(id, match); err == nil {
-			logger.Info("semantic hit: serving prior diagnosis verbatim",
-				"neighbor", match.Entry.JobID, "similarity", match.Similarity)
-			s.sem.Note(semcache.OutcomeHit)
-			s.mu.Lock()
-			s.semHits++
-			s.mu.Unlock()
-			s.attachCost(id, 0, true)
-			s.observeQuality(ctx, id, hash, out, rep, quality.ModeVerbatim)
-			s.maybeShadow(id, out, rep, quality.ModeVerbatim, match.Deltas)
-			return StateReused, nil
-		} else {
-			logger.Warn("semantic hit unusable, falling back",
-				"neighbor", match.Entry.JobID, "err", err)
-		}
-	}
-
-	opts := ion.AnalyzeOptions{}
-	conditioned := false
-	if ok && match.Entry.JobID != id && match.Similarity >= s.cfg.SemConditionThreshold {
-		if o, err := s.conditionOn(match); err == nil {
-			opts = o
-			conditioned = true
-			logger.Info("conditioning analysis on similar prior diagnosis",
-				"neighbor", match.Entry.JobID, "similarity", match.Similarity,
-				"adopted", len(o.Adopted))
-		} else {
-			logger.Warn("conditioning context unavailable, running cold",
-				"neighbor", match.Entry.JobID, "err", err)
-		}
-	}
-	if conditioned {
-		s.sem.Note(semcache.OutcomeConditioned)
-		s.mu.Lock()
-		s.semConditioned++
-		s.semAdopted += int64(len(opts.Adopted))
-		s.mu.Unlock()
-		s.setReuse(id, &Reuse{
-			Mode:       ReuseConditioned,
-			From:       match.Entry.JobID,
-			Similarity: match.Similarity,
-			Deltas:     match.Deltas,
-		})
-	} else {
-		s.sem.Note(semcache.OutcomeMiss)
-	}
-
-	state, rep, cause := s.attempts(ctx, id, out, opts)
-	s.attachCost(id, len(opts.Adopted), false)
-	if state == StateDone && rep != nil {
-		outcome := "full"
-		mode := quality.ModeFull
-		if conditioned {
-			outcome = semcache.OutcomeConditioned
-			mode = quality.ModeConditioned
-		}
-		s.indexResult(id, hash, sig, rep, outcome)
-		s.observeQuality(ctx, id, hash, out, rep, mode)
-		if conditioned {
-			s.maybeShadow(id, out, rep, quality.ModeConditioned, match.Deltas)
-		}
-	}
+	m, near := s.lookup(ctx, id, sig)
+	state, mode, rep, cause := s.report(ctx, id, out, m, near)
+	s.record(ctx, id, hash, sig, out, rep, mode, m)
 	return state, cause
 }
 
-// serveFromNeighbor copies the neighbor's report onto this job and
-// records the provenance, returning the served report so the caller
-// can score and shadow it. The report is re-labeled with this job's
-// trace name; everything else (diagnoses, summary, model) carries
-// over.
-func (s *Service) serveFromNeighbor(id string, m semcache.Match) (*ion.Report, error) {
-	rep, err := s.store.Report(m.Entry.JobID)
+// lookup finds the job's nearest neighbor in the semantic cache. It
+// reports false when there is none (or the cache is off).
+func (s *Service) lookup(ctx context.Context, id string, sig semcache.Signature) (semcache.Match, bool) {
+	if s.sem == nil {
+		return semcache.Match{}, false
+	}
+	_, span := obs.StartSpan(ctx, "semcache_lookup")
+	m, ok := s.sem.Lookup(sig)
+	span.End()
+	if !ok || m.Entry.JobID == id {
+		return semcache.Match{}, false
+	}
+	s.semSim.Observe(m.Similarity)
+	return m, true
+}
+
+// report produces the job's report in one of two ways, picked by the
+// nearest neighbor's similarity:
+//
+//  1. ≥ SemReuseThreshold → serve the neighbor's report verbatim
+//     (StateReused, zero LLM calls);
+//  2. otherwise → run the per-issue fan-out, every issue asked. When the
+//     neighbor scores ≥ SemConditionThreshold its conclusions ride along
+//     in the prompts as retrieved context (a conditioned run).
+//
+// The report is nil when the fan-out failed or was parked for recovery.
+func (s *Service) report(ctx context.Context, id string, out *extractor.Output, m semcache.Match, near bool) (State, quality.Mode, *ion.Report, error) {
+	logger := obs.LoggerFrom(ctx)
+	if near && m.Similarity >= s.cfg.SemReuseThreshold {
+		rep, err := s.serveFromNeighbor(id, m.Entry.JobID)
+		if err == nil {
+			return StateReused, quality.ModeVerbatim, rep, nil
+		}
+		logger.Warn("semantic hit unusable, falling back",
+			"neighbor", m.Entry.JobID, "err", err)
+	}
+	mode := quality.ModeFull
+	var opts ion.AnalyzeOptions
+	if near && m.Similarity >= s.cfg.SemConditionThreshold {
+		var err error
+		if opts, err = s.conditionOn(m); err == nil {
+			mode = quality.ModeConditioned
+		} else {
+			logger.Warn("conditioning context unavailable, running cold",
+				"neighbor", m.Entry.JobID, "err", err)
+		}
+	}
+	state, rep, cause := s.attempts(ctx, id, out, opts)
+	return state, mode, rep, cause
+}
+
+// record does the bookkeeping of one diagnosis once, whatever its mode:
+// the reuse counters and provenance, the LLM cost, the quality
+// scorecard, the semantic index (fan-out reports only: a verbatim
+// report would duplicate its neighbor's entry), and the shadow sample
+// (reused or conditioned reports only). Without a report only the
+// counters, provenance and cost are recorded.
+func (s *Service) record(ctx context.Context, id, hash string, sig semcache.Signature, out *extractor.Output, rep *ion.Report, mode quality.Mode, m semcache.Match) {
+	s.noteReuse(ctx, id, mode, m)
+	s.attachCost(id)
+	if rep == nil {
+		return
+	}
+	s.observeQuality(ctx, id, hash, out, rep, mode)
+	if mode != quality.ModeVerbatim {
+		s.indexResult(id, hash, sig, rep, mode)
+	}
+	if mode != quality.ModeFull {
+		s.maybeShadow(id, out, rep, mode, m.Entry)
+	}
+}
+
+// noteReuse counts the reuse decision and attaches its provenance to
+// the job.
+func (s *Service) noteReuse(ctx context.Context, id string, mode quality.Mode, m semcache.Match) {
+	outcome, reuse := semcache.OutcomeMiss, ""
+	switch mode {
+	case quality.ModeVerbatim:
+		outcome, reuse = semcache.OutcomeHit, ReuseSemanticHit
+	case quality.ModeConditioned:
+		outcome, reuse = semcache.OutcomeConditioned, ReuseConditioned
+	}
+	s.sem.Note(outcome)
+	if reuse == "" {
+		return
+	}
+	obs.LoggerFrom(ctx).Info("diagnosis derived from a similar prior job",
+		"mode", reuse, "neighbor", m.Entry.JobID, "similarity", m.Similarity)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if mode == quality.ModeVerbatim {
+		s.semHits++
+	} else {
+		s.semConditioned++
+	}
+	if j, ok := s.jobs[id]; ok {
+		j.ReusedFrom = &Reuse{Mode: reuse, From: m.Entry.JobID, Similarity: m.Similarity, Deltas: m.Deltas}
+	}
+}
+
+// serveFromNeighbor copies the nearest neighbor's report onto this job.
+// The report is re-labeled with this job's trace name; everything else
+// (diagnoses, summary, model) carries over.
+func (s *Service) serveFromNeighbor(id, from string) (*ion.Report, error) {
+	rep, err := s.store.Report(from)
 	if err != nil {
 		return nil, fmt.Errorf("loading neighbor report: %w", err)
 	}
@@ -142,21 +151,14 @@ func (s *Service) serveFromNeighbor(id string, m semcache.Match) (*ion.Report, e
 	if err := s.store.PutReport(id, rep); err != nil {
 		return nil, fmt.Errorf("persisting reused report: %w", err)
 	}
-	s.setReuse(id, &Reuse{
-		Mode:       ReuseSemanticHit,
-		From:       m.Entry.JobID,
-		Similarity: m.Similarity,
-		Deltas:     m.Deltas,
-	})
 	return rep, nil
 }
 
 // conditionOn builds the analyze options for the middle band: the
-// neighbor's report is indexed with the rag TF-IDF index, each issue's
-// prompt gets the most relevant chunks as retrieved context, and the
-// neighbor's not-detected verdicts are adopted outright (no LLM call)
-// — on a near-duplicate workload, re-asking about issues the neighbor
-// ruled out is the bulk of the avoidable cost.
+// neighbor's report is indexed with the rag TF-IDF index, and each
+// issue's prompt gets the neighbor's conclusion on it plus the most
+// relevant chunks as retrieved context. Every issue is still asked: the
+// verdict comes from this trace's numbers, never from the neighbor's.
 func (s *Service) conditionOn(m semcache.Match) (ion.AnalyzeOptions, error) {
 	rep, err := s.store.Report(m.Entry.JobID)
 	if err != nil {
@@ -169,17 +171,10 @@ func (s *Service) conditionOn(m semcache.Match) (ion.AnalyzeOptions, error) {
 	if ix.Len() == 0 {
 		return ion.AnalyzeOptions{}, errors.New("neighbor report has no indexable content")
 	}
-	opts := ion.AnalyzeOptions{
-		Retrieved: map[issue.ID]string{},
-		Adopted:   map[issue.ID]*ion.IssueDiagnosis{},
-	}
+	opts := ion.AnalyzeOptions{Retrieved: map[issue.ID]string{}}
 	for _, iid := range rep.Order {
 		d := rep.Diagnoses[iid]
 		if d == nil {
-			continue
-		}
-		if d.Verdict == issue.VerdictNotDetected {
-			opts.Adopted[iid] = d
 			continue
 		}
 		hits := ix.Query(string(iid)+" "+issue.Title(iid)+" "+d.Conclusion, 3)
@@ -199,7 +194,7 @@ func (s *Service) conditionOn(m semcache.Match) (ion.AnalyzeOptions, error) {
 }
 
 // indexResult records a completed diagnosis in the semantic store.
-func (s *Service) indexResult(id, hash string, sig semcache.Signature, rep *ion.Report, outcome string) {
+func (s *Service) indexResult(id, hash string, sig semcache.Signature, rep *ion.Report, mode quality.Mode) {
 	var issues []string
 	for _, iid := range rep.Detected() {
 		issues = append(issues, string(iid))
@@ -210,7 +205,7 @@ func (s *Service) indexResult(id, hash string, sig semcache.Signature, rep *ion.
 		Trace:     rep.Trace,
 		Signature: sig,
 		Issues:    issues,
-		Outcome:   outcome,
+		Outcome:   string(mode),
 		CreatedAt: time.Now().UTC(),
 	})
 	if err != nil {
@@ -218,21 +213,10 @@ func (s *Service) indexResult(id, hash string, sig semcache.Signature, rep *ion.
 	}
 }
 
-// setReuse attaches reuse provenance to a job; the next persist
-// (transition or finish) writes it to disk.
-func (s *Service) setReuse(id string, r *Reuse) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok {
-		j.ReusedFrom = r
-	}
-}
-
 // attachCost sums the job's ledger entries into Job.Cost, so the
-// snapshot finish persists carries the attribution. adopted is how many
-// verdicts a conditioned run adopted without fresh LLM calls; verbatim
-// marks a semantic hit served with zero calls. No-op without a ledger.
-func (s *Service) attachCost(id string, adopted int, verbatim bool) {
+// snapshot finish persists carries the attribution. No-op without a
+// ledger.
+func (s *Service) attachCost(id string) {
 	if s.ledger == nil {
 		return
 	}
@@ -242,21 +226,6 @@ func (s *Service) attachCost(id string, adopted int, verbatim bool) {
 		TokensIn:  sum.TokensIn,
 		TokensOut: sum.TokensOut,
 		EstUSD:    sum.CostUSD,
-	}
-	switch {
-	case verbatim:
-		c.ReusedRatio = 1
-	case adopted > 0:
-		// Fresh diagnosis calls only: the summary call happens either
-		// way, so the ratio measures how much of the per-issue fan-out
-		// the conditioning avoided.
-		fresh := 0
-		for _, e := range s.ledger.Entries(ledger.Filter{Job: id}) {
-			if e.Template == "diagnosis" {
-				fresh++
-			}
-		}
-		c.ReusedRatio = float64(adopted) / float64(adopted+fresh)
 	}
 	s.mu.Lock()
 	if j, ok := s.jobs[id]; ok {

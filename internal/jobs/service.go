@@ -75,7 +75,7 @@ type Config struct {
 	// signature is similar enough to the new trace's is served
 	// verbatim (above SemReuseThreshold) or injected into the LLM
 	// prompts as retrieved context (above SemConditionThreshold).
-	// Completed full runs are indexed back into the store.
+	// Completed fan-out runs are indexed back into the store.
 	SemCache *semcache.Store
 	// SemReuseThreshold is the cosine similarity at or above which a
 	// neighbor's report is served verbatim; 0 means the default
@@ -93,12 +93,10 @@ type Config struct {
 	Quality *quality.Store
 	// ShadowSampleRate is the fraction of semcache-reused and
 	// conditioned jobs whose diagnosis is re-run through full fan-out
-	// in the background to measure verdict flips. 0 disables shadow
+	// in the background to measure verdict flips; a flip revokes the
+	// semantic-cache entry the job derived from. 0 disables shadow
 	// re-runs; values above 1 shadow everything.
 	ShadowSampleRate float64
-	// ShadowConcurrency bounds concurrent shadow re-runs; further
-	// candidates are skipped, not queued. 0 means the default (1).
-	ShadowConcurrency int
 	// QualityMinSamples is the per-issue sample count below which the
 	// ion_verdict_agreement_ratio gauge self-gates to 1.0 (same policy
 	// as the semcache hit-ratio gauge), keeping the drift alert quiet
@@ -161,9 +159,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.SemConditionThreshold == 0 {
 		c.SemConditionThreshold = defaultSemConditionThreshold
-	}
-	if c.ShadowConcurrency <= 0 {
-		c.ShadowConcurrency = 1
 	}
 	if c.QualityMinSamples <= 0 {
 		c.QualityMinSamples = qualityMinSamples
@@ -234,7 +229,7 @@ type Service struct {
 	parked map[string]parsedTrace
 
 	submitted, completed, failed, retried, cacheHits, recovered int64
-	semHits, semConditioned, semAdopted                         int64
+	semHits, semConditioned                                     int64
 }
 
 // defaultStreamMaxBuffer bounds in-flight streaming-upload memory.
@@ -312,7 +307,7 @@ func Open(cfg Config) (*Service, error) {
 		parked: make(map[string]parsedTrace, maxParked),
 	}
 	s.shadowCtx, s.shadowCancel = context.WithCancel(ctx)
-	s.shadowSem = make(chan struct{}, cfg.ShadowConcurrency)
+	s.shadowSem = make(chan struct{}, shadowConcurrency)
 	for _, j := range existing {
 		s.jobs[j.ID] = j
 		ch := make(chan struct{})
@@ -454,9 +449,6 @@ func (s *Service) registerMetrics() {
 		s.semSim = s.obs.Histogram("ion_semcache_similarity",
 			"Best-match cosine similarity per semantic lookup.",
 			[]float64{0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95, 0.98, 0.99, 0.995, 1})
-		s.obs.CounterFunc("ion_semcache_adopted_verdicts_total",
-			"Per-issue verdicts conditioned runs adopted from their neighbor without fresh LLM calls.",
-			stat(func(st Stats) float64 { return float64(st.AdoptedVerdicts) }))
 	}
 
 	if s.qual != nil {
@@ -682,20 +674,19 @@ func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		Workers:         s.cfg.Workers,
-		Busy:            s.busy,
-		QueueDepth:      len(s.queue),
-		QueueCapacity:   s.cfg.QueueDepth,
-		Jobs:            len(s.jobs),
-		Submitted:       s.submitted,
-		Completed:       s.completed,
-		Failed:          s.failed,
-		Retried:         s.retried,
-		CacheHits:       s.cacheHits,
-		Recovered:       s.recovered,
-		SemanticHits:    s.semHits,
-		Conditioned:     s.semConditioned,
-		AdoptedVerdicts: s.semAdopted,
+		Workers:       s.cfg.Workers,
+		Busy:          s.busy,
+		QueueDepth:    len(s.queue),
+		QueueCapacity: s.cfg.QueueDepth,
+		Jobs:          len(s.jobs),
+		Submitted:     s.submitted,
+		Completed:     s.completed,
+		Failed:        s.failed,
+		Retried:       s.retried,
+		CacheHits:     s.cacheHits,
+		Recovered:     s.recovered,
+		SemanticHits:  s.semHits,
+		Conditioned:   s.semConditioned,
 	}
 	if tot := s.ledger.Totals(); tot.Calls > 0 {
 		st.LLMCalls = tot.Calls

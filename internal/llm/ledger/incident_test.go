@@ -121,6 +121,46 @@ func TestBackendDegradedIncident(t *testing.T) {
 	}
 }
 
+// TestBackendHealthyStaysOK is the silent half of LLMBackendDegraded:
+// a healthy backend's calls, scraped every 5s over 3 minutes of virtual
+// time, leave the built-in rule at ok with no transition.
+func TestBackendHealthyStaysOK(t *testing.T) {
+	reg := obs.NewRegistry()
+	lst := testStore(t, StoreOptions{})
+	client := Wrap(&fakeClient{}, lst, WrapOptions{Registry: reg})
+	store := series.New(reg, series.Options{
+		Interval: 5 * time.Second,
+		Rules:    series.DefaultRules(),
+		OnTransition: func(tr series.RuleTransition) {
+			if tr.Rule == "LLMBackendDegraded" {
+				t.Errorf("LLMBackendDegraded moved %s -> %s at value %v", tr.From, tr.To, tr.Value)
+			}
+		},
+	})
+	ctx := context.Background()
+	start := time.Now()
+	for step := 0; step <= 36; step++ {
+		for i := 0; i < 10; i++ {
+			if _, err := client.Complete(ctx, testReq()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		store.Scrape(start.Add(time.Duration(step) * 5 * time.Second))
+	}
+
+	for _, a := range store.Alerts() {
+		if a.Rule.Name != "LLMBackendDegraded" {
+			continue
+		}
+		// The rule saw the gauge: a missing series would also read ok.
+		if a.State != series.StateOK || a.LastEval.IsZero() || a.Value < 0.5 {
+			t.Fatalf("LLMBackendDegraded after 3m of healthy calls: %+v", a)
+		}
+		return
+	}
+	t.Fatal("LLMBackendDegraded is not a default rule")
+}
+
 func keys(m map[string][]byte) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {

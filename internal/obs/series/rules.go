@@ -280,9 +280,10 @@ func MustRules(data []byte) []Rule {
 
 // DefaultRules are the built-in SLO rules ionserve evaluates when no
 // -rules file is given: they watch the failure ratio, queue saturation,
-// LLM backend errors and the ledger's rolling backend health score,
-// analyze-stage latency, semantic-cache health, diagnosis quality, and
-// process health. The semcache rule leans on the hit-ratio gauge's own
+// the ledger's rolling backend health score (its normalised error and
+// timeout rates; with the ledger off, a failing backend surfaces
+// through the failure ratio), analyze-stage latency, semantic-cache
+// health, diagnosis quality, and process health. The semcache rule leans on the hit-ratio gauge's own
 // traffic gate (it reports 1.0 until enough lookups have happened), so
 // it only fires when the hit ratio collapses under real traffic; the
 // verdict-drift rule leans on the agreement gauge's identical gate.
@@ -293,7 +294,6 @@ func DefaultRules() []Rule {
 	return MustRules([]byte(`[
   {"name": "JobFailureRatioHigh", "expr": "ion_jobs_failure_ratio > 0.1", "for": "1m", "severity": "page"},
   {"name": "QueueNearCapacity",   "expr": "ion_jobs_queue_utilization > 0.9", "for": "1m", "severity": "warn"},
-  {"name": "LLMErrorRateHigh",    "expr": "sum(ion_llm_requests_total{outcome=\"error\"}) > 0.2", "for": "1m", "severity": "page"},
   {"name": "AnalyzeP95Slow",      "expr": "p95(ion_pipeline_stage_seconds{stage=\"analyze\"}) > 60", "for": "2m", "severity": "warn"},
   {"name": "SemcacheHitRatioCollapsed", "expr": "ion_semcache_hit_ratio < 0.05", "for": "2m", "severity": "warn"},
   {"name": "VerdictDriftHigh",    "expr": "min(ion_verdict_agreement_ratio) < 0.6", "for": "2m", "severity": "page"},

@@ -4,8 +4,9 @@
 // store over the signatures of completed diagnoses. Near-duplicate
 // workloads — the same application at a different scale or timestep —
 // land in the same signature neighborhood even though their trace
-// bytes (and content hashes) differ, so the job service can reuse or
-// condition on a prior diagnosis instead of paying full LLM fan-out.
+// bytes (and content hashes) differ, so the job service can serve a
+// prior diagnosis instead of paying full LLM fan-out, or hand it to the
+// model as context.
 package semcache
 
 import (

@@ -38,6 +38,9 @@ type Entry struct {
 	Outcome string `json:"outcome,omitempty"`
 	// CreatedAt is when the diagnosis completed.
 	CreatedAt time.Time `json:"created_at"`
+	// Revoked marks an entry whose reuse a shadow re-run contradicted;
+	// Lookup skips it. See Revoke.
+	Revoked bool `json:"revoked,omitempty"`
 }
 
 // key is the journal key: the trace hash, or the job id for an entry
@@ -108,25 +111,12 @@ type Stats struct {
 type Store struct {
 	j *journal.Store[Entry]
 
-	// mu guards the trust weights and the policy counters. Lookup holds
-	// it across its scan of j.
+	// mu guards the policy counters, and orders Revoke's read and
+	// rewrite of an entry against Put.
 	mu sync.Mutex
-	// weights holds the per-dimension trust learned from shadow-rerun
-	// verdict flips: dimensions whose deltas participated in a flipped
-	// reuse decay toward weightFloor, growing the similarity penalty
-	// for future divergence along them. In-memory only; a restart
-	// resets trust to 1.
-	weights []float64
 
 	lookups, hits, conditioned, misses int64
 }
-
-// Flip-feedback tuning: each flip multiplies the implicated dimension
-// weights by weightDecay, never below weightFloor.
-const (
-	weightDecay = 0.8
-	weightFloor = 0.2
-)
 
 // Open loads (or creates) the store at opts.Path, replaying the
 // journal: a later record supersedes an earlier one with the same trace
@@ -149,7 +139,7 @@ func Open(opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("semcache: %w", err)
 	}
-	return &Store{j: j, weights: newWeights()}, nil
+	return &Store{j: j}, nil
 }
 
 // Put indexes a completed diagnosis: the signature is quantized, the
@@ -162,6 +152,8 @@ func (st *Store) Put(e Entry) error {
 	}
 	e.SigVersion = Version
 	e.Signature = e.Signature.Quantize(DefaultQuantStep)
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	if err := st.j.Put(e); err != nil {
 		return fmt.Errorf("semcache: %w", err)
 	}
@@ -169,29 +161,28 @@ func (st *Store) Put(e Entry) error {
 }
 
 // Lookup quantizes the query signature and returns the most similar
-// entry. The boolean is false when the store is empty. A successful
-// match refreshes the neighbor's recency. Lookup itself only counts a
-// lookup; call Note with the policy outcome so hit/miss counters
-// reflect what the caller actually did with the match.
-//
-// Similarity is cosine minus a trust penalty: divergence along
-// dimensions that FlipFeedback has down-weighted subtracts
-// (1-weight)·|Δ| per dimension, pushing flip-prone matches below the
-// reuse thresholds.
+// entry by cosine similarity, skipping revoked entries. The boolean is
+// false when no entry is left to match. A successful match refreshes
+// the neighbor's recency. Lookup itself only counts a lookup; call
+// Note with the policy outcome so hit/miss counters reflect what the
+// caller actually did with the match.
 func (st *Store) Lookup(sig Signature) (Match, bool) {
 	if st == nil {
 		return Match{}, false
 	}
 	q := sig.Quantize(DefaultQuantStep)
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.lookups++
+	st.mu.Unlock()
 	var (
 		best    Entry
 		bestSim = -1.0
 	)
 	st.j.Each(func(e Entry) bool {
-		if sim := st.similarityLocked(q, e.Signature); sim > bestSim {
+		if e.Revoked {
+			return true
+		}
+		if sim := Cosine(q, e.Signature); sim > bestSim {
 			bestSim, best = sim, e
 		}
 		return true
@@ -233,80 +224,28 @@ func (st *Store) Note(outcome string) {
 	}
 }
 
-func newWeights() []float64 {
-	w := make([]float64, len(dimensions))
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
-// similarityLocked scores a candidate: cosine similarity minus the
-// per-dimension trust penalty. Caller holds st.mu.
-func (st *Store) similarityLocked(q, e Signature) float64 {
-	sim := Cosine(q, e)
-	n := len(q)
-	if len(e) < n {
-		n = len(e)
-	}
-	if len(st.weights) < n {
-		n = len(st.weights)
-	}
-	for i := 0; i < n; i++ {
-		if w := st.weights[i]; w < 1 {
-			d := q[i] - e[i]
-			if d < 0 {
-				d = -d
-			}
-			sim -= (1 - w) * d
-		}
-	}
-	return clamp01(sim)
-}
-
-// FlipFeedback reports that a reuse decision whose query/neighbor
-// deltas are given produced a verdict flip under a shadow re-run. The
-// dimensions that differed are down-weighted so future matches that
-// diverge along them score lower (ROADMAP item 3 follow-up: learning
-// per-dimension weights from verdict-flip feedback).
-func (st *Store) FlipFeedback(deltas map[string]float64) {
-	if st == nil || len(deltas) == 0 {
-		return
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for i, name := range dimensions {
-		if i >= len(st.weights) {
-			break
-		}
-		if d, ok := deltas[name]; ok && d != 0 {
-			if w := st.weights[i] * weightDecay; w > weightFloor {
-				st.weights[i] = w
-			} else {
-				st.weights[i] = weightFloor
-			}
-		}
-	}
-}
-
-// DimensionWeights returns the current per-dimension trust weights by
-// name (1 = fully trusted, lower = flip-prone).
-func (st *Store) DimensionWeights() map[string]float64 {
-	out := make(map[string]float64, len(dimensions))
+// Revoke marks the entry that served or conditioned a diagnosis whose
+// verdicts a shadow re-run flipped. The live entry with e's trace hash
+// and job id is journaled again with Revoked set, superseding the old
+// line, so Lookup skips it from then on, across restarts. Like any
+// write it becomes the newest record, and the bounds age it out in
+// turn. An entry that is no longer live (evicted, or replaced by a
+// later diagnosis of the same trace) is left alone.
+func (st *Store) Revoke(e Entry) error {
 	if st == nil {
-		for _, name := range dimensions {
-			out[name] = 1
-		}
-		return out
+		return nil
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for i, name := range dimensions {
-		if i < len(st.weights) {
-			out[name] = st.weights[i]
-		}
+	live, ok := st.j.Get(e.key())
+	if !ok || live.JobID != e.JobID || live.Revoked {
+		return nil
 	}
-	return out
+	live.Revoked = true
+	if err := st.j.Put(live); err != nil {
+		return fmt.Errorf("semcache: %w", err)
+	}
+	return nil
 }
 
 // Len returns the number of live entries.

@@ -244,61 +244,58 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	}
 }
 
-func TestFlipFeedbackDownWeightsDimensions(t *testing.T) {
-	st := testStore(t, Options{})
-	base := make(Signature, len(Dimensions()))
-	for i := range base {
-		base[i] = 0.5
-	}
-	e := Entry{JobID: "j-base", TraceHash: "h", Trace: "t", Signature: base, CreatedAt: time.Unix(1700000000, 0)}
-	if err := st.Put(e); err != nil {
-		t.Fatal(err)
-	}
-
-	// A query diverging along one dimension.
-	q := append(Signature(nil), base...)
-	dim := Dimensions()[0]
-	q[0] = 0.75
-
-	before, ok := st.Lookup(q)
-	if !ok {
-		t.Fatal("no match")
-	}
-	if before.Deltas[dim] == 0 {
-		t.Fatalf("expected a delta on %s, got %v", dim, before.Deltas)
-	}
-
-	// Report flips along that dimension until its weight floors.
-	for i := 0; i < 10; i++ {
-		st.FlipFeedback(before.Deltas)
-	}
-	w := st.DimensionWeights()
-	if w[dim] != 0.2 {
-		t.Fatalf("weight[%s] = %v, want floor 0.2", dim, w[dim])
-	}
-	for _, name := range Dimensions()[1:] {
-		if w[name] != 1 {
-			t.Fatalf("weight[%s] = %v, want untouched 1", name, w[name])
+// TestRevokeSkipsEntry: a revoked entry stops matching, even at
+// similarity 1.0, and stays revoked after a reopen; a nil store's
+// Revoke is a no-op.
+func TestRevokeSkipsEntry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "semcache.jsonl")
+	st := testStore(t, Options{Path: path})
+	for i := 1; i <= 2; i++ {
+		if err := st.Put(entryN(i)); err != nil {
+			t.Fatal(err)
 		}
 	}
+	m, ok := st.Lookup(sigN(1))
+	if !ok || m.Entry.JobID != entryN(1).JobID || m.Similarity != 1 {
+		t.Fatalf("before revoke: lookup = %+v ok=%v, want entry 1 at similarity 1", m, ok)
+	}
+	if err := st.Revoke(m.Entry); err != nil {
+		t.Fatal(err)
+	}
+	lookupSkips := func(st *Store, when string) {
+		t.Helper()
+		if m, ok := st.Lookup(sigN(1)); ok && m.Entry.JobID == entryN(1).JobID {
+			t.Fatalf("%s: lookup still matches the revoked entry (similarity %v)", when, m.Similarity)
+		}
+		if st.Len() != 2 {
+			t.Fatalf("%s: store holds %d entries, want 2 (revoking keeps the entry)", when, st.Len())
+		}
+		for _, e := range st.Entries() {
+			if e.Revoked != (e.JobID == entryN(1).JobID) {
+				t.Fatalf("%s: entry %s revoked = %v", when, e.JobID, e.Revoked)
+			}
+		}
+	}
+	lookupSkips(st, "after revoke")
 
-	after, ok := st.Lookup(q)
-	if !ok {
-		t.Fatal("no match after feedback")
+	// A stale entry (another job's diagnosis under the same key) is left
+	// alone.
+	stale := entryN(2)
+	stale.JobID = "j-other"
+	if err := st.Revoke(stale); err != nil {
+		t.Fatal(err)
 	}
-	if after.Similarity >= before.Similarity {
-		t.Fatalf("similarity %v not reduced from %v by flip feedback", after.Similarity, before.Similarity)
-	}
-	// Divergence-free lookups are unaffected.
-	exact, _ := st.Lookup(base)
-	if exact.Similarity != 1 {
-		t.Fatalf("exact match similarity = %v, want 1", exact.Similarity)
+	if m, ok := st.Lookup(sigN(2)); !ok || m.Entry.JobID != entryN(2).JobID {
+		t.Fatalf("revoking a stale entry hid the live one: %+v ok=%v", m, ok)
 	}
 
-	// Nil store: feedback is a no-op, weights read as fully trusted.
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lookupSkips(testStore(t, Options{Path: path}), "after reopen")
+
 	var nilStore *Store
-	nilStore.FlipFeedback(before.Deltas)
-	if w := nilStore.DimensionWeights(); w[dim] != 1 {
-		t.Fatalf("nil store weight = %v, want 1", w[dim])
+	if err := nilStore.Revoke(entryN(1)); err != nil {
+		t.Fatalf("nil store Revoke: %v", err)
 	}
 }

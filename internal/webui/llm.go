@@ -90,9 +90,8 @@ func (s *JobServer) handleLLMLedger(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// costBanner renders a job's LLM cost attribution: calls, tokens,
-// estimated dollars, and how much of the diagnosis was reused instead
-// of paid for. Empty when no ledger is configured.
+// costBanner renders a job's LLM cost attribution: calls, tokens and
+// estimated dollars. Empty when no ledger is configured.
 func costBanner(job jobs.Job) string {
 	c := job.Cost
 	if c == nil {
@@ -100,15 +99,11 @@ func costBanner(job jobs.Job) string {
 	}
 	var b strings.Builder
 	b.WriteString(`<div style="margin-top:2rem;padding:0.75rem 1rem;border:1px solid #d97706;border-radius:6px;background:#fffbeb">`)
-	if c.Calls == 0 && c.ReusedRatio >= 1 {
-		b.WriteString(`<strong>LLM cost:</strong> $0 — served entirely from prior work (0 calls).`)
+	if job.State == jobs.StateReused {
+		b.WriteString(`<strong>LLM cost:</strong> $0 — the report was served verbatim from a prior job (0 calls).`)
 	} else {
-		fmt.Fprintf(&b, `<strong>LLM cost:</strong> $%.4f estimated &middot; %d call(s) &middot; %d tokens in / %d out`,
+		fmt.Fprintf(&b, `<strong>LLM cost:</strong> $%.4f estimated &middot; %d call(s) &middot; %d tokens in / %d out.`,
 			c.EstUSD, c.Calls, c.TokensIn, c.TokensOut)
-		if c.ReusedRatio > 0 {
-			fmt.Fprintf(&b, ` &middot; %.0f%% of the fan-out reused`, 100*c.ReusedRatio)
-		}
-		b.WriteString(`.`)
 	}
 	b.WriteString(` <a href="/dashboard/llm">LLM dashboard</a></div>`)
 	return b.String()

@@ -463,8 +463,8 @@ func reuseBanner(job jobs.Job) string {
 			html.EscapeString(ru.From), html.EscapeString(ru.From), ru.Similarity)
 	case jobs.ReuseConditioned:
 		fmt.Fprintf(&b, `<strong>Conditioned run:</strong> this analysis was conditioned on job
-<a href="/jobs/%s"><code>%s</code></a> (signature similarity %.4f): its conclusions were
-retrieved as context and its clean verdicts adopted.`,
+<a href="/jobs/%s"><code>%s</code></a> (signature similarity %.4f): every issue was asked,
+with that job's conclusions retrieved as context.`,
 			html.EscapeString(ru.From), html.EscapeString(ru.From), ru.Similarity)
 	default:
 		fmt.Fprintf(&b, `<strong>Reused:</strong> derived from job <code>%s</code> (similarity %.4f).`,
