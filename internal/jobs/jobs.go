@@ -89,8 +89,7 @@ type Ingest struct {
 	// Bytes is the trace body size.
 	Bytes int64 `json:"bytes"`
 	// Shards is how many parse shards the body was cut into. Zero for
-	// a binary container parsed whole, and for a whole-body upload
-	// whose extraction was already cached, which is not parsed again.
+	// a binary container parsed whole.
 	Shards int `json:"shards,omitempty"`
 	// ParseOverlapped reports that at least one shard finished parsing
 	// while the client was still uploading — the property the streaming
@@ -214,11 +213,6 @@ type Stats struct {
 	Retried   int64 `json:"retried"`
 	CacheHits int64 `json:"cache_hits"`
 	Recovered int64 `json:"recovered"`
-	// SemanticHits counts jobs served verbatim from the semantic
-	// cache; Conditioned counts jobs whose analysis was conditioned on
-	// a similar prior diagnosis.
-	SemanticHits int64 `json:"semantic_hits"`
-	Conditioned  int64 `json:"conditioned"`
 	// LLMCalls/LLMTokensIn/LLMTokensOut/LLMCostUSD are the cumulative
 	// LLM accounting from the audit ledger (zero when no ledger is
 	// configured). These survive restarts to the extent the ledger

@@ -33,11 +33,12 @@ const (
 
 // observeQuality scores a successful diagnosis against the
 // deterministic Drishti triggers, journals the scorecard, bumps the
-// disagreement counters, stamps Job.Quality, and republishes the
-// agreement gauges. No-op without a quality store.
-func (s *Service) observeQuality(ctx context.Context, id, hash string, out *extractor.Output, rep *ion.Report, mode quality.Mode) {
+// disagreement counters, republishes the agreement gauges, and returns
+// the scorecard summary for Job.Quality. Returns nil without a quality
+// store.
+func (s *Service) observeQuality(ctx context.Context, id, hash string, out *extractor.Output, rep *ion.Report, mode quality.Mode) *Quality {
 	if s.qual == nil {
-		return
+		return nil
 	}
 	logger := obs.LoggerFrom(ctx)
 	_, span := obs.StartSpan(ctx, "quality_score")
@@ -78,23 +79,21 @@ func (s *Service) observeQuality(ctx context.Context, id, hash string, out *extr
 				obs.L("issue", string(sc.Issue)), obs.L("kind", sc.Kind)).Inc()
 		}
 	}
-	s.setJobQuality(id, func(q *Quality) {
-		q.Agreement = card.Agreement
-		q.Disagreements = card.Disagreements
-	})
 	s.refreshQualityMetrics()
 	if card.Disagreements > 0 {
 		logger.Info("diagnosis disagrees with deterministic baseline",
 			"agreement", card.Agreement, "disagreements", card.Disagreements, "mode", string(mode))
 	}
+	return &Quality{Agreement: card.Agreement, Disagreements: card.Disagreements}
 }
 
 // maybeShadow samples a reused or conditioned diagnosis for a
 // background full fan-out re-run. Candidates are dropped (never
 // queued) when the sample misses, the job queue is under pressure, or
 // the shadow concurrency bound is reached — the hot path must not feel
-// the observatory.
-func (s *Service) maybeShadow(id string, out *extractor.Output, served *ion.Report, mode quality.Mode, from semcache.Entry) {
+// the observatory. derived names the semantic-cache entries the served
+// verdicts came from, which a flip revokes.
+func (s *Service) maybeShadow(id string, out *extractor.Output, served *ion.Report, mode quality.Mode, derived []semcache.Entry) {
 	if s.qual == nil || s.cfg.ShadowSampleRate <= 0 {
 		return
 	}
@@ -119,7 +118,7 @@ func (s *Service) maybeShadow(id string, out *extractor.Output, served *ion.Repo
 			<-s.shadowSem
 			s.shadowWG.Done()
 		}()
-		s.runShadow(id, out, served, mode, from)
+		s.runShadow(id, out, served, mode, derived)
 	}()
 }
 
@@ -127,8 +126,10 @@ func (s *Service) maybeShadow(id string, out *extractor.Output, served *ion.Repo
 // verdicts against the report that was actually served, records the
 // flips on the job's scorecard (superseding it in the journal so the
 // flip survives restarts), and, when verdicts flipped, revokes the
-// semantic-cache entry the job was served or conditioned from.
-func (s *Service) runShadow(id string, out *extractor.Output, served *ion.Report, mode quality.Mode, from semcache.Entry) {
+// semantic-cache entries the served verdicts derived from: the entry
+// the job was served or conditioned from and, for a conditioned job,
+// its own indexed report.
+func (s *Service) runShadow(id string, out *extractor.Output, served *ion.Report, mode quality.Mode, derived []semcache.Entry) {
 	ctx, cancel := context.WithTimeout(s.shadowCtx, s.cfg.JobTimeout)
 	defer cancel()
 	// Ledger attribution: shadow calls are tagged "<job>-shadow" so the
@@ -156,43 +157,26 @@ func (s *Service) runShadow(id string, out *extractor.Output, served *ion.Report
 	if err := s.qual.Put(card); err != nil {
 		logger.Warn("journaling shadow result", "err", err)
 	}
-	s.setJobQuality(id, func(q *Quality) {
-		q.Shadowed = true
-		q.Flips = len(flips)
+	s.update(id, func(j *Job) bool {
+		var q Quality
+		if j.Quality != nil {
+			q = *j.Quality
+		}
+		q.Shadowed, q.Flips = true, len(flips)
+		j.Quality = &q
+		// A job still in flight gets the stamp in finish's write.
+		return j.State.Terminal()
 	})
 	if len(flips) > 0 {
-		// The neighbor this job derived from led to verdicts a fresh
-		// fan-out contradicts: stop reusing it.
-		if err := s.sem.Revoke(from); err != nil {
-			logger.Warn("revoking semantic-cache entry", "neighbor", from.JobID, "err", err)
+		// The served verdicts are ones a fresh fan-out contradicts: stop
+		// reusing every entry they came from.
+		for _, e := range derived {
+			if err := s.sem.Revoke(e); err != nil {
+				logger.Warn("revoking semantic-cache entry", "entry_job", e.JobID, "err", err)
+			}
 		}
-		logger.Warn("shadow re-run flipped verdicts; revoked the semantic-cache entry it derived from",
-			"flips", len(flips), "neighbor", from.JobID)
+		logger.Warn("shadow re-run flipped verdicts; revoked the semantic-cache entries they derived from",
+			"flips", len(flips), "neighbor", derived[0].JobID)
 	}
 	s.refreshQualityMetrics()
-}
-
-// setJobQuality mutates a job's quality provenance under the lock. For
-// terminal jobs (the shadow path runs after finish) the updated record
-// is persisted immediately; for in-flight jobs the next transition or
-// finish persists it.
-func (s *Service) setJobQuality(id string, update func(*Quality)) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		return
-	}
-	if j.Quality == nil {
-		j.Quality = &Quality{}
-	}
-	update(j.Quality)
-	terminal := j.State.Terminal()
-	snapshot := *j
-	s.mu.Unlock()
-	if terminal {
-		if err := s.store.PutJob(&snapshot); err != nil {
-			s.log.Warn("persisting job quality", "job", id, "err", err)
-		}
-	}
 }

@@ -6,10 +6,14 @@ import (
 	"testing"
 	"time"
 
+	"ion/internal/eval"
 	"ion/internal/expertsim"
+	"ion/internal/llm"
 	"ion/internal/obs"
+	"ion/internal/prompt"
 	"ion/internal/quality"
 	"ion/internal/semcache"
+	"ion/internal/workloads"
 )
 
 func openQualStore(t *testing.T, path string) *quality.Store {
@@ -281,6 +285,72 @@ func TestShadowFlipSurvivesRestart(t *testing.T) {
 	j5 := submitWait(t, svc3, "ior-hard-gen3b", textTrace(t, "ior-hard", 5))
 	if j5.State != StateDone || j5.ReusedFrom != nil {
 		t.Fatalf("gen-3 variant after both flips: state %s, provenance %+v; want a fresh run", j5.State, j5.ReusedFrom)
+	}
+}
+
+// conditionedDrift is a backend that has drifted only where a
+// neighbor's conclusions ride along: conditioned diagnosis prompts go
+// to drifted, everything else (cold runs and shadow re-runs) to the
+// embedded faithful client.
+type conditionedDrift struct {
+	llm.Client
+	drifted llm.Client
+}
+
+func (c *conditionedDrift) Complete(ctx context.Context, req llm.Request) (llm.Completion, error) {
+	if req.Metadata[prompt.MetaConditioned] == "1" {
+		return c.drifted.Complete(ctx, req)
+	}
+	return c.Client.Complete(ctx, req)
+}
+
+// TestShadowFlipRevokesConditionedEntry: on default thresholds
+// openpmd-baseline runs conditioned on ior-hard, and its drifted report
+// is indexed as the job's own entry. The shadow re-run flips it, which
+// must revoke that entry as well as the neighbor's, so a later
+// openpmd-baseline variant (similarity 1.0 to the drifted report) is
+// not served from it and keeps its labelled verdicts.
+func TestShadowFlipRevokesConditionedEntry(t *testing.T) {
+	inner := expertsim.New()
+	qual := openQualStore(t, filepath.Join(t.TempDir(), "quality.jsonl"))
+	svc := openService(t, Config{
+		Workers:          1,
+		Client:           &conditionedDrift{Client: inner, drifted: &expertsim.Contradictor{Inner: inner}},
+		SemCache:         openSemStore(t, semcache.Options{}),
+		Quality:          qual,
+		ShadowSampleRate: 1,
+	})
+
+	j1 := submitWait(t, svc, "ior-hard", traceBytes(t, "ior-hard"))
+	if j1.State != StateDone {
+		t.Fatalf("ior-hard: state %s (%s)", j1.State, j1.Error)
+	}
+	j2 := submitWait(t, svc, "openpmd-baseline", traceBytes(t, "openpmd-baseline"))
+	if r := j2.ReusedFrom; j2.State != StateDone || r == nil || r.Mode != ReuseConditioned || r.From != j1.ID {
+		t.Fatalf("openpmd-baseline: state %s, provenance %+v; want conditioned on %s", j2.State, r, j1.ID)
+	}
+	svc.shadowWG.Wait()
+	if card, ok := qual.Get(j2.ID); !ok || card.Shadow == nil || len(card.Shadow.Flips) == 0 {
+		t.Fatalf("the conditioned job's shadow re-run flipped no verdicts: %+v", card.Shadow)
+	}
+
+	j3 := submitWait(t, svc, "openpmd-baseline-variant", textTrace(t, "openpmd-baseline", 1))
+	if r := j3.ReusedFrom; r != nil && r.From == j2.ID {
+		t.Fatalf("variant %s from the flipped job %s at similarity %.3f", r.Mode, j2.ID, r.Similarity)
+	}
+	if j3.State != StateDone {
+		t.Fatalf("variant: state %s (%s)", j3.State, j3.Error)
+	}
+	rep, err := svc.Report(j3.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workloads.ByName("openpmd-baseline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc := eval.ScoreION(w, rep); !sc.Perfect() {
+		t.Errorf("variant report: %s, mismatches %+v, false positives %v", sc, sc.Mismatches, sc.FalsePositives)
 	}
 }
 

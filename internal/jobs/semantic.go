@@ -28,15 +28,16 @@ const (
 	semHitRatioMinLookups = 20
 )
 
-// diagnose produces the job's report and records it: lookup → report
-// → record. Exact-hash dedup has already happened at Submit, so
-// everything here is a genuinely new trace.
-func (s *Service) diagnose(ctx context.Context, id, hash string, out *extractor.Output) (State, error) {
+// diagnose produces the job's report and records it: lookup (the reuse
+// decision) → report → record. Exact-hash dedup has already happened at
+// Submit, so everything here is a genuinely new trace.
+func (s *Service) diagnose(ctx context.Context, id, hash string, out *extractor.Output) outcome {
 	sig := semcache.Extract(out)
 	m, near := s.lookup(ctx, id, sig)
 	state, mode, rep, cause := s.report(ctx, id, out, m, near)
-	s.record(ctx, id, hash, sig, out, rep, mode, m)
-	return state, cause
+	res := s.record(ctx, id, hash, sig, out, rep, mode, m)
+	res.state, res.cause = state, cause
+	return res
 }
 
 // lookup finds the job's nearest neighbor in the semantic cache. It
@@ -90,30 +91,34 @@ func (s *Service) report(ctx context.Context, id string, out *extractor.Output, 
 	return state, mode, rep, cause
 }
 
-// record does the bookkeeping of one diagnosis once, whatever its mode:
-// the reuse counters and provenance, the LLM cost, the quality
-// scorecard, the semantic index (fan-out reports only: a verbatim
-// report would duplicate its neighbor's entry), and the shadow sample
-// (reused or conditioned reports only). Without a report only the
-// counters, provenance and cost are recorded.
-func (s *Service) record(ctx context.Context, id, hash string, sig semcache.Signature, out *extractor.Output, rep *ion.Report, mode quality.Mode, m semcache.Match) {
-	s.noteReuse(ctx, id, mode, m)
-	s.attachCost(id)
+// record is the record stage: it does the bookkeeping of one diagnosis
+// once, whatever its mode — the reuse counter, the quality scorecard,
+// the semantic index (fan-out reports only: a verbatim report would
+// duplicate its neighbor's entry) and the shadow sample (reused or
+// conditioned reports only) — and returns what finish writes onto the
+// job: the reuse provenance, the LLM cost and the scorecard summary.
+// Without a report only the counter, provenance and cost are recorded.
+func (s *Service) record(ctx context.Context, id, hash string, sig semcache.Signature, out *extractor.Output, rep *ion.Report, mode quality.Mode, m semcache.Match) outcome {
+	res := outcome{reuse: s.noteReuse(ctx, mode, m), cost: s.cost(id)}
 	if rep == nil {
-		return
+		return res
 	}
-	s.observeQuality(ctx, id, hash, out, rep, mode)
+	res.quality = s.observeQuality(ctx, id, hash, out, rep, mode)
+	// A shadow flip revokes every entry the served verdicts came from:
+	// the neighbor, and a conditioned job's own indexed report.
+	derived := []semcache.Entry{m.Entry}
 	if mode != quality.ModeVerbatim {
-		s.indexResult(id, hash, sig, rep, mode)
+		derived = append(derived, s.indexResult(id, hash, sig, rep, mode))
 	}
 	if mode != quality.ModeFull {
-		s.maybeShadow(id, out, rep, mode, m.Entry)
+		s.maybeShadow(id, out, rep, mode, derived)
 	}
+	return res
 }
 
-// noteReuse counts the reuse decision and attaches its provenance to
-// the job.
-func (s *Service) noteReuse(ctx context.Context, id string, mode quality.Mode, m semcache.Match) {
+// noteReuse counts the reuse decision and returns its provenance (nil
+// for a fresh fan-out).
+func (s *Service) noteReuse(ctx context.Context, mode quality.Mode, m semcache.Match) *Reuse {
 	outcome, reuse := semcache.OutcomeMiss, ""
 	switch mode {
 	case quality.ModeVerbatim:
@@ -123,20 +128,11 @@ func (s *Service) noteReuse(ctx context.Context, id string, mode quality.Mode, m
 	}
 	s.sem.Note(outcome)
 	if reuse == "" {
-		return
+		return nil
 	}
 	obs.LoggerFrom(ctx).Info("diagnosis derived from a similar prior job",
 		"mode", reuse, "neighbor", m.Entry.JobID, "similarity", m.Similarity)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if mode == quality.ModeVerbatim {
-		s.semHits++
-	} else {
-		s.semConditioned++
-	}
-	if j, ok := s.jobs[id]; ok {
-		j.ReusedFrom = &Reuse{Mode: reuse, From: m.Entry.JobID, Similarity: m.Similarity, Deltas: m.Deltas}
-	}
+	return &Reuse{Mode: reuse, From: m.Entry.JobID, Similarity: m.Similarity, Deltas: m.Deltas}
 }
 
 // serveFromNeighbor copies the nearest neighbor's report onto this job.
@@ -193,13 +189,14 @@ func (s *Service) conditionOn(m semcache.Match) (ion.AnalyzeOptions, error) {
 	return opts, nil
 }
 
-// indexResult records a completed diagnosis in the semantic store.
-func (s *Service) indexResult(id, hash string, sig semcache.Signature, rep *ion.Report, mode quality.Mode) {
+// indexResult records a completed diagnosis in the semantic store and
+// returns the entry it indexed.
+func (s *Service) indexResult(id, hash string, sig semcache.Signature, rep *ion.Report, mode quality.Mode) semcache.Entry {
 	var issues []string
 	for _, iid := range rep.Detected() {
 		issues = append(issues, string(iid))
 	}
-	err := s.sem.Put(semcache.Entry{
+	e := semcache.Entry{
 		JobID:     id,
 		TraceHash: hash,
 		Trace:     rep.Trace,
@@ -207,29 +204,24 @@ func (s *Service) indexResult(id, hash string, sig semcache.Signature, rep *ion.
 		Issues:    issues,
 		Outcome:   string(mode),
 		CreatedAt: time.Now().UTC(),
-	})
-	if err != nil {
+	}
+	if err := s.sem.Put(e); err != nil {
 		s.log.Warn("indexing diagnosis into semantic cache", "job", id, "err", err)
 	}
+	return e
 }
 
-// attachCost sums the job's ledger entries into Job.Cost, so the
-// snapshot finish persists carries the attribution. No-op without a
-// ledger.
-func (s *Service) attachCost(id string) {
+// cost sums the job's ledger entries into its cost attribution (nil
+// without a ledger).
+func (s *Service) cost(id string) *Cost {
 	if s.ledger == nil {
-		return
+		return nil
 	}
 	sum := s.ledger.SumJob(id)
-	c := &Cost{
+	return &Cost{
 		Calls:     sum.Calls,
 		TokensIn:  sum.TokensIn,
 		TokensOut: sum.TokensOut,
 		EstUSD:    sum.CostUSD,
 	}
-	s.mu.Lock()
-	if j, ok := s.jobs[id]; ok {
-		j.Cost = c
-	}
-	s.mu.Unlock()
 }

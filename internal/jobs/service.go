@@ -35,9 +35,6 @@ type Config struct {
 	// Client is the language-model backend analyses run against
 	// (required).
 	Client llm.Client
-	// Framework optionally overrides the analysis pipeline; nil builds
-	// a default ion.Framework over Client.
-	Framework *ion.Framework
 	// Workers is the worker-pool size; 0 or negative means the default
 	// (2). A paused pool for tests is requested explicitly via Paused.
 	Workers int
@@ -53,10 +50,9 @@ type Config struct {
 	// 0 means the default (3).
 	MaxAttempts int
 	// RetryDelay is the base backoff before the second attempt, doubled
-	// per retry with ±50% jitter; 0 means the default (500ms).
+	// per retry with ±50% jitter up to maxRetryDelay; 0 means the
+	// default (500ms).
 	RetryDelay time.Duration
-	// MaxRetryDelay caps the backoff; 0 means the default (10s).
-	MaxRetryDelay time.Duration
 	// ParseWorkers bounds the shard count when parsing trace text in
 	// parallel (both the whole-body and streaming paths); 0 or negative
 	// means GOMAXPROCS.
@@ -65,11 +61,6 @@ type Config struct {
 	// in-flight streaming uploads; SubmitStream sheds load with
 	// ErrStreamBusy beyond it. 0 means the default (256 MiB).
 	StreamMaxBuffer int64
-	// ExtractCacheBytes bounds the LRU cache of extraction outputs
-	// keyed by trace content hash; a re-submitted or re-queued trace
-	// whose extraction is cached skips parse+extract entirely. 0 means
-	// the default (64 MiB); negative disables the cache.
-	ExtractCacheBytes int64
 	// SemCache, when non-nil, enables semantic reuse: after the
 	// exact-hash dedup misses, a completed diagnosis whose counter
 	// signature is similar enough to the new trace's is served
@@ -142,17 +133,11 @@ func (c *Config) applyDefaults() {
 	if c.RetryDelay <= 0 {
 		c.RetryDelay = 500 * time.Millisecond
 	}
-	if c.MaxRetryDelay <= 0 {
-		c.MaxRetryDelay = 10 * time.Second
-	}
 	if c.ParseWorkers <= 0 {
 		c.ParseWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.StreamMaxBuffer == 0 {
 		c.StreamMaxBuffer = defaultStreamMaxBuffer
-	}
-	if c.ExtractCacheBytes == 0 {
-		c.ExtractCacheBytes = defaultExtractCacheBytes
 	}
 	if c.SemReuseThreshold == 0 {
 		c.SemReuseThreshold = defaultSemReuseThreshold
@@ -179,7 +164,6 @@ type Service struct {
 	fw    *ion.Framework
 	obs   *obs.Registry
 	log   *slog.Logger
-	cache *extractCache   // nil when disabled
 	sem   *semcache.Store // nil when semantic reuse is disabled
 	// ledger is the LLM audit store cost attribution reads from (nil
 	// when no ledger is configured).
@@ -216,6 +200,11 @@ type Service struct {
 	streamRejected *obs.Counter
 	streamInflight atomic.Int64 // bytes reserved by in-flight streams
 
+	// writeMu is held by update from a record's edit through its write,
+	// so job records reach the store in the order they were edited.
+	// Taken before mu, never while holding it.
+	writeMu sync.Mutex
+
 	mu     sync.Mutex
 	jobs   map[string]*Job
 	done   map[string]chan struct{} // closed when the job reaches a terminal state
@@ -229,11 +218,13 @@ type Service struct {
 	parked map[string]parsedTrace
 
 	submitted, completed, failed, retried, cacheHits, recovered int64
-	semHits, semConditioned                                     int64
 }
 
 // defaultStreamMaxBuffer bounds in-flight streaming-upload memory.
 const defaultStreamMaxBuffer = 256 << 20
+
+// maxRetryDelay caps the retry backoff.
+const maxRetryDelay = 10 * time.Second
 
 // maxParked bounds how many parsed submissions wait for their worker.
 // A job admitted while the park is full is not parked; its worker
@@ -262,12 +253,9 @@ func Open(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	fw := cfg.Framework
-	if fw == nil {
-		fw, err = ion.New(ion.Config{Client: cfg.Client})
-		if err != nil {
-			return nil, err
-		}
+	fw, err := ion.New(ion.Config{Client: cfg.Client})
+	if err != nil {
+		return nil, err
 	}
 
 	existing, err := store.Jobs()
@@ -292,7 +280,6 @@ func Open(cfg Config) (*Service, error) {
 		fw:      fw,
 		obs:     cfg.Obs,
 		log:     cfg.Logger,
-		cache:   newExtractCache(cfg.ExtractCacheBytes),
 		sem:     cfg.SemCache,
 		ledger:  cfg.Ledger,
 		qual:    cfg.Quality,
@@ -388,22 +375,6 @@ func (s *Service) registerMetrics() {
 		stat(func(st Stats) float64 { return st.Utilization() }))
 	s.obs.GaugeFunc("ion_jobs_queue_utilization", "QueueDepth / QueueCapacity: how close submissions are to shedding load.",
 		stat(func(st Stats) float64 { return st.QueueUtilization() }))
-	s.obs.GaugeFunc("ion_extract_cache_hit_ratio", "Extract-cache hits / (hits+misses) since start.",
-		func() float64 {
-			h, m := float64(s.cache.hitCount()), float64(s.cache.missCount())
-			if h+m == 0 {
-				return 0
-			}
-			return h / (h + m)
-		})
-	s.obs.CounterFunc("ion_extract_cache_hits_total", "Job runs that skipped parse+extract via the extract cache.",
-		func() float64 { return float64(s.cache.hitCount()) })
-	s.obs.CounterFunc("ion_extract_cache_misses_total", "Job runs that had to parse and extract their trace.",
-		func() float64 { return float64(s.cache.missCount()) })
-	s.obs.GaugeFunc("ion_extract_cache_bytes", "Estimated bytes retained by the extract cache.",
-		func() float64 { return float64(s.cache.bytes()) })
-	s.obs.GaugeFunc("ion_extract_cache_entries", "Extraction outputs currently cached.",
-		func() float64 { return float64(s.cache.len()) })
 
 	s.parseShards = s.obs.Counter("ion_parse_shards_total",
 		"Trace-parse shards dispatched to the parallel parser.")
@@ -523,35 +494,27 @@ func (s *Service) Draining() bool {
 // shutdown has begun.
 //
 // The parse that validates the trace is the job's only one: its log
-// (and its parse spans) wait for the worker that runs the job. Bytes
-// whose extraction is already cached have parsed before, so they are
-// not parsed again; their job skips parse and extract alike.
+// (and its parse spans) wait for the worker that runs the job.
 func (s *Service) Submit(name string, trace []byte) (Job, bool, error) {
-	sum := sha256.Sum256(trace)
-	hash := hex.EncodeToString(sum[:])
-	ingest := &Ingest{Mode: IngestBody, Bytes: int64(len(trace))}
-	var pre *parsedTrace
-	if !s.cache.has(hash) {
-		tracer := obs.NewTracer()
-		ctx, span := obs.StartSpan(obs.WithTracer(context.Background(), tracer), "parse")
-		log, shards, err := s.parseTrace(ctx, trace)
-		span.SetError(err)
-		span.End()
-		if err != nil {
-			return Job{}, false, err
-		}
-		ingest.Shards = shards
-		pre = &parsedTrace{log: log, tracer: tracer}
+	tracer := obs.NewTracer()
+	ctx, span := obs.StartSpan(obs.WithTracer(context.Background(), tracer), "parse")
+	log, shards, err := s.parseTrace(ctx, trace)
+	span.SetError(err)
+	span.End()
+	if err != nil {
+		return Job{}, false, err
 	}
-	return s.admit(name, hash, trace, ingest, pre)
+	sum := sha256.Sum256(trace)
+	ingest := &Ingest{Mode: IngestBody, Bytes: int64(len(trace)), Shards: shards}
+	return s.admit(name, hex.EncodeToString(sum[:]), trace, ingest, parsedTrace{log: log, tracer: tracer})
 }
 
 // admit runs the post-validation half of a submission — dedup lookup,
 // queue admission, persistence, enqueue — shared by the whole-body and
-// streaming paths. hash is the hex SHA-256 of trace; pre, when not
-// nil, is the submission's parse, parked for the job's worker unless
-// the park is full. Dedup hits and refusals park nothing.
-func (s *Service) admit(name, hash string, trace []byte, ingest *Ingest, pre *parsedTrace) (Job, bool, error) {
+// streaming paths. hash is the hex SHA-256 of trace; pre is the
+// submission's parse, parked for the job's worker unless the park is
+// full. Dedup hits and refusals park nothing.
+func (s *Service) admit(name, hash string, trace []byte, ingest *Ingest, pre parsedTrace) (Job, bool, error) {
 	if name == "" {
 		name = "trace-" + hash[:8]
 	}
@@ -591,8 +554,8 @@ func (s *Service) admit(name, hash string, trace []byte, ingest *Ingest, pre *pa
 	s.done[j.ID] = make(chan struct{})
 	s.byHash[hash] = j.ID
 	s.submitted++
-	if pre != nil && len(s.parked) < maxParked {
-		s.parked[j.ID] = *pre
+	if len(s.parked) < maxParked {
+		s.parked[j.ID] = pre
 	}
 	select {
 	case s.queue <- j.ID:
@@ -685,8 +648,6 @@ func (s *Service) Stats() Stats {
 		Retried:       s.retried,
 		CacheHits:     s.cacheHits,
 		Recovered:     s.recovered,
-		SemanticHits:  s.semHits,
-		Conditioned:   s.semConditioned,
 	}
 	if tot := s.ledger.Totals(); tot.Calls > 0 {
 		st.LLMCalls = tot.Calls
@@ -772,13 +733,22 @@ func (s *Service) worker() {
 	}
 }
 
-// run executes one job: take the log its submission parsed (or parse
-// the stored trace when none was parked), extract its tables (or reuse
-// the extract cache keyed by trace hash, skipping both stages), then
-// run the analysis with a per-attempt timeout, retrying transient
-// failures with backoff + jitter. The whole execution is traced; the
-// span timeline is persisted next to the report (win or lose) and
-// folded into the stage-latency histogram.
+// outcome is how a run settles its job: the terminal state (empty when
+// the job was parked for recovery) and its cause, plus what the record
+// stage attaches to the job in finish's terminal write.
+type outcome struct {
+	state   State
+	cause   error
+	reuse   *Reuse
+	cost    *Cost
+	quality *Quality
+}
+
+// run executes one job in stages: ingest and extract (tables), the
+// reuse decision, diagnosis and record (diagnose), then settle. The
+// whole execution is traced; the span timeline is persisted next to
+// the report (win or lose) and folded into the stage-latency
+// histogram.
 func (s *Service) run(id string) {
 	s.mu.Lock()
 	// Take the parked parse first, so no outcome below leaves it behind.
@@ -811,58 +781,51 @@ func (s *Service) run(id string) {
 	// The submission's parse spans join the job's tree. They end before
 	// the job span starts, so it still measures the run alone.
 	root.AdoptRoots()
-
-	if out, ok := s.cache.get(hash); ok {
-		root.Annotate("extract_cache", "hit")
-		logger.Info("extract cache hit, skipping parse+extract", "hash", hash[:12])
-		state, cause := s.diagnose(ctx, id, hash, out)
-		s.settle(id, state, cause, tracer, root)
-		return
-	}
-
-	log := pre.log
-	var err error
-	if log == nil {
-		// Recovered, or admitted while the park was full: parse the
-		// stored trace.
-		var trace []byte
-		if trace, err = s.store.Trace(id); err == nil {
-			pctx, span := obs.StartSpan(ctx, "parse")
-			log, _, err = s.parseTrace(pctx, trace)
-			span.SetError(err)
-			span.End()
-		}
-	} else if pre.tracer == nil {
+	if pre.log != nil && pre.tracer == nil {
 		root.Annotate("parse", "streamed")
 		logger.Info("using parse from streamed ingestion", "hash", hash[:12])
 	}
-	if err == nil {
-		ectx, espan := obs.StartSpan(ctx, "extract")
-		out, eerr := extractor.ExtractToDirContext(ectx, log, s.store.WorkDir(id))
-		espan.SetError(eerr)
-		espan.End()
-		if eerr == nil {
-			s.cache.put(hash, out)
-			state, cause := s.diagnose(ctx, id, hash, out)
-			s.settle(id, state, cause, tracer, root)
-			return
-		}
-		err = eerr
+
+	var res outcome
+	if out, err := s.tables(ctx, id, pre.log); err != nil {
+		logger.Error("job unrunnable", "err", err)
+		res = outcome{state: StateFailed, cause: err}
+	} else {
+		res = s.diagnose(ctx, id, hash, out)
 	}
-	logger.Error("job unrunnable", "err", err)
-	s.settle(id, StateFailed, err, tracer, root)
+
+	// Settle: the timeline is persisted before the terminal state is
+	// applied, so the moment a watcher observes a terminal job its trace
+	// is already readable.
+	s.saveTimeline(id, tracer, root)
+	if res.state != "" {
+		s.finish(id, res)
+	}
 }
 
-// settle persists the span timeline and then applies the terminal
-// state, in that order: the moment a watcher observes a terminal job,
-// its trace is already readable. An empty state means the job was
-// parked (e.g. re-queued during shutdown) and there is nothing to
-// finish.
-func (s *Service) settle(id string, state State, cause error, tracer *obs.Tracer, root *obs.Span) {
-	s.saveTimeline(id, tracer, root)
-	if state != "" {
-		s.finish(id, state, cause)
+// tables runs the ingest and extract stages. A job whose submission
+// parse was not parked (recovered, or admitted while the park was
+// full) parses its stored trace; the log's tables are then extracted
+// into the job's own work directory.
+func (s *Service) tables(ctx context.Context, id string, log *darshan.Log) (*extractor.Output, error) {
+	if log == nil {
+		trace, err := s.store.Trace(id)
+		if err != nil {
+			return nil, err
+		}
+		pctx, span := obs.StartSpan(ctx, "parse")
+		log, _, err = s.parseTrace(pctx, trace)
+		span.SetError(err)
+		span.End()
+		if err != nil {
+			return nil, err
+		}
 	}
+	ectx, span := obs.StartSpan(ctx, "extract")
+	out, err := extractor.ExtractToDirContext(ectx, log, s.store.WorkDir(id))
+	span.SetError(err)
+	span.End()
+	return out, err
 }
 
 // saveTimeline closes the root span, persists the job's span timeline,
@@ -882,10 +845,9 @@ func (s *Service) saveTimeline(id string, tracer *obs.Tracer, root *obs.Span) {
 }
 
 // attempts runs the analysis over already-extracted tables. Extraction
-// happens once in run (or not at all on a cache hit); retries repeat
-// only the analysis stage. It returns the terminal state to apply (and
-// the report on success), or an empty state when the job was parked as
-// queued for recovery.
+// happens once in run; retries repeat only the analysis stage. It
+// returns the terminal state to apply (and the report on success), or
+// an empty state when the job was parked as queued for recovery.
 func (s *Service) attempts(ctx context.Context, id string, out *extractor.Output, opts ion.AnalyzeOptions) (State, *ion.Report, error) {
 	logger := obs.LoggerFrom(ctx)
 	for attempt := 1; ; attempt++ {
@@ -917,7 +879,7 @@ func (s *Service) attempts(ctx context.Context, id string, out *extractor.Output
 		s.mu.Unlock()
 		logger.Warn("attempt failed, retrying", "attempt", attempt, "err", err)
 		s.transition(id, StateRetrying, attempt, err.Error())
-		if !s.sleep(backoff(s.cfg.RetryDelay, s.cfg.MaxRetryDelay, attempt)) {
+		if !s.sleep(backoff(s.cfg.RetryDelay, maxRetryDelay, attempt)) {
 			// Shutdown interrupted the backoff: park the job as queued so
 			// the next Open recovers it.
 			logger.Info("shutdown during backoff, parking job as queued", "attempt", attempt)
@@ -963,61 +925,80 @@ func (s *Service) snapshotName(id string) string {
 	return id
 }
 
-// transition moves a job to a non-terminal state and persists it.
-func (s *Service) transition(id string, state State, attempt int, errMsg string) {
+// update is the one way a job record changes once admit has created
+// it and Open has recovered it: change edits the record under s.mu and
+// says whether to persist it, and the edited snapshot is then written.
+// writeMu is held from the edit through the write, so a slow write can
+// never land after, and replace, a newer record.
+func (s *Service) update(id string, change func(*Job) bool) {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	if !ok {
 		s.mu.Unlock()
 		return
 	}
-	j.State = state
-	j.Attempts = attempt
-	j.Error = errMsg
-	if state == StateRunning && j.StartedAt.IsZero() {
-		j.StartedAt = time.Now().UTC()
-	}
+	persist := change(j)
 	snapshot := *j
 	s.mu.Unlock()
+	if !persist {
+		return
+	}
 	if err := s.store.PutJob(&snapshot); err != nil {
 		// The in-memory state is authoritative while the process lives;
 		// a persistence miss only degrades crash recovery. Say so.
-		s.log.Warn("persisting job transition", "job", id, "state", state, "err", err)
+		s.log.Warn("persisting job record", "job", id, "state", snapshot.State, "err", err)
 	}
 }
 
-// finish moves a job to a terminal state, persists it, bumps the
-// outcome counters, and releases waiters.
-func (s *Service) finish(id string, state State, cause error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		return
-	}
-	j.State = state
-	j.FinishedAt = time.Now().UTC()
-	if cause != nil {
-		j.Error = cause.Error()
-	} else {
-		j.Error = ""
-	}
-	switch state {
-	case StateDone, StateReused:
-		s.completed++
-	case StateFailed:
-		s.failed++
-		// A failed job no longer answers dedup lookups.
-		if s.byHash[j.Hash] == id {
-			delete(s.byHash, j.Hash)
+// transition moves a job to a non-terminal state and persists it.
+func (s *Service) transition(id string, state State, attempt int, errMsg string) {
+	s.update(id, func(j *Job) bool {
+		j.State = state
+		j.Attempts = attempt
+		j.Error = errMsg
+		if state == StateRunning && j.StartedAt.IsZero() {
+			j.StartedAt = time.Now().UTC()
 		}
-	}
-	ch := s.done[id]
-	snapshot := *j
-	s.mu.Unlock()
-	if err := s.store.PutJob(&snapshot); err != nil {
-		s.log.Warn("persisting job outcome", "job", id, "state", state, "err", err)
-	}
+		return true
+	})
+}
+
+// finish moves a job to its terminal state with what the record stage
+// attached, persists it, bumps the outcome counters, and releases
+// waiters.
+func (s *Service) finish(id string, res outcome) {
+	var ch chan struct{}
+	s.update(id, func(j *Job) bool {
+		j.State = res.state
+		j.FinishedAt = time.Now().UTC()
+		j.Error = ""
+		if res.cause != nil {
+			j.Error = res.cause.Error()
+		}
+		j.ReusedFrom, j.Cost = res.reuse, res.cost
+		if res.quality != nil {
+			q := *res.quality
+			if j.Quality != nil {
+				// A shadow re-run that beat finish has stamped the record.
+				q.Shadowed, q.Flips = j.Quality.Shadowed, j.Quality.Flips
+			}
+			j.Quality = &q
+		}
+		switch res.state {
+		case StateDone, StateReused:
+			s.completed++
+		case StateFailed:
+			s.failed++
+			// A failed job no longer answers dedup lookups.
+			if s.byHash[j.Hash] == id {
+				delete(s.byHash, j.Hash)
+			}
+		}
+		ch = s.done[id]
+		return true
+	})
 	if ch != nil {
 		close(ch)
 	}
@@ -1037,16 +1018,10 @@ func backoff(base, max time.Duration, attempt int) time.Duration {
 	return d/2 + time.Duration(mathrand.Int63n(int64(d)+1))
 }
 
-// ParseTrace decodes trace bytes as a Darshan log, accepting the binary
-// container format and falling back to darshan-parser text (parsed in
-// shards up to GOMAXPROCS wide).
-func ParseTrace(data []byte) (*darshan.Log, error) {
-	return parseTraceOpts(data, darshan.ParallelOptions{})
-}
-
-// parseTrace is ParseTrace bounded by the configured shard concurrency,
-// with per-shard spans and throughput metrics. It also returns how many
-// shards a text parse used (0 for a binary container).
+// parseTrace decodes trace bytes as a Darshan log (see parseTraceOpts)
+// with the shard concurrency bounded by Config.ParseWorkers, per-shard
+// spans and throughput metrics. It also returns how many shards a text
+// parse used (0 for a binary container).
 func (s *Service) parseTrace(ctx context.Context, data []byte) (*darshan.Log, int, error) {
 	var shards atomic.Int32
 	hook := s.shardHook(ctx)

@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -12,6 +13,7 @@ import (
 
 	"ion/internal/expertsim"
 	"ion/internal/llm"
+	"ion/internal/obs"
 	"ion/internal/testutil"
 )
 
@@ -229,6 +231,61 @@ func TestRetriesExhausted(t *testing.T) {
 	}
 	if dedup || j2.ID == j.ID {
 		t.Errorf("failed job served as dedup cache: dedup=%v id=%s", dedup, j2.ID)
+	}
+}
+
+// spanNames collects the distinct span names of a job's persisted
+// timeline.
+func spanNames(t *testing.T, svc *Service, id string) map[string]bool {
+	t.Helper()
+	raw, err := svc.Store().Timeline(id)
+	if err != nil {
+		t.Fatalf("timeline for %s: %v", id, err)
+	}
+	var tl obs.Timeline
+	if err := json.Unmarshal(raw, &tl); err != nil {
+		t.Fatalf("decoding timeline: %v", err)
+	}
+	names := map[string]bool{}
+	for _, sp := range tl.Spans {
+		names[sp.Name] = true
+	}
+	return names
+}
+
+// TestResubmitAfterFailureExtractsAgain: a job whose analysis failed
+// leaves the dedup map, so the same bytes resubmitted get a fresh job,
+// and that job parses and extracts into its own work directory, which
+// its report names.
+func TestResubmitAfterFailureExtractsAgain(t *testing.T) {
+	flaky := &flakyClient{Client: expertsim.New()}
+	flaky.remaining.Store(1) // exactly the first completion fails
+	svc := openService(t, Config{Workers: 1, Client: flaky, MaxAttempts: 1})
+	data := traceBytes(t, "ior-hard")
+
+	j1 := submitWait(t, svc, "first", data)
+	if j1.State != StateFailed {
+		t.Fatalf("first job state = %s, want failed", j1.State)
+	}
+	j2, dedup, err := svc.Submit("second", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dedup || j2.ID == j1.ID {
+		t.Fatalf("resubmission did not create a fresh job: dedup=%v", dedup)
+	}
+	if final := waitDone(t, svc, j2.ID); final.State != StateDone {
+		t.Fatalf("second job state = %s (error %q), want done", final.State, final.Error)
+	}
+	if names := spanNames(t, svc, j2.ID); !names["parse"] || !names["extract"] {
+		t.Errorf("resubmitted job spans = %v, want parse and extract", names)
+	}
+	rep, err := svc.Report(j2.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := svc.Store().WorkDir(j2.ID); rep.CSVDir != want {
+		t.Errorf("report CSVDir = %q, want the job's own work directory %q", rep.CSVDir, want)
 	}
 }
 

@@ -107,7 +107,7 @@ func (s *Service) SubmitStream(name string, r io.Reader) (Job, bool, error) {
 		Shards:          sp.Shards(),
 		ParseOverlapped: sp.EarlyShards() > 0,
 	}
-	job, dedup, err := s.admit(name, hash, data, ingest, &parsedTrace{log: log})
+	job, dedup, err := s.admit(name, hash, data, ingest, parsedTrace{log: log})
 	if err == nil && !dedup {
 		s.log.Info("streamed submission parsed during upload",
 			"job", job.ID, "shards", sp.Shards(), "early_shards", sp.EarlyShards(),

@@ -202,7 +202,6 @@ func dashboardPanels() []dashPanel {
 		{title: "LLM latency p95", unit: "s", queries: []series.Query{
 			q("ion_llm_request_seconds", map[string]string{"quantile": "0.95"}),
 		}},
-		{title: "Extract cache hit ratio", unit: "%", queries: []series.Query{q("ion_extract_cache_hit_ratio", nil)}},
 		{title: "Semantic cache hit ratio", unit: "%", queries: []series.Query{q("ion_semcache_hit_ratio", nil)}},
 		{title: "HTTP requests", unit: "/s", queries: []series.Query{q("ion_http_requests_total", nil)}},
 		{title: "Heap", unit: "B", queries: []series.Query{q("ion_go_heap_bytes", nil)}},
@@ -228,11 +227,7 @@ func (s *JobServer) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := time.Now()
-	window := 10 * time.Minute
-	if ret := s.series.Retention(); ret < window {
-		window = ret
-	}
-	from := now.Add(-window)
+	window := s.sparkWindow()
 	refresh := int(s.series.Interval() / time.Second)
 	if refresh < 1 {
 		refresh = 1
@@ -273,7 +268,7 @@ func (s *JobServer) handleDashboard(w http.ResponseWriter, r *http.Request) {
 
 	b.WriteString(`<div class="grid">`)
 	for _, p := range dashboardPanels() {
-		s.renderPanel(&b, p, from, now)
+		s.renderPanel(&b, p, now.Add(-window), now)
 	}
 	b.WriteString(`</div>`)
 
@@ -287,18 +282,16 @@ func (s *JobServer) handleDashboard(w http.ResponseWriter, r *http.Request) {
 // renderPanel draws one chart: every matching series as a polyline,
 // with a shared y-scale, min/max/last annotations, and a legend.
 func (s *JobServer) renderPanel(b *strings.Builder, p dashPanel, from, to time.Time) {
-	type line struct {
-		legend string
-		pts    []series.Point
-	}
-	var lines []line
+	var lines [][]series.Point
+	var legends []string
 	for _, q := range p.queries {
 		q.From, q.To = from, to
 		for _, res := range s.series.Query(q) {
 			if len(lines) >= maxLinesPerPanel {
 				break
 			}
-			lines = append(lines, line{legend: legendFor(res, len(p.queries) > 1 || len(lines) > 0), pts: res.Points})
+			legends = append(legends, legendFor(res, len(p.queries) > 1 || len(lines) > 0))
+			lines = append(lines, res.Points)
 		}
 	}
 
@@ -307,55 +300,89 @@ func (s *JobServer) renderPanel(b *strings.Builder, p dashPanel, from, to time.T
 		b.WriteString(`<p class="nodata">no data yet</p></div>`)
 		return
 	}
+	lo, hi := sparkline(b, lines, sparkColors, from, to, 260, 56, false)
 
-	// Shared y-scale across the panel's lines.
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, l := range lines {
-		for _, pt := range l.pts {
-			lo = math.Min(lo, pt.V)
-			hi = math.Max(hi, pt.V)
+	last := lines[0][len(lines[0])-1].V
+	fmt.Fprintf(b, `<p class="readout"><strong>%s</strong> <span class="range">min %s &middot; max %s</span></p>`,
+		formatUnit(last, p.unit), formatUnit(lo, p.unit), formatUnit(hi, p.unit))
+	if len(lines) > 1 || legends[0] != "" {
+		b.WriteString(`<p class="legend">`)
+		for i, legend := range legends {
+			if i > 0 {
+				b.WriteString(" &middot; ")
+			}
+			fmt.Fprintf(b, `<span style="color:%s">%s</span>`,
+				sparkColors[i%len(sparkColors)], html.EscapeString(legend))
+		}
+		b.WriteString(`</p>`)
+	}
+	b.WriteString(`</div>`)
+}
+
+// sparkWindow is the span every sparkline covers: the last ten
+// minutes, or the series store's retention when that is shorter.
+func (s *JobServer) sparkWindow() time.Duration {
+	return min(10*time.Minute, s.series.Retention())
+}
+
+// sparkline draws each line as an SVG polyline across [from, to] in a
+// w×h box, stroked in colors[i%len(colors)]. The lines share one
+// y-scale: [0,1] when unitScale is set (higher values are drawn at the
+// top), otherwise the range of their points. Lines with fewer than two
+// points are not drawn. It returns the range of the points.
+func sparkline(b *strings.Builder, lines [][]series.Point, colors []string, from, to time.Time, w, h int, unitScale bool) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, pts := range lines {
+		for _, pt := range pts {
+			lo, hi = math.Min(lo, pt.V), math.Max(hi, pt.V)
 		}
 	}
-	if hi == lo {
-		hi, lo = hi+1, lo-1
+	bottom, top := lo, hi
+	if unitScale {
+		bottom, top = 0, 1
+	} else if hi == lo {
+		bottom, top = lo-1, hi+1
 	}
 
-	const width, height, pad = 260, 56, 3
-	fmt.Fprintf(b, `<svg viewBox="0 0 %d %d" width="%d" height="%d" role="img">`, width, height, width, height)
+	const pad = 3
 	fromMs, toMs := from.UnixMilli(), to.UnixMilli()
-	for i, l := range lines {
-		if len(l.pts) < 2 {
+	fmt.Fprintf(b, `<svg viewBox="0 0 %d %d" width="%d" height="%d" role="img">`, w, h, w, h)
+	for i, pts := range lines {
+		if len(pts) < 2 {
 			continue
 		}
 		var path strings.Builder
-		for j, pt := range l.pts {
-			x := pad + float64(width-2*pad)*float64(pt.T-fromMs)/float64(toMs-fromMs)
-			y := float64(height-pad) - float64(height-2*pad)*(pt.V-lo)/(hi-lo)
+		for j, pt := range pts {
+			x := pad + float64(w-2*pad)*float64(pt.T-fromMs)/float64(toMs-fromMs)
+			y := float64(h-pad) - float64(h-2*pad)*(math.Min(pt.V, top)-bottom)/(top-bottom)
 			if j > 0 {
 				path.WriteByte(' ')
 			}
 			fmt.Fprintf(&path, "%.1f,%.1f", x, y)
 		}
 		fmt.Fprintf(b, `<polyline fill="none" stroke="%s" stroke-width="1.5" points="%s"/>`,
-			sparkColors[i%len(sparkColors)], path.String())
+			colors[i%len(colors)], path.String())
 	}
 	b.WriteString(`</svg>`)
+	return lo, hi
+}
 
-	last := lines[0].pts[len(lines[0].pts)-1].V
-	fmt.Fprintf(b, `<p class="readout"><strong>%s</strong> <span class="range">min %s &middot; max %s</span></p>`,
-		formatUnit(last, p.unit), formatUnit(lo, p.unit), formatUnit(hi, p.unit))
-	if len(lines) > 1 || lines[0].legend != "" {
-		b.WriteString(`<p class="legend">`)
-		for i, l := range lines {
-			if i > 0 {
-				b.WriteString(" &middot; ")
-			}
-			fmt.Fprintf(b, `<span style="color:%s">%s</span>`,
-				sparkColors[i%len(sparkColors)], html.EscapeString(l.legend))
+// foldSeries merges every series of the named metric over [from, to]
+// into one, combining the values that share a timestamp with combine
+// (starting from 0), in time order.
+func (s *JobServer) foldSeries(name string, from, to time.Time, combine func(acc, v float64) float64) []series.Point {
+	byT := map[int64]float64{}
+	for _, res := range s.series.Query(series.Query{Name: name, From: from, To: to}) {
+		for _, pt := range res.Points {
+			byT[pt.T] = combine(byT[pt.T], pt.V)
 		}
-		b.WriteString(`</p>`)
 	}
-	b.WriteString(`</div>`)
+	pts := make([]series.Point, 0, len(byT))
+	for ts, v := range byT {
+		pts = append(pts, series.Point{T: ts, V: v})
+	}
+	sort.Slice(pts, func(i, j int) bool { return pts[i].T < pts[j].T })
+	return pts
 }
 
 // legendFor labels one plotted series; single-series panels with no

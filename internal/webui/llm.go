@@ -3,9 +3,7 @@ package webui
 import (
 	"fmt"
 	"html"
-	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -152,53 +150,17 @@ func (s *JobServer) renderCostSpark(b *strings.Builder) {
 		b.WriteString(`<p class="nodata">no series store wired in</p>`)
 		return
 	}
-	now := time.Now()
-	window := 10 * time.Minute
-	if ret := s.series.Retention(); ret < window {
-		window = ret
-	}
-	from := now.Add(-window)
+	to := time.Now()
+	window := s.sparkWindow()
 	// The counter is labelled per backend; sum the series point-wise so
 	// the sparkline shows total spend rate.
-	byT := map[int64]float64{}
-	for _, res := range s.series.Query(series.Query{
-		Name: "ion_llm_cost_usd_total", From: from, To: now,
-	}) {
-		for _, pt := range res.Points {
-			byT[pt.T] += pt.V
-		}
-	}
-	pts := make([]series.Point, 0, len(byT))
-	for ts, v := range byT {
-		pts = append(pts, series.Point{T: ts, V: v})
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].T < pts[j].T })
+	pts := s.foldSeries("ion_llm_cost_usd_total", to.Add(-window), to,
+		func(acc, v float64) float64 { return acc + v })
 	if len(pts) < 2 {
 		b.WriteString(`<p class="nodata">no data yet</p>`)
 		return
 	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, pt := range pts {
-		lo = math.Min(lo, pt.V)
-		hi = math.Max(hi, pt.V)
-	}
-	if hi == lo {
-		hi, lo = hi+1, lo-1
-	}
-	const width, height, pad = 560, 64, 3
-	fromMs, toMs := from.UnixMilli(), now.UnixMilli()
-	fmt.Fprintf(b, `<svg viewBox="0 0 %d %d" width="%d" height="%d" role="img">`, width, height, width, height)
-	var path strings.Builder
-	for j, pt := range pts {
-		x := pad + float64(width-2*pad)*float64(pt.T-fromMs)/float64(toMs-fromMs)
-		y := float64(height-pad) - float64(height-2*pad)*(pt.V-lo)/(hi-lo)
-		if j > 0 {
-			path.WriteByte(' ')
-		}
-		fmt.Fprintf(&path, "%.1f,%.1f", x, y)
-	}
-	fmt.Fprintf(b, `<polyline fill="none" stroke="#d97706" stroke-width="1.5" points="%s"/>`, path.String())
-	b.WriteString(`</svg>`)
+	lo, hi := sparkline(b, [][]series.Point{pts}, []string{"#d97706"}, to.Add(-window), to, 560, 64, false)
 	fmt.Fprintf(b, `<p class="readout"><strong>$%.6f/s</strong> <span class="range">min $%.6f/s &#183; max $%.6f/s over %s</span></p>`,
 		pts[len(pts)-1].V, lo, hi, window)
 }

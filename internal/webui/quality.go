@@ -243,48 +243,19 @@ func (s *JobServer) renderFlipSpark(b *strings.Builder, flips map[quality.Mode]q
 		b.WriteString(`<p class="nodata">no series store wired in</p>`)
 		return
 	}
-	now := time.Now()
-	window := 10 * time.Minute
-	if ret := s.series.Retention(); ret < window {
-		window = ret
-	}
-	from := now.Add(-window)
+	to := time.Now()
+	window := s.sparkWindow()
 	// The gauge is labelled per reuse mode; take the point-wise max so
 	// the sparkline shows the worst mode at each instant (the same
 	// shape the SemcacheFlipRateHigh rule evaluates).
-	byT := map[int64]float64{}
-	for _, res := range s.series.Query(series.Query{
-		Name: "ion_semcache_flip_ratio", From: from, To: now,
-	}) {
-		for _, pt := range res.Points {
-			byT[pt.T] = math.Max(byT[pt.T], pt.V)
-		}
-	}
-	pts := make([]series.Point, 0, len(byT))
-	for ts, v := range byT {
-		pts = append(pts, series.Point{T: ts, V: v})
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].T < pts[j].T })
+	pts := s.foldSeries("ion_semcache_flip_ratio", to.Add(-window), to, math.Max)
 	if len(pts) < 2 {
 		b.WriteString(`<p class="nodata">no flip-ratio samples yet</p>`)
 		return
 	}
-	const width, height, pad = 560, 64, 3
-	fromMs, toMs := from.UnixMilli(), now.UnixMilli()
-	fmt.Fprintf(b, `<svg viewBox="0 0 %d %d" width="%d" height="%d" role="img">`, width, height, width, height)
-	var path strings.Builder
-	for j, pt := range pts {
-		x := pad + float64(width-2*pad)*float64(pt.T-fromMs)/float64(toMs-fromMs)
-		// Ratios live in [0,1]; a fixed scale keeps the alert threshold
-		// visually stable across reloads.
-		y := float64(height-pad) - float64(height-2*pad)*math.Min(pt.V, 1)
-		if j > 0 {
-			path.WriteByte(' ')
-		}
-		fmt.Fprintf(&path, "%.1f,%.1f", x, y)
-	}
-	fmt.Fprintf(b, `<polyline fill="none" stroke="#7c3aed" stroke-width="1.5" points="%s"/>`, path.String())
-	b.WriteString(`</svg>`)
+	// Ratios live in [0,1]; a fixed scale keeps the alert threshold
+	// visually stable across reloads.
+	sparkline(b, [][]series.Point{pts}, []string{"#7c3aed"}, to.Add(-window), to, 560, 64, true)
 	fmt.Fprintf(b, `<p class="readout"><strong>%.0f%%</strong> <span class="range">worst-mode flip ratio, last %s; above 25&#37; sustained the <code>SemcacheFlipRateHigh</code> alert fires</span></p>`,
 		100*pts[len(pts)-1].V, window)
 }

@@ -509,10 +509,11 @@ func (s *JobServer) handleIndex(w http.ResponseWriter, r *http.Request) {
 		rows.WriteString(`<tr><td colspan="5"><em>no jobs yet — upload a Darshan trace</em></td></tr>`)
 	}
 	st := s.svc.Stats()
+	sem := s.svc.SemCache().Stats()
 	fmt.Fprintf(w, indexPage, rows.String(),
 		st.QueueDepth, st.QueueCapacity, st.Busy, st.Workers, 100*st.Utilization(),
 		st.Completed, st.Failed, st.Retried, st.CacheHits, 100*st.CacheHitRate(),
-		st.Recovered, st.SemanticHits, st.Conditioned,
+		st.Recovered, sem.Hits, sem.Conditioned,
 		st.LLMCalls, st.LLMTokensIn, st.LLMTokensOut, st.LLMCostUSD)
 }
 
