@@ -757,9 +757,8 @@ var journalStores = []struct {
 				CreatedAt: time.Unix(1700000000+int64(i), 0).UTC(),
 			}
 			for _, id := range issue.All {
-				c.Issues = append(c.Issues, quality.IssueScore{Issue: id, Verdict: issue.VerdictDetected, Drishti: true, Agree: true})
+				c.Issues = append(c.Issues, quality.IssueScore{Issue: id, Verdict: issue.VerdictDetected, Label: issue.VerdictDetected})
 			}
-			c.Summarize()
 			return st.Put(c)
 		}, st.Close, err
 	}},

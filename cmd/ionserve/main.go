@@ -78,7 +78,7 @@ func main() {
 		semMaxEntries = flag.Int("sem-max-entries", semcache.DefaultMaxEntries, "semantic-cache entry bound (LRU eviction beyond it; negative disables)")
 		semMaxBytes   = flag.Int64("sem-max-bytes", semcache.DefaultMaxBytes, "semantic-cache journal byte bound (LRU eviction beyond it; negative disables)")
 
-		qualityOn  = flag.Bool("quality", true, "diagnosis quality observatory: score LLM verdicts against deterministic triggers, journal scorecards, and feed the drift alerts")
+		qualityOn  = flag.Bool("quality", true, "diagnosis quality observatory: score LLM verdicts against the ground-truth labels of bundled workloads, journal scorecards, and shadow re-run reused diagnoses")
 		shadowRate = flag.Float64("shadow-sample-rate", 0.05, "fraction of semcache-reused/conditioned jobs re-run in the background to measure verdict flips (0 disables)")
 
 		showVersion = flag.Bool("version", false, "print version and build info, then exit")
@@ -266,9 +266,10 @@ func main() {
 	}
 
 	// Diagnosis quality observatory: one journaled scorecard per
-	// successful diagnosis (LLM verdicts vs deterministic triggers), a
-	// sampled shadow re-run of reused diagnoses to catch cache decay, and
-	// the agreement/flip gauges the drift rules watch.
+	// successful diagnosis (LLM verdicts vs ground-truth labels when the
+	// trace is a bundled workload), a sampled shadow re-run of reused
+	// diagnoses to catch cache decay, and the flip gauges
+	// SemcacheFlipRateHigh watches.
 	var qstore *quality.Store
 	if *qualityOn {
 		qstore, err = quality.Open(quality.Options{
@@ -279,8 +280,8 @@ func main() {
 		}
 		defer qstore.Close()
 		if rec != nil {
-			// Drift incidents carry the recent scorecards, so the bundle
-			// shows which issues disagreed without a live service.
+			// Incidents carry the recent scorecards, so the bundle shows
+			// which verdicts mismatched or flipped without a live service.
 			rec.SetQualityScorecardsFn(func() any { return qstore.Tail(50) })
 		}
 	}

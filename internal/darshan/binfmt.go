@@ -2,6 +2,7 @@ package darshan
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/binary"
 	"fmt"
@@ -74,7 +75,7 @@ func ReadBinary(r io.Reader) (*Log, error) {
 		return nil, fmt.Errorf("darshan: opening gzip stream: %w", err)
 	}
 	defer zr.Close()
-	dec := &binDecoder{r: bufio.NewReader(zr)}
+	dec := &binDecoder{r: bufio.NewReaderSize(zr, 64<<10), interns: make(map[string]string, 128)}
 	log := NewLog()
 	dec.header(&log.Header)
 	dec.names(log.Names)
@@ -112,11 +113,18 @@ func Load(path string) (*Log, error) {
 	}
 	defer f.Close()
 	br := bufio.NewReader(f)
-	peek, err := br.Peek(len(binMagic))
-	if err == nil && string(peek) == string(binMagic[:]) {
+	if IsBinary(br) {
 		return ReadBinary(br)
 	}
 	return ParseText(br)
+}
+
+// IsBinary peeks at the head of br and reports whether it starts with
+// the binary container's magic. It consumes nothing; a read error reads
+// as not binary and is left for the caller's next read.
+func IsBinary(br *bufio.Reader) bool {
+	head, _ := br.Peek(len(binMagic))
+	return bytes.Equal(head, binMagic[:])
 }
 
 // --- encoder ---
@@ -260,31 +268,64 @@ func (e *binEncoder) dxt(traces []*DXTFileTrace) {
 
 // --- decoder ---
 
+// binDecoder reads the body without allocating per field: fields are
+// read in place from the buffered reader, repeated names (modules,
+// counters, hostnames) are interned once per decode, and OST lists
+// share one arena, as in the text parser.
 type binDecoder struct {
-	r   *bufio.Reader
-	err error
+	r        *bufio.Reader
+	err      error
+	interns  map[string]string // canonical copies of repeated names
+	ostArena []int             // backing storage for DXTEvent.OSTs slices
 }
 
 // maxBinElems bounds decoded collection sizes to keep a corrupt or
 // hostile length prefix from driving huge allocations.
 const maxBinElems = 1 << 28
 
-func (d *binDecoder) u16() uint16 {
+// maxBinPrealloc bounds the capacity reserved up front from a count
+// prefix; a longer collection grows as its elements arrive.
+const maxBinPrealloc = 1 << 16
+
+// next returns the next n bytes of the body, in place in the reader's
+// buffer and valid until the next read. A body that ends inside the
+// field fails like io.ReadFull.
+func (d *binDecoder) next(n int) []byte {
 	if d.err != nil {
-		return 0
+		return nil
 	}
-	var v uint16
-	d.err = binary.Read(d.r, binary.LittleEndian, &v)
-	return v
+	if n > d.r.Size() {
+		// Longer than the read buffer: only a pathological name.
+		b := make([]byte, n)
+		if _, d.err = io.ReadFull(d.r, b); d.err != nil {
+			return nil
+		}
+		return b
+	}
+	b, err := d.r.Peek(n)
+	if len(b) < n {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		d.err = err
+		return nil
+	}
+	d.r.Discard(n)
+	return b
+}
+
+func (d *binDecoder) u16() uint16 {
+	if b := d.next(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
+	}
+	return 0
 }
 
 func (d *binDecoder) u64() uint64 {
-	if d.err != nil {
-		return 0
+	if b := d.next(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	var v uint64
-	d.err = binary.Read(d.r, binary.LittleEndian, &v)
-	return v
+	return 0
 }
 
 func (d *binDecoder) i64() int64   { return int64(d.u64()) }
@@ -298,17 +339,19 @@ func (d *binDecoder) count(what string) int {
 	return int(n)
 }
 
-func (d *binDecoder) str() string {
-	n := d.count("string length")
-	if d.err != nil {
-		return ""
+// str reads a length-prefixed string ("" once decoding has failed).
+func (d *binDecoder) str() string { return string(d.next(d.count("string length"))) }
+
+// name reads a length-prefixed string that repeats across the log
+// (a module, counter or host name) and returns its canonical copy.
+func (d *binDecoder) name() string {
+	b := d.next(d.count("string length"))
+	if s, ok := d.interns[string(b)]; ok {
+		return s
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		d.err = err
-		return ""
-	}
-	return string(buf)
+	s := string(b)
+	d.interns[s] = s
+	return s
 }
 
 func (d *binDecoder) header(h *Header) {
@@ -339,26 +382,26 @@ func (d *binDecoder) names(names map[uint64]string) {
 func (d *binDecoder) mounts(ms *[]Mount) {
 	n := d.count("mount table")
 	for i := 0; i < n && d.err == nil; i++ {
-		*ms = append(*ms, Mount{Point: d.str(), FSType: d.str()})
+		*ms = append(*ms, Mount{Point: d.str(), FSType: d.name()})
 	}
 }
 
 func (d *binDecoder) modules(l *Log) {
 	nmod := d.count("module")
 	for i := 0; i < nmod && d.err == nil; i++ {
-		name := d.str()
+		name := d.name()
 		mod := l.Module(name)
 		nrec := d.count("record")
 		for j := 0; j < nrec && d.err == nil; j++ {
 			rec := NewRecord(d.u64(), d.i64())
 			nc := d.count("counter")
 			for k := 0; k < nc && d.err == nil; k++ {
-				cname := d.str()
+				cname := d.name()
 				rec.Counters[cname] = d.i64()
 			}
 			nf := d.count("fcounter")
 			for k := 0; k < nf && d.err == nil; k++ {
-				cname := d.str()
+				cname := d.name()
 				rec.FCounters[cname] = d.f64()
 			}
 			mod.Records = append(mod.Records, rec)
@@ -369,11 +412,14 @@ func (d *binDecoder) modules(l *Log) {
 func (d *binDecoder) dxt(l *Log) {
 	nt := d.count("DXT trace")
 	for i := 0; i < nt && d.err == nil; i++ {
-		t := &DXTFileTrace{FileID: d.u64(), Hostname: d.str()}
+		t := &DXTFileTrace{FileID: d.u64(), Hostname: d.name()}
 		ne := d.count("DXT event")
+		if ne > 0 && d.err == nil {
+			t.Events = make([]DXTEvent, 0, min(ne, maxBinPrealloc))
+		}
 		for j := 0; j < ne && d.err == nil; j++ {
 			var ev DXTEvent
-			ev.Module = d.str()
+			ev.Module = d.name()
 			ev.Rank = d.i64()
 			if d.u16() == 1 {
 				ev.Op = OpWrite
@@ -386,8 +432,12 @@ func (d *binDecoder) dxt(l *Log) {
 			ev.Start = d.f64()
 			ev.End = d.f64()
 			no := d.count("OST list")
+			start := len(d.ostArena)
 			for k := 0; k < no && d.err == nil; k++ {
-				ev.OSTs = append(ev.OSTs, int(d.i64()))
+				d.ostArena = append(d.ostArena, int(d.i64()))
+			}
+			if end := len(d.ostArena); end > start {
+				ev.OSTs = d.ostArena[start:end:end]
 			}
 			t.Events = append(t.Events, ev)
 		}

@@ -14,10 +14,10 @@ import (
 // code, and conclusion untouched so the completion still parses. It
 // exists to exercise the diagnosis-quality observatory: a wrapped
 // expertsim produces plausible, well-formed diagnoses whose verdicts
-// systematically contradict the deterministic Drishti baseline,
-// driving the agreement gauge down and (via shadow re-runs against a
-// different inner client) flipping cached verdicts. Drift-testing aid
-// only — never wired into production paths.
+// systematically contradict the ground-truth labels of the bundled
+// workloads, and (via shadow re-runs against a different inner client)
+// flip cached verdicts. Drift-testing aid only — never wired into
+// production paths.
 type Contradictor struct {
 	// Inner produces the completions to rewrite.
 	Inner llm.Client

@@ -115,18 +115,19 @@ type Cost struct {
 	EstUSD    float64 `json:"est_usd"`
 }
 
-// Quality is the per-job diagnosis-quality provenance: how well the
-// LLM verdicts agreed with the deterministic Drishti triggers, and
-// whether a background shadow re-run checked (and possibly flipped)
-// a reused or conditioned diagnosis. Surfaced on job pages and in
-// /api/jobs/{id} as "quality"; the full per-issue scorecard lives in
-// the quality store (/api/quality).
+// Quality is the per-job diagnosis-quality provenance: how many LLM
+// verdicts matched the ground-truth labels (for a trace named after a
+// bundled workload), and whether a background shadow re-run checked
+// (and possibly flipped) a reused or conditioned diagnosis. Surfaced on
+// job pages and in /api/jobs/{id} as "quality"; the full per-issue
+// scorecard lives in the quality store (/api/quality).
 type Quality struct {
-	// Agreement is the fraction of taxonomy issues where the LLM and
-	// Drishti verdicts coincide.
-	Agreement float64 `json:"agreement"`
-	// Disagreements counts the issues where they do not.
-	Disagreements int `json:"disagreements"`
+	// LabelMatches counts the labelled issues whose verdict matches
+	// the label; 0 with LabelMismatches when the trace has no labels.
+	LabelMatches int `json:"label_matches"`
+	// LabelMismatches counts the labelled issues whose verdict does
+	// not.
+	LabelMismatches int `json:"label_mismatches"`
 	// Shadowed reports that a background full fan-out re-ran this job's
 	// diagnosis off the hot path.
 	Shadowed bool `json:"shadowed,omitempty"`
@@ -161,8 +162,8 @@ type Job struct {
 	// attached when the job settles (nil when no ledger is configured).
 	Cost *Cost `json:"cost,omitempty"`
 	// Quality is the diagnosis-quality provenance, attached after a
-	// successful diagnosis is scored against the deterministic baseline
-	// (nil when no quality store is configured).
+	// successful diagnosis is scored against its labels (nil when no
+	// quality store is configured).
 	Quality *Quality `json:"quality,omitempty"`
 	// SubmittedAt/StartedAt/FinishedAt are lifecycle timestamps.
 	SubmittedAt time.Time `json:"submitted_at"`

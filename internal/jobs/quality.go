@@ -5,7 +5,6 @@ import (
 	mathrand "math/rand"
 	"time"
 
-	"ion/internal/drishti"
 	"ion/internal/extractor"
 	"ion/internal/ion"
 	"ion/internal/issue"
@@ -18,10 +17,6 @@ import (
 
 // Quality-observatory tuning.
 const (
-	// qualityMinSamples is the per-issue comparison count below which
-	// the agreement gauge self-gates to 1.0 (the semcache hit-ratio
-	// policy: no drift alert without enough traffic to judge).
-	qualityMinSamples = 20
 	// shadowPressureMax is the queue utilization at or above which
 	// shadow re-runs are skipped: the background fan-out must never
 	// compete with a backlog of real jobs for LLM capacity.
@@ -32,11 +27,10 @@ const (
 )
 
 // observeQuality scores a successful diagnosis against the
-// deterministic Drishti triggers, journals the scorecard, bumps the
-// disagreement counters, republishes the agreement gauges, and returns
+// ground-truth labels of its trace, journals the scorecard, and returns
 // the scorecard summary for Job.Quality. Returns nil without a quality
 // store.
-func (s *Service) observeQuality(ctx context.Context, id, hash string, out *extractor.Output, rep *ion.Report, mode quality.Mode) *Quality {
+func (s *Service) observeQuality(ctx context.Context, id, hash string, rep *ion.Report, mode quality.Mode) *Quality {
 	if s.qual == nil {
 		return nil
 	}
@@ -44,13 +38,6 @@ func (s *Service) observeQuality(ctx context.Context, id, hash string, out *extr
 	_, span := obs.StartSpan(ctx, "quality_score")
 	defer span.End()
 
-	det, err := drishti.Analyze(out, drishti.DefaultConfig())
-	if err != nil {
-		// A baseline failure degrades the comparison (everything scores
-		// against "not flagged"), it does not block the job.
-		logger.Warn("drishti baseline failed, scoring against empty report", "err", err)
-		det = nil
-	}
 	name := s.snapshotName(id)
 	// iongen traces are named after their workload, whose definition
 	// carries the paper's ground-truth labels (the expertsim evaluation
@@ -66,25 +53,19 @@ func (s *Service) observeQuality(ctx context.Context, id, hash string, out *extr
 		TraceHash: hash,
 		Mode:      mode,
 		CreatedAt: time.Now().UTC(),
-		Issues:    quality.Score(rep, det, labels),
+		Issues:    quality.Score(rep, labels),
 	}
-	card.Summarize()
 	if err := s.qual.Put(card); err != nil {
 		logger.Warn("journaling quality scorecard", "err", err)
 	}
-	for _, sc := range card.Issues {
-		if sc.Kind != "" {
-			s.obs.Counter("ion_verdict_disagreements_total",
-				"Per-issue LLM/Drishti verdict disagreements by kind (llm_only or drishti_only).",
-				obs.L("issue", string(sc.Issue)), obs.L("kind", sc.Kind)).Inc()
-		}
-	}
+	// The write may have evicted a shadowed scorecard.
 	s.refreshQualityMetrics()
-	if card.Disagreements > 0 {
-		logger.Info("diagnosis disagrees with deterministic baseline",
-			"agreement", card.Agreement, "disagreements", card.Disagreements, "mode", string(mode))
+	matched, mismatched := card.Labels()
+	if mismatched > 0 {
+		logger.Warn("diagnosis contradicts the workload's ground-truth labels",
+			"label_matches", matched, "label_mismatches", mismatched, "mode", string(mode))
 	}
-	return &Quality{Agreement: card.Agreement, Disagreements: card.Disagreements}
+	return &Quality{LabelMatches: matched, LabelMismatches: mismatched}
 }
 
 // maybeShadow samples a reused or conditioned diagnosis for a

@@ -8,6 +8,7 @@ import (
 
 	"ion/internal/eval"
 	"ion/internal/expertsim"
+	"ion/internal/issue"
 	"ion/internal/llm"
 	"ion/internal/obs"
 	"ion/internal/prompt"
@@ -49,102 +50,56 @@ func gatherGauge(t *testing.T, reg *obs.Registry, name string, labels ...obs.Lab
 	return 0
 }
 
-// TestQualityScorecardOnDisagreement is the drift half of the
+// TestQualityScorecardOnDisagreement is the label half of the
 // acceptance criteria: a plausible but wrong LLM (expertsim with every
-// verdict rewritten to not-detected) diagnoses a pathological workload
-// that Drishti flags deterministically. The persisted scorecard must
-// record agreement < 1 with drishti_only disagreements, and the job
-// must carry the quality provenance.
+// verdict rewritten to not-detected) diagnoses a bundled workload,
+// submitted under its own name. The persisted scorecard must carry
+// every ground-truth label of the workload, count the contradicted
+// ones as mismatches, and the job must carry the same counts. The same
+// bytes under another name score without labels.
 func TestQualityScorecardOnDisagreement(t *testing.T) {
-	reg := obs.NewRegistry()
 	qual := openQualStore(t, filepath.Join(t.TempDir(), "quality.jsonl"))
 	svc := openService(t, Config{
-		Workers:           1,
-		Client:            &expertsim.Contradictor{Inner: expertsim.New()},
-		Quality:           qual,
-		QualityMinSamples: 1,
-		Obs:               reg,
+		Workers: 1,
+		Client:  &expertsim.Contradictor{Inner: expertsim.New()},
+		Quality: qual,
 	})
 
-	j, _, err := svc.Submit("ior-hard", traceBytes(t, "ior-hard"))
-	if err != nil {
-		t.Fatal(err)
+	j := submitWait(t, svc, "ior-hard", traceBytes(t, "ior-hard"))
+	if j.State != StateDone {
+		t.Fatalf("job state = %s (%s)", j.State, j.Error)
 	}
-	if got := waitDone(t, svc, j.ID); got.State != StateDone {
-		t.Fatalf("job state = %s (%s)", got.State, got.Error)
-	}
-
 	card, ok := qual.Get(j.ID)
 	if !ok {
 		t.Fatal("no scorecard persisted for the job")
 	}
-	if card.Mode != quality.ModeFull {
-		t.Errorf("scorecard mode = %q, want full", card.Mode)
+	if card.Mode != quality.ModeFull || card.Trace != "ior-hard" {
+		t.Errorf("scorecard mode %q trace %q, want full ior-hard", card.Mode, card.Trace)
 	}
-	if card.Agreement >= 1 || card.Disagreements == 0 {
-		t.Fatalf("contradicting LLM scored agreement=%.3f disagreements=%d, want < 1 with disagreements",
-			card.Agreement, card.Disagreements)
-	}
-	for _, sc := range card.Issues {
-		if !sc.Agree && sc.Kind != quality.KindDrishtiOnly {
-			t.Errorf("issue %s disagreement kind = %q, want drishti_only (LLM forced not-detected)", sc.Issue, sc.Kind)
-		}
-	}
-	if card.Trace != "ior-hard" {
-		t.Errorf("scorecard trace = %q", card.Trace)
-	}
-
-	got, err := svc.Get(j.ID)
+	w, err := workloads.ByName("ior-hard")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Quality == nil || got.Quality.Agreement != card.Agreement || got.Quality.Disagreements != card.Disagreements {
-		t.Fatalf("job quality provenance = %+v, want scorecard's %.3f/%d", got.Quality, card.Agreement, card.Disagreements)
+	matched, mismatched := card.Labels()
+	if matched+mismatched != len(w.Truth) {
+		t.Fatalf("scorecard labels %d issues, want the workload's %d", matched+mismatched, len(w.Truth))
 	}
-
-	// With the min-samples gate at 1, a disagreeing issue's gauge must
-	// fall below 1 so VerdictDriftHigh can see it.
-	var worst *quality.IssueScore
-	for i := range card.Issues {
-		if !card.Issues[i].Agree {
-			worst = &card.Issues[i]
-			break
+	wantMismatched := 0
+	for _, e := range w.Truth {
+		if e.Want != issue.VerdictNotDetected {
+			wantMismatched++
 		}
 	}
-	v := gatherGauge(t, reg, "ion_verdict_agreement_ratio", obs.L("issue", string(worst.Issue)))
-	if v >= 1 {
-		t.Errorf("agreement gauge for %s = %v, want < 1", worst.Issue, v)
+	if mismatched != wantMismatched || mismatched == 0 {
+		t.Fatalf("contradicting LLM scored %d label mismatches, want %d", mismatched, wantMismatched)
 	}
-}
+	if q := j.Quality; q == nil || q.LabelMatches != matched || q.LabelMismatches != mismatched {
+		t.Fatalf("job quality provenance = %+v, want the scorecard's %d/%d", q, matched, mismatched)
+	}
 
-// TestQualityAgreementSelfGate: below QualityMinSamples comparisons the
-// agreement gauge holds at 1.0 even when every sample disagrees, so the
-// drift alert stays quiet on thin traffic.
-func TestQualityAgreementSelfGate(t *testing.T) {
-	reg := obs.NewRegistry()
-	qual := openQualStore(t, filepath.Join(t.TempDir(), "quality.jsonl"))
-	svc := openService(t, Config{
-		Workers:           1,
-		Client:            &expertsim.Contradictor{Inner: expertsim.New()},
-		Quality:           qual,
-		QualityMinSamples: 100,
-		Obs:               reg,
-	})
-	j, _, err := svc.Submit("ior-hard", traceBytes(t, "ior-hard"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := waitDone(t, svc, j.ID); got.State != StateDone {
-		t.Fatalf("job state = %s (%s)", got.State, got.Error)
-	}
-	card, _ := qual.Get(j.ID)
-	if card.Disagreements == 0 {
-		t.Fatal("test premise broken: contradicting LLM produced no disagreements")
-	}
-	for _, sc := range card.Issues {
-		if v := gatherGauge(t, reg, "ion_verdict_agreement_ratio", obs.L("issue", string(sc.Issue))); v != 1 {
-			t.Errorf("gauge for %s = %v below the sample gate, want 1", sc.Issue, v)
-		}
+	other := submitWait(t, svc, "unlabelled", textTrace(t, "ior-hard", 1))
+	if q := other.Quality; other.State != StateDone || q == nil || q.LabelMatches != 0 || q.LabelMismatches != 0 {
+		t.Fatalf("unlabelled trace: state %s, quality %+v; want scored without labels", other.State, q)
 	}
 }
 

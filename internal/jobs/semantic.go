@@ -103,7 +103,7 @@ func (s *Service) record(ctx context.Context, id, hash string, sig semcache.Sign
 	if rep == nil {
 		return res
 	}
-	res.quality = s.observeQuality(ctx, id, hash, out, rep, mode)
+	res.quality = s.observeQuality(ctx, id, hash, rep, mode)
 	// A shadow flip revokes every entry the served verdicts came from:
 	// the neighbor, and a conditioned job's own indexed report.
 	derived := []semcache.Entry{m.Entry}

@@ -20,7 +20,6 @@ import (
 	"ion/internal/darshan"
 	"ion/internal/extractor"
 	"ion/internal/ion"
-	"ion/internal/issue"
 	"ion/internal/llm"
 	"ion/internal/llm/ledger"
 	"ion/internal/obs"
@@ -77,10 +76,10 @@ type Config struct {
 	// default (0.90). Set above 1 to disable the conditioning tier.
 	SemConditionThreshold float64
 	// Quality, when non-nil, enables the diagnosis-quality observatory:
-	// every successful diagnosis is scored against the deterministic
-	// Drishti triggers (and iongen ground-truth labels when the trace
-	// name identifies a generated workload), the scorecard is journaled
-	// in this store, and the agreement/flip gauges are refreshed.
+	// every successful diagnosis is scored against the iongen
+	// ground-truth labels when the trace name identifies a bundled
+	// workload, the scorecard is journaled in this store, and the
+	// shadow flip gauges are refreshed.
 	Quality *quality.Store
 	// ShadowSampleRate is the fraction of semcache-reused and
 	// conditioned jobs whose diagnosis is re-run through full fan-out
@@ -88,11 +87,6 @@ type Config struct {
 	// semantic-cache entry the job derived from. 0 disables shadow
 	// re-runs; values above 1 shadow everything.
 	ShadowSampleRate float64
-	// QualityMinSamples is the per-issue sample count below which the
-	// ion_verdict_agreement_ratio gauge self-gates to 1.0 (same policy
-	// as the semcache hit-ratio gauge), keeping the drift alert quiet
-	// until there is enough traffic to judge. 0 means the default (20).
-	QualityMinSamples int
 	// Ledger, when non-nil, is the LLM audit ledger the service reads
 	// for per-job cost attribution (Job.Cost) and cumulative LLM totals
 	// in Stats. The ledger is written by the ledger.Wrap client, which
@@ -144,9 +138,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.SemConditionThreshold == 0 {
 		c.SemConditionThreshold = defaultSemConditionThreshold
-	}
-	if c.QualityMinSamples <= 0 {
-		c.QualityMinSamples = qualityMinSamples
 	}
 	if c.Obs == nil {
 		c.Obs = obs.NewRegistry()
@@ -323,9 +314,9 @@ func Open(cfg Config) (*Service, error) {
 		s.log.Info("recovered interrupted jobs", "count", s.recovered)
 	}
 	s.registerMetrics()
-	// The replayed scorecard journal already carries agreement and flip
-	// history; publish it so the gauges are correct from the first
-	// scrape after a restart.
+	// The replayed scorecard journal already carries flip history;
+	// publish it so the gauges are correct from the first scrape after
+	// a restart.
 	s.refreshQualityMetrics()
 	s.log.Info("job service open", "dir", cfg.Dir, "workers", cfg.Workers,
 		"queue_capacity", cfg.QueueDepth, "jobs", len(existing))
@@ -423,24 +414,9 @@ func (s *Service) registerMetrics() {
 	}
 
 	if s.qual != nil {
-		// The labeled gauges are created eagerly for every taxonomy
-		// issue and reuse mode (GaugeFunc carries no labels), so the
-		// families appear in /metrics before the first diagnosis;
-		// refreshQualityMetrics re-publishes them after every scorecard
-		// write. Below QualityMinSamples per-issue comparisons the
-		// agreement gauge self-gates to 1.0, like the semcache
-		// hit-ratio gauge, so VerdictDriftHigh stays quiet on idle or
-		// freshly started services.
-		for _, id := range issue.All {
-			s.obs.Gauge("ion_verdict_agreement_ratio",
-				"LLM/Drishti verdict agreement per issue; 1.0 until enough samples to judge.",
-				obs.L("issue", string(id))).Set(1)
-		}
-		for _, m := range []quality.Mode{quality.ModeVerbatim, quality.ModeConditioned} {
-			s.obs.Gauge("ion_semcache_flip_ratio",
-				"Fraction of shadow-rerun reused diagnoses whose verdicts flipped, per reuse mode.",
-				obs.L("mode", string(m))).Set(0)
-		}
+		// The flip gauges are published by refreshQualityMetrics at Open
+		// and after every scorecard write, one per reuse mode
+		// (GaugeFunc carries no labels).
 		s.shadowSkips = s.obs.Counter("ion_shadow_skips_total",
 			"Shadow re-run candidates skipped because of queue pressure or the concurrency bound.")
 		s.obs.GaugeFunc("ion_quality_scorecards", "Scorecards currently retained by the quality store.",
@@ -448,22 +424,12 @@ func (s *Service) registerMetrics() {
 	}
 }
 
-// refreshQualityMetrics republishes the aggregate quality gauges from
-// the scorecard store. Called after every scorecard write and once at
-// Open (so replayed history survives restarts).
+// refreshQualityMetrics republishes the shadow flip gauges from the
+// scorecard store. Called after every scorecard write and once at Open
+// (so replayed history survives restarts).
 func (s *Service) refreshQualityMetrics() {
 	if s.qual == nil {
 		return
-	}
-	ag := s.qual.IssueAgreement()
-	for _, id := range issue.All {
-		v := 1.0
-		if a := ag[id]; a.Total >= s.cfg.QualityMinSamples {
-			v = a.Ratio()
-		}
-		s.obs.Gauge("ion_verdict_agreement_ratio",
-			"LLM/Drishti verdict agreement per issue; 1.0 until enough samples to judge.",
-			obs.L("issue", string(id))).Set(v)
 	}
 	fs := s.qual.FlipStats()
 	for _, m := range []quality.Mode{quality.ModeVerbatim, quality.ModeConditioned} {

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
@@ -13,11 +14,17 @@ import (
 )
 
 // SubmitStream accepts a Darshan trace as a byte stream (typically a
-// chunked-transfer POST body) and parses it incrementally while it
-// uploads: completed segments are cut at line boundaries and handed to
-// the parse pool, so by the time the last byte arrives most of the
-// trace is already parsed, and the worker running the job skips the
-// parse stage entirely.
+// chunked-transfer POST body). darshan-parser text is parsed
+// incrementally while it uploads: completed segments are cut at line
+// boundaries and handed to the parse pool, so by the time the last
+// byte arrives most of the trace is already parsed, and the worker
+// running the job skips the parse stage entirely.
+//
+// A body that starts with the binary container's magic is one gzip
+// stream that decodes only whole: it is buffered as it arrives (hashed
+// and charged to the buffer budget like text) and decoded once after
+// the last byte, whatever its size. Either way the job gets the same
+// log, and so the same report, as the same bytes sent to Submit.
 //
 // The content hash is computed incrementally over the same bytes, so
 // dedup and semantic-cache keying behave exactly as with Submit.
@@ -31,11 +38,20 @@ func (s *Service) SubmitStream(name string, r io.Reader) (Job, bool, error) {
 	}
 	s.streamSubs.Inc()
 
-	sp := darshan.NewStreamParser(darshan.StreamOptions{
-		Workers:        s.cfg.ParseWorkers,
-		OnShard:        s.shardHook(context.Background()),
-		OnBackpressure: func() { s.streamStalls.Inc() },
-	})
+	br := bufio.NewReader(r)
+	var (
+		sp   *darshan.StreamParser // text bodies; nil for a binary container
+		body bytes.Buffer          // a binary container's bytes
+		sink io.Writer             = &body
+	)
+	if !darshan.IsBinary(br) {
+		sp = darshan.NewStreamParser(darshan.StreamOptions{
+			Workers:        s.cfg.ParseWorkers,
+			OnShard:        s.shardHook(context.Background()),
+			OnBackpressure: func() { s.streamStalls.Inc() },
+		})
+		sink = sp
+	}
 	hasher := sha256.New()
 	var reserved int64
 	defer func() {
@@ -48,11 +64,13 @@ func (s *Service) SubmitStream(name string, r io.Reader) (Job, bool, error) {
 	start := time.Now()
 	var readErr error
 	for {
-		n, err := r.Read(buf)
+		n, err := br.Read(buf)
 		if n > 0 {
 			if !s.reserveStream(int64(n)) {
 				s.streamRejected.Inc()
-				sp.Finish() // drain the pool; the body is abandoned
+				if sp != nil {
+					sp.Finish() // drain the pool; the body is abandoned
+				}
 				s.log.Warn("streaming upload shed: buffer budget exhausted",
 					"trace", name, "inflight_bytes", s.streamInflight.Load())
 				return Job{}, false, ErrStreamBusy
@@ -60,7 +78,7 @@ func (s *Service) SubmitStream(name string, r io.Reader) (Job, bool, error) {
 			reserved += int64(n)
 			s.streamBytes.Add(float64(n))
 			hasher.Write(buf[:n])
-			if _, werr := sp.Write(buf[:n]); werr != nil {
+			if _, werr := sink.Write(buf[:n]); werr != nil {
 				// A shard already failed; stop uploading. Finish below
 				// reports the canonical positioned error.
 				break
@@ -75,10 +93,22 @@ func (s *Service) SubmitStream(name string, r io.Reader) (Job, bool, error) {
 		}
 	}
 
-	log, data, perr := sp.Finish()
+	var (
+		log  *darshan.Log
+		data []byte
+		perr error
+	)
+	if sp != nil {
+		log, data, perr = sp.Finish()
+	} else {
+		data = body.Bytes()
+		if readErr == nil {
+			log, perr = darshan.ReadBinary(bytes.NewReader(data))
+		}
+	}
 	if perr == nil && readErr == nil {
-		// Upload and parse overlapped, so this is end-to-end ingest
-		// throughput: bytes from first read to merged log.
+		// For text, upload and parse overlapped, so this is end-to-end
+		// ingest throughput: bytes from first read to merged log.
 		s.recordParseRate(int64(len(data)), time.Since(start))
 	}
 	if readErr != nil {
@@ -88,29 +118,21 @@ func (s *Service) SubmitStream(name string, r io.Reader) (Job, bool, error) {
 		return Job{}, false, fmt.Errorf("%w: empty body", ErrBadTrace)
 	}
 	if perr != nil {
-		// Not darshan-parser text; a streamed binary container still
-		// works through the buffered decoder.
-		blog, berr := darshan.ReadBinary(bytes.NewReader(data))
-		if berr != nil {
-			return Job{}, false, fmt.Errorf("%w: %v", ErrBadTrace, perr)
-		}
-		log = blog
+		return Job{}, false, fmt.Errorf("%w: %v", ErrBadTrace, perr)
 	}
 	if len(log.Modules) == 0 && len(log.DXT) == 0 {
 		return Job{}, false, fmt.Errorf("%w: no module records", ErrBadTrace)
 	}
 
 	hash := hex.EncodeToString(hasher.Sum(nil))
-	ingest := &Ingest{
-		Mode:            IngestStream,
-		Bytes:           int64(len(data)),
-		Shards:          sp.Shards(),
-		ParseOverlapped: sp.EarlyShards() > 0,
+	ingest := &Ingest{Mode: IngestStream, Bytes: int64(len(data))}
+	if sp != nil {
+		ingest.Shards, ingest.ParseOverlapped = sp.Shards(), sp.EarlyShards() > 0
 	}
 	job, dedup, err := s.admit(name, hash, data, ingest, parsedTrace{log: log})
 	if err == nil && !dedup {
-		s.log.Info("streamed submission parsed during upload",
-			"job", job.ID, "shards", sp.Shards(), "early_shards", sp.EarlyShards(),
+		s.log.Info("streamed submission admitted",
+			"job", job.ID, "shards", ingest.Shards, "parse_overlapped", ingest.ParseOverlapped,
 			"bytes", len(data))
 	}
 	return job, dedup, err

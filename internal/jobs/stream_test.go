@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
+	"time"
+
+	"ion/internal/darshan"
 )
 
 // paddedTextTrace renders a text trace and pads it past several stream
@@ -103,37 +107,95 @@ func TestSubmitStreamDedupAcrossPaths(t *testing.T) {
 	}
 }
 
+// tiledBinaryTrace is openpmd-baseline's binary container with every
+// DXT trace's events repeated four times: a body over 1 MiB, so a
+// stream of it fills more than one segment of the text parser.
+func tiledBinaryTrace(t *testing.T) []byte {
+	t.Helper()
+	// Decode a private copy: the generated log is shared between tests.
+	log, err := darshan.ReadBinary(bytes.NewReader(traceBytes(t, "openpmd-baseline")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range log.DXT {
+		n := len(tr.Events)
+		for i := 1; i < 4; i++ {
+			tr.Events = append(tr.Events, tr.Events[:n]...)
+		}
+	}
+	var buf bytes.Buffer
+	if err := log.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() <= 1<<20 {
+		t.Fatalf("tiled container is %d bytes, want over 1 MiB", buf.Len())
+	}
+	return buf.Bytes()
+}
+
+// pacedReader hands out its body 64 KiB per Read, a millisecond apart,
+// the way an upload arrives over a network: parse work dispatched
+// during the upload gets to run before it ends.
+type pacedReader struct{ r io.Reader }
+
+func (p pacedReader) Read(b []byte) (int, error) {
+	time.Sleep(time.Millisecond)
+	if len(b) > 64<<10 {
+		b = b[:64<<10]
+	}
+	return p.r.Read(b)
+}
+
+// TestSubmitStreamMatchesBodyReport: the same bytes give the same
+// report through SubmitStream as through Submit, for darshan-parser
+// text and for a binary container larger than a stream segment.
 func TestSubmitStreamMatchesBodyReport(t *testing.T) {
-	body := textTrace(t, "ior-hard", 2)
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"text", textTrace(t, "ior-hard", 2)},
+		{"binary-over-1MiB", tiledBinaryTrace(t)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			streamSvc := openService(t, Config{Workers: 1})
+			js, _, err := streamSvc.SubmitStream("trace", pacedReader{bytes.NewReader(tc.body)})
+			if err != nil {
+				t.Fatalf("SubmitStream of a %d-byte body: %v", len(tc.body), err)
+			}
+			if js.Ingest.Bytes != int64(len(tc.body)) {
+				t.Errorf("streamed ingest bytes = %d, want %d", js.Ingest.Bytes, len(tc.body))
+			}
+			if got := waitDone(t, streamSvc, js.ID); got.State != StateDone {
+				t.Fatalf("streamed job: state %s (%s)", got.State, got.Error)
+			}
+			bodySvc := openService(t, Config{Workers: 1})
+			jb, _, err := bodySvc.Submit("trace", tc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := waitDone(t, bodySvc, jb.ID); got.State != StateDone {
+				t.Fatalf("whole-body job: state %s (%s)", got.State, got.Error)
+			}
 
-	bodySvc := openService(t, Config{Workers: 1})
-	jb, _, err := bodySvc.Submit("trace", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamSvc := openService(t, Config{Workers: 1})
-	js, _, err := streamSvc.SubmitStream("trace", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, bodySvc, jb.ID)
-	waitDone(t, streamSvc, js.ID)
-
-	rb, err := bodySvc.Report(jb.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := streamSvc.Report(js.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The extraction directory is the only legitimately path-dependent
-	// field; everything else must be identical across ingestion paths.
-	rb.CSVDir, rs.CSVDir = "", ""
-	bj, _ := json.Marshal(rb)
-	sj, _ := json.Marshal(rs)
-	if !bytes.Equal(bj, sj) {
-		t.Errorf("streamed report diverged from whole-body report:\n--- body ---\n%s\n--- stream ---\n%s", bj, sj)
+			rb, err := bodySvc.Report(jb.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs, err := streamSvc.Report(js.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The extraction directory is the only legitimately
+			// path-dependent field; everything else must be identical
+			// across ingestion paths.
+			rb.CSVDir, rs.CSVDir = "", ""
+			bj, _ := json.Marshal(rb)
+			sj, _ := json.Marshal(rs)
+			if !bytes.Equal(bj, sj) {
+				t.Errorf("streamed report diverged from whole-body report:\n--- body ---\n%s\n--- stream ---\n%s", bj, sj)
+			}
+		})
 	}
 }
 

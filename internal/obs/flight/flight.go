@@ -228,9 +228,8 @@ func (r *Recorder) SetLedgerTailFn(fn func() any) { r.ledgerTailFn = fn }
 
 // SetQualityScorecardsFn installs the callback whose result is
 // marshaled into each bundle's quality_scorecards.json (typically the
-// quality store's recent tail, so a verdict-drift or flip-rate
-// incident carries the disagreeing scorecards that drove it). Call
-// before Start.
+// quality store's recent tail, so a flip-rate incident carries the
+// flipped scorecards that drove it). Call before Start.
 func (r *Recorder) SetQualityScorecardsFn(fn func() any) { r.qualityFn = fn }
 
 // OfferTimeline feeds one completed span timeline to the tail-sampler.

@@ -283,20 +283,19 @@ func MustRules(data []byte) []Rule {
 // the ledger's rolling backend health score (its normalised error and
 // timeout rates; with the ledger off, a failing backend surfaces
 // through the failure ratio), analyze-stage latency, semantic-cache
-// health, diagnosis quality, and process health. The semcache rule leans on the hit-ratio gauge's own
-// traffic gate (it reports 1.0 until enough lookups have happened), so
-// it only fires when the hit ratio collapses under real traffic; the
-// verdict-drift rule leans on the agreement gauge's identical gate.
-// VerdictDriftHigh takes the min across per-issue agreement gauges so a
-// single drifting issue fires it; SemcacheFlipRateHigh takes the max
-// across reuse modes.
+// health, shadow re-run flips, and process health. The semcache rule
+// leans on the hit-ratio gauge's own traffic gate (it reports 1.0 until
+// enough lookups have happened), so it only fires when the hit ratio
+// collapses under real traffic. SemcacheFlipRateHigh takes the max
+// across reuse modes. No default rule pages on a diagnosis-quality
+// signal: the only oracle the service has is the ground-truth labels
+// of bundled workloads, which unlabelled production traces lack.
 func DefaultRules() []Rule {
 	return MustRules([]byte(`[
   {"name": "JobFailureRatioHigh", "expr": "ion_jobs_failure_ratio > 0.1", "for": "1m", "severity": "page"},
   {"name": "QueueNearCapacity",   "expr": "ion_jobs_queue_utilization > 0.9", "for": "1m", "severity": "warn"},
   {"name": "AnalyzeP95Slow",      "expr": "p95(ion_pipeline_stage_seconds{stage=\"analyze\"}) > 60", "for": "2m", "severity": "warn"},
   {"name": "SemcacheHitRatioCollapsed", "expr": "ion_semcache_hit_ratio < 0.05", "for": "2m", "severity": "warn"},
-  {"name": "VerdictDriftHigh",    "expr": "min(ion_verdict_agreement_ratio) < 0.6", "for": "2m", "severity": "page"},
   {"name": "SemcacheFlipRateHigh", "expr": "max(ion_semcache_flip_ratio) > 0.25", "for": "2m", "severity": "warn"},
   {"name": "HeapLarge",           "expr": "ion_go_heap_bytes > 4e+09", "for": "2m", "severity": "warn"},
   {"name": "GoroutineLeak",       "expr": "ion_go_goroutines > 5000", "for": "2m", "severity": "warn"},

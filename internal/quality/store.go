@@ -27,21 +27,13 @@ type Options struct {
 	MaxBytes int64
 }
 
-// AgreeStat aggregates the verdict comparisons for one issue across
+// LabelStat aggregates, for one issue, the labelled verdicts across
 // the live scorecards.
-type AgreeStat struct {
-	Total       int `json:"total"`
-	Agree       int `json:"agree"`
-	LLMOnly     int `json:"llm_only"`
-	DrishtiOnly int `json:"drishti_only"`
-}
-
-// Ratio is the agreement fraction, 1 when no samples exist.
-func (a AgreeStat) Ratio() float64 {
-	if a.Total == 0 {
-		return 1
-	}
-	return float64(a.Agree) / float64(a.Total)
+type LabelStat struct {
+	// Matched counts the verdicts equal to their label.
+	Matched int `json:"matched"`
+	// Mismatched counts the verdicts that differ from their label.
+	Mismatched int `json:"mismatched"`
 }
 
 // FlipStat aggregates shadow re-run outcomes for one reuse mode.
@@ -152,26 +144,25 @@ func (st *Store) Tail(n int) []Scorecard {
 	return all
 }
 
-// IssueAgreement aggregates per-issue verdict comparisons across the
-// live scorecards. The aggregates are recomputed from the replayed
-// journal, so they survive restarts; the scan is bounded by
-// MaxEntries.
-func (st *Store) IssueAgreement() map[issue.ID]AgreeStat {
-	out := map[issue.ID]AgreeStat{}
+// IssueLabels aggregates the labelled verdicts per issue across the
+// live scorecards; issues no scorecard labels are absent. The
+// aggregates are recomputed from the replayed journal, so they survive
+// restarts; the scan is bounded by MaxEntries.
+func (st *Store) IssueLabels() map[issue.ID]LabelStat {
+	out := map[issue.ID]LabelStat{}
 	if st == nil {
 		return out
 	}
 	st.j.Each(func(c Scorecard) bool {
 		for _, s := range c.Issues {
+			if s.Label == "" {
+				continue
+			}
 			a := out[s.Issue]
-			a.Total++
-			switch s.Kind {
-			case KindLLMOnly:
-				a.LLMOnly++
-			case KindDrishtiOnly:
-				a.DrishtiOnly++
-			default:
-				a.Agree++
+			if s.Mismatch() {
+				a.Mismatched++
+			} else {
+				a.Matched++
 			}
 			out[s.Issue] = a
 		}

@@ -3,11 +3,11 @@ package quality
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"ion/internal/drishti"
 	"ion/internal/ion"
 	"ion/internal/issue"
 )
@@ -22,20 +22,20 @@ func openStore(t *testing.T, opts Options) *Store {
 	return st
 }
 
-func card(job string, at time.Time, agree bool) Scorecard {
-	c := Scorecard{
+// card builds a one-issue scorecard whose small-io verdict matches its
+// label or not.
+func card(job string, at time.Time, match bool) Scorecard {
+	s := IssueScore{Issue: issue.SmallIO, Verdict: issue.VerdictDetected, Label: issue.VerdictDetected}
+	if !match {
+		s.Label = issue.VerdictMitigated
+	}
+	return Scorecard{
 		JobID:     job,
 		Trace:     "trace-" + job,
 		Mode:      ModeFull,
 		CreatedAt: at,
+		Issues:    []IssueScore{s},
 	}
-	s := IssueScore{Issue: issue.SmallIO, Verdict: issue.VerdictDetected, Drishti: agree, Agree: agree}
-	if !agree {
-		s.Kind = KindLLMOnly
-	}
-	c.Issues = []IssueScore{s}
-	c.Summarize()
-	return c
 }
 
 func TestStorePutGetSupersede(t *testing.T) {
@@ -94,9 +94,8 @@ func TestStoreReplaySupersede(t *testing.T) {
 	if got, ok := st2.Get("j-2"); !ok || got.Shadow == nil {
 		t.Fatalf("superseded j-2 lost its shadow on replay: %+v %v", got, ok)
 	}
-	ag := st2.IssueAgreement()
-	if a := ag[issue.SmallIO]; a.Total != 3 || a.LLMOnly != 3 {
-		t.Fatalf("IssueAgreement = %+v, want 3 llm_only of 3", a)
+	if a := st2.IssueLabels()[issue.SmallIO]; a != (LabelStat{Mismatched: 3}) {
+		t.Fatalf("IssueLabels = %+v, want 3 mismatched", a)
 	}
 	fs := st2.FlipStats()
 	if f := fs[ModeFull]; f.Shadowed != 1 || f.Flipped != 0 {
@@ -182,7 +181,7 @@ func TestStoreNilReceiver(t *testing.T) {
 	if st.Len() != 0 || st.Bytes() != 0 || st.Entries() != nil || st.Tail(5) != nil {
 		t.Fatal("nil snapshots not empty")
 	}
-	if len(st.IssueAgreement()) != 0 || len(st.FlipStats()) != 0 {
+	if len(st.IssueLabels()) != 0 || len(st.FlipStats()) != 0 {
 		t.Fatal("nil aggregates not empty")
 	}
 	if err := st.Close(); err != nil {
@@ -200,19 +199,18 @@ func reportWith(verdicts map[issue.ID]issue.Verdict) *ion.Report {
 
 func TestScore(t *testing.T) {
 	rep := reportWith(map[issue.ID]issue.Verdict{
-		issue.SmallIO:      issue.VerdictDetected,    // agrees with drishti
-		issue.RandomAccess: issue.VerdictDetected,    // llm_only
-		issue.Metadata:     issue.VerdictMitigated,   // drishti_only (mitigated ≠ detected)
-		issue.SharedFile:   issue.VerdictNotDetected, // agrees (both silent)
+		issue.SmallIO:      issue.VerdictDetected,    // matches its label
+		issue.RandomAccess: issue.VerdictDetected,    // no label
+		issue.Metadata:     issue.VerdictNotDetected, // label says mitigated
+		issue.SharedFile:   issue.VerdictMitigated,   // label says detected
 	})
-	det := &drishti.Report{Insights: []drishti.Insight{
-		{Issue: issue.SmallIO, Level: drishti.LevelHigh},
-		{Issue: issue.Metadata, Level: drishti.LevelHigh},
-		{Issue: issue.RandomAccess, Level: drishti.LevelWarn}, // WARN does not flag
-	}}
-	labels := []issue.Expectation{{Issue: issue.SmallIO, Want: issue.VerdictDetected}}
+	labels := []issue.Expectation{
+		{Issue: issue.SmallIO, Want: issue.VerdictDetected},
+		{Issue: issue.Metadata, Want: issue.VerdictMitigated},
+		{Issue: issue.SharedFile, Want: issue.VerdictDetected},
+	}
 
-	scores := Score(rep, det, labels)
+	scores := Score(rep, labels)
 	if len(scores) != len(issue.All) {
 		t.Fatalf("Score covers %d issues, want %d", len(scores), len(issue.All))
 	}
@@ -220,27 +218,73 @@ func TestScore(t *testing.T) {
 	for _, s := range scores {
 		byID[s.Issue] = s
 	}
-	if s := byID[issue.SmallIO]; !s.Agree || s.Kind != "" || s.Label != issue.VerdictDetected {
+	if s := byID[issue.SmallIO]; s.Mismatch() || s.Label != issue.VerdictDetected {
 		t.Fatalf("small-io = %+v", s)
 	}
-	if s := byID[issue.RandomAccess]; s.Agree || s.Kind != KindLLMOnly {
+	if s := byID[issue.RandomAccess]; s.Mismatch() || s.Label != "" || s.Verdict != issue.VerdictDetected {
 		t.Fatalf("random-access = %+v", s)
 	}
-	if s := byID[issue.Metadata]; s.Agree || s.Kind != KindDrishtiOnly {
-		t.Fatalf("metadata = %+v", s)
+	if s := byID[issue.Metadata]; !s.Mismatch() {
+		t.Fatalf("metadata = %+v, want a mismatch", s)
 	}
-	if s := byID[issue.SharedFile]; !s.Agree || s.Kind != "" {
-		t.Fatalf("shared-file = %+v", s)
+	if s := byID[issue.SharedFile]; !s.Mismatch() {
+		t.Fatalf("shared-file = %+v, want a mismatch (mitigated is not detected)", s)
 	}
 
 	c := Scorecard{JobID: "j-1", Issues: scores}
-	c.Summarize()
-	if c.Disagreements != 2 {
-		t.Fatalf("Disagreements = %d, want 2", c.Disagreements)
+	if m, mm := c.Labels(); m != 1 || mm != 2 {
+		t.Fatalf("Labels = %d matched, %d mismatched; want 1, 2", m, mm)
 	}
-	want := float64(len(issue.All)-2) / float64(len(issue.All))
-	if c.Agreement != want {
-		t.Fatalf("Agreement = %v, want %v", c.Agreement, want)
+	if m, mm := (Scorecard{Issues: Score(rep, nil)}).Labels(); m != 0 || mm != 0 {
+		t.Fatalf("unlabelled Labels = %d, %d; want 0, 0", m, mm)
+	}
+}
+
+// TestStoreReplaysDrishtiFields replays a journal written while
+// scorecards still compared verdicts with Drishti (per-issue drishti,
+// agree and kind fields; per-card agreement and disagreements). The
+// records load, and the label aggregates come from their labels alone.
+func TestStoreReplaysDrishtiFields(t *testing.T) {
+	data, err := os.ReadFile("testdata/drishti_fields.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"drishti":`, `"agree":`, `"kind":`, `"agreement":`} {
+		if !strings.Contains(string(data), field) {
+			t.Fatalf("fixture lacks the %s field it exists to replay", field)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "q.jsonl")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, Options{Path: path})
+	if st.Len() != 2 {
+		t.Fatalf("replayed %d scorecards, want 2", st.Len())
+	}
+	// The fixture's only labelled card is ior-hard under a backend that
+	// answered not-detected everywhere: all five of its labels mismatch.
+	var labelled, mismatched int
+	for _, c := range st.Entries() {
+		m, mm := c.Labels()
+		labelled += m + mm
+		mismatched += mm
+	}
+	if labelled != 5 || mismatched != 5 {
+		t.Fatalf("replayed labels: %d labelled, %d mismatched; want 5, 5", labelled, mismatched)
+	}
+	want := map[issue.ID]LabelStat{
+		issue.SmallIO:      {Mismatched: 1},
+		issue.MisalignedIO: {Mismatched: 1},
+		issue.RandomAccess: {Mismatched: 1},
+		issue.SharedFile:   {Mismatched: 1},
+		issue.Interface:    {Mismatched: 1},
+	}
+	if got := st.IssueLabels(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("IssueLabels = %+v, want %+v", got, want)
+	}
+	if f := st.FlipStats()[ModeVerbatim]; f.Shadowed != 1 || f.Flipped != 0 {
+		t.Fatalf("replayed verbatim flip stats = %+v, want 1 shadowed, 0 flipped", f)
 	}
 }
 

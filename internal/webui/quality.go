@@ -36,12 +36,12 @@ func (s *JobServer) qualityDisabled(w http.ResponseWriter) bool {
 }
 
 // qualityResponse is the GET /api/quality wire type: store counters,
-// the per-issue agreement aggregates the ion_verdict_agreement_ratio
-// gauges are computed from, the per-mode shadow flip aggregates behind
-// ion_semcache_flip_ratio, and the filtered scorecards, newest first.
+// the per-issue ground-truth label aggregates, the per-mode shadow flip
+// aggregates behind ion_semcache_flip_ratio, and the filtered
+// scorecards, newest first.
 type qualityResponse struct {
 	Stats      quality.Stats                `json:"stats"`
-	Agreement  map[string]quality.AgreeStat `json:"agreement"`
+	Labels     map[string]quality.LabelStat `json:"labels"`
 	Flips      map[string]quality.FlipStat  `json:"flips"`
 	Scorecards []quality.Scorecard          `json:"scorecards"`
 }
@@ -52,8 +52,8 @@ type qualityResponse struct {
 //
 // limit bounds the returned scorecards (default 100), job filters to
 // one job's scorecard by exact id, and issue keeps only scorecards
-// where the named issue disagreed with the deterministic baseline or
-// was flipped by a shadow re-run (the disagreement-browser query).
+// where the named issue contradicted its ground-truth label or was
+// flipped by a shadow re-run (the mismatch-browser query).
 func (s *JobServer) handleQualityAPI(w http.ResponseWriter, r *http.Request) {
 	if s.qualityDisabled(w) {
 		return
@@ -95,9 +95,9 @@ func (s *JobServer) handleQualityAPI(w http.ResponseWriter, r *http.Request) {
 	if cards == nil {
 		cards = []quality.Scorecard{}
 	}
-	agree := map[string]quality.AgreeStat{}
-	for id, a := range s.quality.IssueAgreement() {
-		agree[string(id)] = a
+	labels := map[string]quality.LabelStat{}
+	for id, a := range s.quality.IssueLabels() {
+		labels[string(id)] = a
 	}
 	flips := map[string]quality.FlipStat{}
 	for m, f := range s.quality.FlipStats() {
@@ -105,17 +105,17 @@ func (s *JobServer) handleQualityAPI(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeJSON(w, http.StatusOK, qualityResponse{
 		Stats:      s.quality.Stats(),
-		Agreement:  agree,
+		Labels:     labels,
 		Flips:      flips,
 		Scorecards: cards,
 	})
 }
 
-// scorecardImplicates reports whether the scorecard records a
-// disagreement or a shadow flip for the given issue.
+// scorecardImplicates reports whether the scorecard records a label
+// mismatch or a shadow flip for the given issue.
 func scorecardImplicates(c quality.Scorecard, iid issue.ID) bool {
 	for _, sc := range c.Issues {
-		if sc.Issue == iid && !sc.Agree {
+		if sc.Issue == iid && sc.Mismatch() {
 			return true
 		}
 	}
@@ -129,10 +129,10 @@ func scorecardImplicates(c quality.Scorecard, iid issue.ID) bool {
 	return false
 }
 
-// qualityBanner renders a job's diagnosis-quality provenance: how well
-// the LLM verdicts agreed with the deterministic baseline and whether
-// a shadow re-run checked (or contradicted) the served diagnosis.
-// Empty when no quality store is configured.
+// qualityBanner renders a job's diagnosis-quality provenance: how many
+// LLM verdicts matched the trace's ground-truth labels and whether a
+// shadow re-run checked (or contradicted) the served diagnosis. Empty
+// when no quality store is configured.
 func qualityBanner(job jobs.Job) string {
 	q := job.Quality
 	if q == nil {
@@ -140,9 +140,15 @@ func qualityBanner(job jobs.Job) string {
 	}
 	var b strings.Builder
 	b.WriteString(`<div style="margin-top:2rem;padding:0.75rem 1rem;border:1px solid #7c3aed;border-radius:6px;background:#f5f3ff">`)
-	fmt.Fprintf(&b, `<strong>Diagnosis quality:</strong> %.0f%% agreement with the deterministic baseline`, 100*q.Agreement)
-	if q.Disagreements > 0 {
-		fmt.Fprintf(&b, ` (%d disagreement(s))`, q.Disagreements)
+	b.WriteString(`<strong>Diagnosis quality:</strong> `)
+	switch labelled := q.LabelMatches + q.LabelMismatches; {
+	case labelled == 0:
+		b.WriteString(`no ground-truth labels for this trace`)
+	case q.LabelMismatches == 0:
+		fmt.Fprintf(&b, `all %d labelled verdict(s) match the ground truth`, labelled)
+	default:
+		fmt.Fprintf(&b, `<span style="color:#dc2626;font-weight:600">%d of %d labelled verdict(s) contradict the ground truth</span>`,
+			q.LabelMismatches, labelled)
 	}
 	if q.Shadowed {
 		if q.Flips > 0 {
@@ -156,9 +162,9 @@ func qualityBanner(job jobs.Job) string {
 }
 
 // handleQualityDashboard renders the zero-JS diagnosis-quality page:
-// the per-issue agreement heatmap, the shadow flip-ratio sparkline
-// from the series store, and the disagreement browser linking into the
-// implicated job pages. Like /dashboard/llm the page is well-formed
+// the per-issue label table, the shadow flip-ratio sparkline from the
+// series store, and the mismatch browser linking into the implicated
+// job pages. Like /dashboard/llm the page is well-formed
 // XML (self-closed void tags, numeric character references only) so it
 // can be machine checked, archived, and transformed.
 func (s *JobServer) handleQualityDashboard(w http.ResponseWriter, r *http.Request) {
@@ -172,51 +178,40 @@ func (s *JobServer) handleQualityDashboard(w http.ResponseWriter, r *http.Reques
 	fmt.Fprintf(&b, `<p class="meta">%d scorecard(s) retained (%s) &#183; %d journaled &#183; %d evicted`,
 		st.Entries, xmlBytes(st.Bytes), st.Puts, st.Evictions)
 	b.WriteString(` &#183; <a href="/api/quality">quality JSON</a> &#183; <a href="/dashboard">dashboard</a> &#183; <a href="/">jobs</a></p>`)
-	b.WriteString(`<p class="meta">Every successful diagnosis is scored against the deterministic Drishti triggers; sampled reused diagnoses are re-run in full off the hot path to catch stale cached verdicts.</p>`)
+	b.WriteString(`<p class="meta">A diagnosis of a trace named after a bundled workload is scored against that workload&#8217;s ground-truth labels; sampled reused diagnoses are re-run in full off the hot path to catch stale cached verdicts.</p>`)
 
-	renderAgreementHeatmap(&b, s.quality.IssueAgreement())
+	renderLabelTable(&b, s.quality.IssueLabels())
 	s.renderFlipSpark(&b, s.quality.FlipStats())
-	renderDisagreements(&b, s.quality.Tail(200))
+	renderMismatches(&b, s.quality.Tail(200))
 
 	b.WriteString("</body></html>\n")
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	fmt.Fprint(w, b.String())
 }
 
-// renderAgreementHeatmap writes one row per taxonomy issue with the
-// agreement ratio as a colored cell — the table form of the
-// ion_verdict_agreement_ratio gauge family (without the min-sample
-// gate: the raw ratios are shown even on thin traffic).
-func renderAgreementHeatmap(b *strings.Builder, agree map[issue.ID]quality.AgreeStat) {
-	b.WriteString(`<h2>Verdict agreement by issue</h2>`)
-	total := 0
-	for _, a := range agree {
-		total += a.Total
-	}
-	if total == 0 {
-		b.WriteString(`<p class="nodata">no scored diagnoses yet</p>`)
+// renderLabelTable writes one row per labelled taxonomy issue with the
+// verdicts that matched and contradicted the ground truth across the
+// retained scorecards.
+func renderLabelTable(b *strings.Builder, labels map[issue.ID]quality.LabelStat) {
+	b.WriteString(`<h2>Verdicts against ground-truth labels</h2>`)
+	if len(labels) == 0 {
+		b.WriteString(`<p class="nodata">no labelled diagnoses yet: labels apply to traces named after a bundled workload</p>`)
 		return
 	}
-	b.WriteString(`<table><tr><th>issue</th><th>agreement</th><th>samples</th><th>LLM only</th><th>Drishti only</th></tr>`)
+	b.WriteString(`<table><tr><th>issue</th><th>matched</th><th>mismatched</th></tr>`)
 	for _, id := range issue.All {
-		a := agree[id]
-		if a.Total == 0 {
-			fmt.Fprintf(b, `<tr><td>%s</td><td class="nodata">&#8212;</td><td>0</td><td>0</td><td>0</td></tr>`,
-				html.EscapeString(string(id)))
+		a, ok := labels[id]
+		if !ok {
 			continue
 		}
-		ratio := a.Ratio()
 		cls := "ok"
-		if ratio < 0.6 {
+		if a.Mismatched > 0 {
 			cls = "bad"
-		} else if ratio < 0.9 {
-			cls = "warn"
 		}
-		fmt.Fprintf(b, `<tr><td>%s</td><td class="%s">%.0f%%</td><td>%d</td><td>%d</td><td>%d</td></tr>`,
-			html.EscapeString(string(id)), cls, 100*ratio, a.Total, a.LLMOnly, a.DrishtiOnly)
+		fmt.Fprintf(b, `<tr><td>%s</td><td>%d</td><td class="%s">%d</td></tr>`,
+			html.EscapeString(string(id)), a.Matched, cls, a.Mismatched)
 	}
 	b.WriteString(`</table>`)
-	b.WriteString(`<p class="meta">LLM only = the model detected what the deterministic triggers did not; Drishti only = the triggers fired but the model said not-detected. Below 60&#37; sustained agreement the <code>VerdictDriftHigh</code> alert fires.</p>`)
 }
 
 // renderFlipSpark plots the per-mode shadow flip ratio over the series
@@ -260,18 +255,19 @@ func (s *JobServer) renderFlipSpark(b *strings.Builder, flips map[quality.Mode]q
 		100*pts[len(pts)-1].V, window)
 }
 
-// renderDisagreements writes the disagreement browser: recent
-// scorecards where the LLM and the deterministic baseline diverged or
-// a shadow re-run flipped verdicts, each linking to its job page.
-func renderDisagreements(b *strings.Builder, cards []quality.Scorecard) {
-	b.WriteString(`<h2>Recent disagreements</h2>`)
+// renderMismatches writes the mismatch browser: recent scorecards
+// where a verdict contradicted its ground-truth label or a shadow
+// re-run flipped verdicts, each linking to its job page.
+func renderMismatches(b *strings.Builder, cards []quality.Scorecard) {
+	b.WriteString(`<h2>Recent label mismatches and flips</h2>`)
 	shown := 0
 	for _, c := range cards {
-		if c.Disagreements == 0 && (c.Shadow == nil || len(c.Shadow.Flips) == 0) {
+		matched, mismatched := c.Labels()
+		if mismatched == 0 && (c.Shadow == nil || len(c.Shadow.Flips) == 0) {
 			continue
 		}
 		if shown == 0 {
-			b.WriteString(`<table><tr><th>job</th><th>trace</th><th>mode</th><th>agreement</th><th>issues</th></tr>`)
+			b.WriteString(`<table><tr><th>job</th><th>trace</th><th>mode</th><th>labels matched</th><th>issues</th></tr>`)
 		}
 		shown++
 		if shown > 25 {
@@ -279,8 +275,8 @@ func renderDisagreements(b *strings.Builder, cards []quality.Scorecard) {
 		}
 		var details []string
 		for _, sc := range c.Issues {
-			if !sc.Agree {
-				details = append(details, fmt.Sprintf("%s (%s)", sc.Issue, sc.Kind))
+			if sc.Mismatch() {
+				details = append(details, fmt.Sprintf("%s (label %s, got %s)", sc.Issue, sc.Label, sc.Verdict))
 			}
 		}
 		if c.Shadow != nil {
@@ -288,13 +284,13 @@ func renderDisagreements(b *strings.Builder, cards []quality.Scorecard) {
 				details = append(details, fmt.Sprintf("%s (flipped)", f))
 			}
 		}
-		fmt.Fprintf(b, `<tr><td><a href="/jobs/%s"><code>%s</code></a></td><td>%s</td><td>%s</td><td>%.0f%%</td><td>%s</td></tr>`,
+		fmt.Fprintf(b, `<tr><td><a href="/jobs/%s"><code>%s</code></a></td><td>%s</td><td>%s</td><td>%d/%d</td><td>%s</td></tr>`,
 			html.EscapeString(c.JobID), html.EscapeString(c.JobID),
 			html.EscapeString(c.Trace), html.EscapeString(string(c.Mode)),
-			100*c.Agreement, html.EscapeString(strings.Join(details, ", ")))
+			matched, matched+mismatched, html.EscapeString(strings.Join(details, ", ")))
 	}
 	if shown == 0 {
-		b.WriteString(`<p class="nodata">no disagreements on record</p>`)
+		b.WriteString(`<p class="nodata">no label mismatches or flips on record</p>`)
 		return
 	}
 	b.WriteString(`</table>`)
@@ -317,7 +313,6 @@ h2 { font-size: 1rem; margin: 1.5rem 0 0.25rem }
 .readout { margin: 0.25rem 0 0; font-size: 0.9rem }
 .range { color: #777; font-size: 0.8rem }
 .ok { color: #059669 }
-.warn { color: #d97706; font-weight: 600 }
 .bad { color: #dc2626; font-weight: 600 }
 svg { width: 100%; height: 64px; background: #fafafa; border: 1px solid #ddd; border-radius: 6px }
 table { border-collapse: collapse; width: 100%; margin-top: 0.5rem; font-size: 0.85rem }

@@ -3,6 +3,8 @@ package webui
 import (
 	"context"
 	"encoding/json"
+	"encoding/xml"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -19,12 +21,13 @@ import (
 	"ion/internal/obs/flight"
 	"ion/internal/obs/series"
 	"ion/internal/quality"
+	"ion/internal/semcache"
 )
 
-// qualityServer builds the drift-detection stack the way ionserve
-// wires it: a scorecard store fed by the jobs service, the series
-// engine evaluating the drift rules, firing transitions capturing
-// flight bundles that embed the scorecard tail, and the quality routes
+// qualityServer builds the quality observatory the way ionserve wires
+// it: a scorecard store fed by the jobs service, the series engine
+// evaluating the given rules, firing transitions capturing flight
+// bundles that embed the scorecard tail, and the quality routes
 // mounted on the server.
 func qualityServer(t *testing.T, client llm.Client, cfg jobs.Config, rules []series.Rule) (*httptest.Server, *jobs.Service, *series.Store, *quality.Store) {
 	t.Helper()
@@ -87,21 +90,132 @@ func qualityServer(t *testing.T, client llm.Client, cfg jobs.Config, rules []ser
 	return srv, svc, store, qstore
 }
 
-// TestVerdictDriftIncident is the observatory's end-to-end acceptance
-// path: an LLM whose verdicts contradict the deterministic baseline
-// (expertsim with every verdict forced to not-detected) diagnoses a
-// pathological workload, the scorecard journals agreement < 1, the
-// agreement gauge drops, VerdictDriftHigh walks pending → firing, the
-// firing transition captures an incident bundle that embeds the
-// scorecards, and every surface — /api/quality, /api/alerts, the job
-// page banner, /dashboard/quality — tells the same story.
-func TestVerdictDriftIncident(t *testing.T) {
-	rules := series.MustRules([]byte(`[
-	  {"name":"VerdictDriftHigh","expr":"min(ion_verdict_agreement_ratio) < 0.6","for":"2s","severity":"page"}
-	]`))
+// shadowDrift is a backend that has drifted only for shadow re-runs
+// (calls whose ledger job id ends in "-shadow"): they get every verdict
+// rewritten to not-detected, every other call the faithful answer.
+type shadowDrift struct {
+	llm.Client
+	drifted llm.Client
+}
+
+func (c *shadowDrift) Complete(ctx context.Context, req llm.Request) (llm.Completion, error) {
+	if strings.HasSuffix(llm.JobIDFrom(ctx), "-shadow") {
+		return c.drifted.Complete(ctx, req)
+	}
+	return c.Client.Complete(ctx, req)
+}
+
+// TestSemcacheFlipIncident is the observatory's end-to-end alert path.
+// A faithful cold run of ior-hard is indexed; its re-encoded copy is
+// served verbatim from the semantic cache, and its shadow re-run (every
+// reused job is shadowed) runs against a drifted backend, so verdicts
+// flip. The flip-ratio gauge rises, the default SemcacheFlipRateHigh
+// rule walks pending → firing, and the firing transition captures an
+// incident bundle whose scorecards carry the flip.
+func TestSemcacheFlipIncident(t *testing.T) {
+	var rules []series.Rule
+	for _, r := range series.DefaultRules() {
+		if r.Name == "SemcacheFlipRateHigh" {
+			rules = append(rules, r)
+		}
+	}
+	if len(rules) != 1 {
+		t.Fatal("SemcacheFlipRateHigh is not a default rule")
+	}
+	sem, err := semcache.Open(semcache.Options{Path: filepath.Join(t.TempDir(), "semcache.jsonl")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sem.Close() })
+	inner := expertsim.New()
 	srv, svc, store, qstore := qualityServer(t,
-		&expertsim.Contradictor{Inner: expertsim.New()},
-		jobs.Config{Workers: 1, QualityMinSamples: 1}, rules)
+		&shadowDrift{Client: inner, drifted: &expertsim.Contradictor{Inner: inner}},
+		jobs.Config{Workers: 1, SemCache: sem, ShadowSampleRate: 2}, rules)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var ids []string
+	for i, trace := range [][]byte{workloadTrace(t), textWorkloadTrace(t)} {
+		sr, status := postTrace(t, srv.URL+"/api/jobs?name=ior-hard", trace)
+		if status != http.StatusAccepted {
+			t.Fatalf("submit %d status = %d", i, status)
+		}
+		job, err := svc.Wait(ctx, sr.Job.ID)
+		if err != nil || (job.State != jobs.StateDone && job.State != jobs.StateReused) {
+			t.Fatalf("job %d = %+v err = %v, want settled", i, job, err)
+		}
+		ids = append(ids, job.ID)
+	}
+	if job, _ := svc.Get(ids[1]); job.State != jobs.StateReused {
+		t.Fatalf("copy state = %s, want reused from %s", job.State, ids[0])
+	}
+	// The shadow runs in the background; its last effect is the gauge.
+	deadline := time.Now().Add(30 * time.Second)
+	for !strings.Contains(getBody(t, srv.URL+"/metrics"), `ion_semcache_flip_ratio{mode="verbatim"} 1`) {
+		if time.Now().After(deadline) {
+			t.Fatal("the shadow re-run never published a flip")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	// Breach → pending on the first scrape, firing once sustained past
+	// the rule's 2m hold.
+	now := time.Now()
+	store.Scrape(now.Add(-2*time.Minute - time.Second))
+	var ar alertsResponse
+	if code := getJSON(t, srv.URL+"/api/alerts", &ar); code != http.StatusOK {
+		t.Fatalf("/api/alerts status = %d", code)
+	}
+	if st := alertState(ar, "SemcacheFlipRateHigh"); st != string(series.StatePending) {
+		t.Fatalf("after first breach scrape SemcacheFlipRateHigh = %q, want pending", st)
+	}
+	store.Scrape(now)
+	if code := getJSON(t, srv.URL+"/api/alerts", &ar); code != http.StatusOK {
+		t.Fatalf("/api/alerts status = %d", code)
+	}
+	if st := alertState(ar, "SemcacheFlipRateHigh"); st != string(series.StateFiring) {
+		t.Fatalf("after sustained breach SemcacheFlipRateHigh = %q, want firing", st)
+	}
+
+	// The firing transition captured a bundle embedding the scorecards.
+	var ir incidentsResponse
+	if code := getJSON(t, srv.URL+"/api/incidents", &ir); code != http.StatusOK {
+		t.Fatalf("/api/incidents status = %d", code)
+	}
+	if len(ir.Incidents) != 1 || ir.Incidents[0].Reason != "alert:SemcacheFlipRateHigh" {
+		t.Fatalf("incidents = %+v, want one SemcacheFlipRateHigh capture", ir.Incidents)
+	}
+	files := downloadBundle(t, srv.URL+"/api/incidents/"+ir.Incidents[0].ID+"/download", false)
+	cardsJSON, ok := files["quality_scorecards.json"]
+	if !ok {
+		t.Fatal("bundle is missing quality_scorecards.json")
+	}
+	var bundled []quality.Scorecard
+	if err := json.Unmarshal(cardsJSON, &bundled); err != nil {
+		t.Fatalf("bundle quality_scorecards.json does not parse: %v", err)
+	}
+	var flipped *quality.Scorecard
+	for i := range bundled {
+		if bundled[i].JobID == ids[1] {
+			flipped = &bundled[i]
+		}
+	}
+	want, _ := qstore.Get(ids[1])
+	if flipped == nil || flipped.Mode != quality.ModeVerbatim || flipped.Shadow == nil ||
+		len(flipped.Shadow.Flips) == 0 || len(flipped.Shadow.Flips) != len(want.Shadow.Flips) {
+		t.Fatalf("bundled scorecards = %+v, want %s's flipped verbatim scorecard", bundled, ids[1])
+	}
+}
+
+// TestQualityLabelMismatchSurfaces: a contradicting backend (expertsim
+// with every verdict forced to not-detected) diagnoses ior-hard under
+// its own name, and every quality surface reports the label
+// mismatches: the scorecard, the job's quality provenance and page
+// banner, /api/quality with its issue filter, and /dashboard/quality,
+// which stays well-formed XML.
+func TestQualityLabelMismatchSurfaces(t *testing.T) {
+	srv, svc, _, qstore := qualityServer(t,
+		&expertsim.Contradictor{Inner: expertsim.New()}, jobs.Config{Workers: 1}, nil)
 
 	sr, status := postTrace(t, srv.URL+"/api/jobs?name=ior-hard", workloadTrace(t))
 	if status != http.StatusAccepted {
@@ -115,50 +229,22 @@ func TestVerdictDriftIncident(t *testing.T) {
 	}
 
 	card, ok := qstore.Get(job.ID)
-	if !ok || card.Agreement >= 1 {
-		t.Fatalf("scorecard = %+v ok=%v, want persisted with agreement < 1", card, ok)
+	matched, mismatched := card.Labels()
+	if !ok || mismatched == 0 {
+		t.Fatalf("scorecard = %+v ok=%v, want label mismatches", card, ok)
+	}
+	var got jobs.Job
+	if code := getJSON(t, srv.URL+"/api/jobs/"+job.ID, &got); code != http.StatusOK {
+		t.Fatalf("/api/jobs/%s status = %d", job.ID, code)
+	}
+	if q := got.Quality; q == nil || q.LabelMatches != matched || q.LabelMismatches != mismatched {
+		t.Fatalf("job quality = %+v, want the scorecard's %d/%d", q, matched, mismatched)
+	}
+	if page := getBody(t, srv.URL+"/jobs/"+job.ID); !strings.Contains(page,
+		fmt.Sprintf("%d of %d labelled verdict(s) contradict the ground truth", mismatched, matched+mismatched)) {
+		t.Error("job page banner does not report the label mismatches")
 	}
 
-	// Breach → pending on the first scrape, firing once sustained past For.
-	now := time.Now()
-	store.Scrape(now.Add(-5 * time.Second))
-	var ar alertsResponse
-	if code := getJSON(t, srv.URL+"/api/alerts", &ar); code != http.StatusOK {
-		t.Fatalf("/api/alerts status = %d", code)
-	}
-	if st := alertState(ar, "VerdictDriftHigh"); st != string(series.StatePending) {
-		t.Fatalf("after first breach scrape VerdictDriftHigh = %q, want pending", st)
-	}
-	store.Scrape(now)
-	if code := getJSON(t, srv.URL+"/api/alerts", &ar); code != http.StatusOK {
-		t.Fatalf("/api/alerts status = %d", code)
-	}
-	if st := alertState(ar, "VerdictDriftHigh"); st != string(series.StateFiring) {
-		t.Fatalf("after sustained breach VerdictDriftHigh = %q, want firing", st)
-	}
-
-	// The firing transition captured a bundle embedding the scorecards.
-	var ir incidentsResponse
-	if code := getJSON(t, srv.URL+"/api/incidents", &ir); code != http.StatusOK {
-		t.Fatalf("/api/incidents status = %d", code)
-	}
-	if len(ir.Incidents) != 1 || ir.Incidents[0].Reason != "alert:VerdictDriftHigh" {
-		t.Fatalf("incidents = %+v, want one VerdictDriftHigh capture", ir.Incidents)
-	}
-	files := downloadBundle(t, srv.URL+"/api/incidents/"+ir.Incidents[0].ID+"/download", false)
-	cardsJSON, ok := files["quality_scorecards.json"]
-	if !ok {
-		t.Fatal("bundle is missing quality_scorecards.json")
-	}
-	var bundled []quality.Scorecard
-	if err := json.Unmarshal(cardsJSON, &bundled); err != nil {
-		t.Fatalf("bundle quality_scorecards.json does not parse: %v", err)
-	}
-	if len(bundled) != 1 || bundled[0].JobID != job.ID || bundled[0].Agreement >= 1 {
-		t.Fatalf("bundled scorecards = %+v, want the drifted job's", bundled)
-	}
-
-	// /api/quality lists the scorecard and the aggregates behind the gauge.
 	var qr qualityResponse
 	if code := getJSON(t, srv.URL+"/api/quality", &qr); code != http.StatusOK {
 		t.Fatalf("/api/quality status = %d", code)
@@ -166,50 +252,48 @@ func TestVerdictDriftIncident(t *testing.T) {
 	if len(qr.Scorecards) != 1 || qr.Scorecards[0].JobID != job.ID {
 		t.Fatalf("/api/quality scorecards = %+v", qr.Scorecards)
 	}
-	drifted := false
-	for _, a := range qr.Agreement {
-		if a.DrishtiOnly > 0 {
-			drifted = true
-		}
-	}
-	if !drifted {
-		t.Fatalf("/api/quality agreement aggregates show no drishti_only drift: %+v", qr.Agreement)
-	}
-
-	// The job filter returns exactly that card; an issue filter keeps it
-	// only when the named issue disagreed.
-	if code := getJSON(t, srv.URL+"/api/quality?job="+job.ID, &qr); code != http.StatusOK || len(qr.Scorecards) != 1 {
-		t.Fatalf("job filter: status=%d cards=%d", code, len(qr.Scorecards))
-	}
-	var disagreeing, agreeing string
+	var wrong, right string
 	for _, sc := range card.Issues {
-		if !sc.Agree && disagreeing == "" {
-			disagreeing = string(sc.Issue)
+		if a := qr.Labels[string(sc.Issue)]; sc.Mismatch() && a.Mismatched != 1 {
+			t.Errorf("/api/quality labels[%s] = %+v, want one mismatch", sc.Issue, a)
 		}
-		if sc.Agree && agreeing == "" {
-			agreeing = string(sc.Issue)
+		if sc.Mismatch() && wrong == "" {
+			wrong = string(sc.Issue)
 		}
-	}
-	if disagreeing != "" {
-		if code := getJSON(t, srv.URL+"/api/quality?issue="+disagreeing, &qr); code != http.StatusOK || len(qr.Scorecards) != 1 {
-			t.Errorf("issue filter %q: status=%d cards=%d, want the card", disagreeing, code, len(qr.Scorecards))
+		if !sc.Mismatch() && right == "" {
+			right = string(sc.Issue)
 		}
 	}
-	if agreeing != "" {
-		if code := getJSON(t, srv.URL+"/api/quality?issue="+agreeing, &qr); code != http.StatusOK || len(qr.Scorecards) != 0 {
-			t.Errorf("issue filter %q: status=%d cards=%d, want none", agreeing, code, len(qr.Scorecards))
-		}
+	// The issue filter keeps the card only for an issue it contradicts.
+	if code := getJSON(t, srv.URL+"/api/quality?issue="+wrong, &qr); code != http.StatusOK || len(qr.Scorecards) != 1 {
+		t.Errorf("issue filter %q: status=%d cards=%d, want the card", wrong, code, len(qr.Scorecards))
+	}
+	if code := getJSON(t, srv.URL+"/api/quality?issue="+right, &qr); code != http.StatusOK || len(qr.Scorecards) != 0 {
+		t.Errorf("issue filter %q: status=%d cards=%d, want none", right, code, len(qr.Scorecards))
+	}
+	if code := getJSON(t, srv.URL+"/api/quality?job="+job.ID, &qr); code != http.StatusOK || len(qr.Scorecards) != 1 {
+		t.Errorf("job filter: status=%d cards=%d", code, len(qr.Scorecards))
 	}
 
-	// The job page carries the quality banner; the dashboard names the
-	// job in its disagreement browser.
-	page := getBody(t, srv.URL+"/jobs/"+job.ID)
-	if !strings.Contains(page, "Diagnosis quality:") {
-		t.Error("job page is missing the quality banner")
-	}
 	dash := getBody(t, srv.URL+"/dashboard/quality")
-	if !strings.Contains(dash, job.ID) || !strings.Contains(dash, "Verdict agreement by issue") {
-		t.Error("quality dashboard does not surface the drifted job")
+	dec := xml.NewDecoder(strings.NewReader(dash))
+	for {
+		if _, err := dec.Token(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("quality dashboard is not well-formed XML: %v\n%s", err, dash)
+		}
+	}
+	for _, want := range []string{
+		"Verdicts against ground-truth labels",
+		"Recent label mismatches and flips",
+		job.ID,
+		fmt.Sprintf("%d/%d", matched, matched+mismatched),
+		wrong + " (label detected, got not-detected)",
+	} {
+		if !strings.Contains(dash, want) {
+			t.Errorf("quality dashboard is missing %q", want)
+		}
 	}
 }
 

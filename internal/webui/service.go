@@ -123,7 +123,7 @@ func (s *JobServer) WithFlight(rec *flight.Recorder) *JobServer {
 //	GET  /dashboard            live self-observation page (HTML, inline SVG)
 //	GET  /dashboard/profile    continuous-profiling page (flamegraph, hot functions)
 //	GET  /dashboard/llm        LLM cost, token, and backend-health page (XML-clean HTML)
-//	GET  /dashboard/quality    verdict agreement, shadow flips, disagreements (XML-clean HTML)
+//	GET  /dashboard/quality    verdicts against labels, shadow flips, mismatches (XML-clean HTML)
 //	GET  /healthz              liveness probe (always 200 while serving)
 //	GET  /readyz               readiness probe (503 while paused or draining)
 //	GET  /metrics              Prometheus text exposition (gzip-aware)
