@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 
 	"ion/internal/knowledge"
 	"ion/internal/llm"
@@ -14,17 +15,20 @@ import (
 // user asks free-form questions about the analysis, reasoning, or
 // results, and the model answers with the report as context — the
 // conversational capability the paper positions as what separates an
-// automated expert from a static report.
+// automated expert from a static report. Ask is safe for concurrent
+// use: a session answers one question at a time, in order.
 type Session struct {
 	client  llm.Client
 	builder *prompt.Builder
 	report  *Report
-	history []llm.Message
 	// MaxHistory bounds retained turns (pairs); older turns are dropped.
 	MaxHistory int
 	// contextProvider, when set, selects the context block for each
 	// question (e.g. RAG retrieval) instead of the full report text.
 	contextProvider func(question string) string
+
+	turn    sync.Mutex // held from prompt through history append
+	history []llm.Message
 }
 
 // SetContextProvider installs a per-question context selector, the hook
@@ -50,11 +54,10 @@ func NewSession(client llm.Client, report *Report) (*Session, error) {
 	}, nil
 }
 
-// Report returns the session's underlying report.
-func (s *Session) Report() *Report { return s.report }
-
-// History returns the conversation so far.
+// History returns the conversation so far, after any turn in flight.
 func (s *Session) History() []llm.Message {
+	s.turn.Lock()
+	defer s.turn.Unlock()
 	return append([]llm.Message(nil), s.history...)
 }
 
@@ -64,6 +67,8 @@ func (s *Session) Ask(ctx context.Context, question string) (string, error) {
 	if question == "" {
 		return "", fmt.Errorf("ion: empty question")
 	}
+	s.turn.Lock()
+	defer s.turn.Unlock()
 	contextText := s.report.ContextText()
 	if s.contextProvider != nil {
 		contextText = s.contextProvider(question)

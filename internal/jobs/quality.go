@@ -3,6 +3,8 @@ package jobs
 import (
 	"context"
 	mathrand "math/rand"
+	"path/filepath"
+	"strings"
 	"time"
 
 	"ion/internal/extractor"
@@ -41,9 +43,12 @@ func (s *Service) observeQuality(ctx context.Context, id, hash string, rep *ion.
 	name := s.snapshotName(id)
 	// iongen traces are named after their workload, whose definition
 	// carries the paper's ground-truth labels (the expertsim evaluation
-	// set); unknown names simply score without labels.
+	// set): by the workload itself, by a path (ionserve -log
+	// dir/ior-hard.darshan) or by a file name (a browser upload of
+	// ior-hard.darshan.txt). Unknown names score without labels.
+	workload := strings.TrimSuffix(strings.TrimSuffix(filepath.Base(name), ".darshan.txt"), ".darshan")
 	var labels []issue.Expectation
-	if w, werr := workloads.ByName(name); werr == nil {
+	if w, werr := workloads.ByName(workload); werr == nil {
 		labels = w.Truth
 	}
 

@@ -103,6 +103,38 @@ func TestQualityScorecardOnDisagreement(t *testing.T) {
 	}
 }
 
+// TestTraceFileNameGetsLabels: a job named by a trace's path or file
+// name (ionserve -log dir/x.darshan, a browser upload of
+// x.darshan.txt) is scored against workload x's ground-truth labels.
+func TestTraceFileNameGetsLabels(t *testing.T) {
+	qual := openQualStore(t, filepath.Join(t.TempDir(), "quality.jsonl"))
+	svc := openService(t, Config{Workers: 1, Quality: qual})
+	for _, tc := range []struct{ name, workload string }{
+		{"some/dir/openpmd-baseline.darshan.txt", "openpmd-baseline"},
+		{"ior-hard.darshan", "ior-hard"},
+	} {
+		w, err := workloads.ByName(tc.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := submitWait(t, svc, tc.name, textTrace(t, tc.workload, 0))
+		if j.State != StateDone {
+			t.Fatalf("%s: state %s (%s)", tc.name, j.State, j.Error)
+		}
+		card, ok := qual.Get(j.ID)
+		if !ok {
+			t.Fatalf("%s: no scorecard", tc.name)
+		}
+		if matched, mismatched := card.Labels(); matched != len(w.Truth) || mismatched != 0 {
+			t.Errorf("%s: %d labels matched, %d mismatched; want all %d of %s matched",
+				tc.name, matched, mismatched, len(w.Truth), tc.workload)
+		}
+		if card.Trace != tc.name {
+			t.Errorf("scorecard trace %q, want the job name %q", card.Trace, tc.name)
+		}
+	}
+}
+
 // TestShadowFlipSurvivesRestart is the revocation half of the
 // acceptance criteria. Generation 1 (faithful expertsim) indexes a cold
 // diagnosis; generation 2 restarts onto the same journals with a

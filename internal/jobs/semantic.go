@@ -22,10 +22,6 @@ import (
 const (
 	defaultSemReuseThreshold     = 0.995
 	defaultSemConditionThreshold = 0.90
-	// semHitRatioMinLookups is the traffic gate under which the
-	// ion_semcache_hit_ratio gauge reports 1.0 so the collapse alert
-	// stays quiet while there is too little traffic to judge.
-	semHitRatioMinLookups = 20
 )
 
 // diagnose produces the job's report and records it: lookup (the reuse

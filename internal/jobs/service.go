@@ -395,18 +395,10 @@ func (s *Service) registerMetrics() {
 			func() float64 { return float64(s.sem.Len()) })
 		s.obs.GaugeFunc("ion_semcache_bytes", "Estimated bytes retained by the semantic cache.",
 			func() float64 { return float64(s.sem.Bytes()) })
-		// The ratio self-gates on traffic: below semHitRatioMinLookups
-		// policy outcomes it reports 1.0, so the collapse alert (the
-		// rule grammar has no conjunctions to express "and traffic is
-		// high") stays quiet on idle or freshly started services.
-		s.obs.GaugeFunc("ion_semcache_hit_ratio", "Semantic hits+conditioned over lookups; 1.0 until enough traffic to judge.",
+		s.obs.GaugeFunc("ion_semcache_hit_ratio", "Semantic hits+conditioned over lookups; 0 before the first lookup.",
 			func() float64 {
 				st := s.sem.Stats()
-				total := st.Hits + st.Conditioned + st.Misses
-				if total < semHitRatioMinLookups {
-					return 1
-				}
-				return float64(st.Hits+st.Conditioned) / float64(total)
+				return float64(st.Hits+st.Conditioned) / float64(max(st.Hits+st.Conditioned+st.Misses, 1))
 			})
 		s.semSim = s.obs.Histogram("ion_semcache_similarity",
 			"Best-match cosine similarity per semantic lookup.",

@@ -279,26 +279,20 @@ func MustRules(data []byte) []Rule {
 }
 
 // DefaultRules are the built-in SLO rules ionserve evaluates when no
-// -rules file is given: they watch the failure ratio, queue saturation,
-// the ledger's rolling backend health score (its normalised error and
-// timeout rates; with the ledger off, a failing backend surfaces
-// through the failure ratio), analyze-stage latency, semantic-cache
-// health, shadow re-run flips, and process health. The semcache rule
-// leans on the hit-ratio gauge's own traffic gate (it reports 1.0 until
-// enough lookups have happened), so it only fires when the hit ratio
-// collapses under real traffic. SemcacheFlipRateHigh takes the max
-// across reuse modes. No default rule pages on a diagnosis-quality
-// signal: the only oracle the service has is the ground-truth labels
-// of bundled workloads, which unlabelled production traces lack.
+// -rules file is given. Each has a fault that fires it: a failing
+// backend (the failure ratio, and the ledger's backend health score),
+// a backend that stops answering while jobs queue (queue saturation),
+// a backend contradicting the verdicts a reused report served (shadow
+// flips, max across reuse modes), and a hot function (the profiler's
+// share delta). internal/jobs TestDefaultRulesCalibration shows the
+// first four silent on correct traffic and firing on their fault. No
+// rule pages on diagnosis quality: the only oracle is the bundled
+// workloads' labels, which production traces lack.
 func DefaultRules() []Rule {
 	return MustRules([]byte(`[
   {"name": "JobFailureRatioHigh", "expr": "ion_jobs_failure_ratio > 0.1", "for": "1m", "severity": "page"},
   {"name": "QueueNearCapacity",   "expr": "ion_jobs_queue_utilization > 0.9", "for": "1m", "severity": "warn"},
-  {"name": "AnalyzeP95Slow",      "expr": "p95(ion_pipeline_stage_seconds{stage=\"analyze\"}) > 60", "for": "2m", "severity": "warn"},
-  {"name": "SemcacheHitRatioCollapsed", "expr": "ion_semcache_hit_ratio < 0.05", "for": "2m", "severity": "warn"},
   {"name": "SemcacheFlipRateHigh", "expr": "max(ion_semcache_flip_ratio) > 0.25", "for": "2m", "severity": "warn"},
-  {"name": "HeapLarge",           "expr": "ion_go_heap_bytes > 4e+09", "for": "2m", "severity": "warn"},
-  {"name": "GoroutineLeak",       "expr": "ion_go_goroutines > 5000", "for": "2m", "severity": "warn"},
   {"name": "HotFunctionRegression", "expr": "max(ion_prof_hot_function_delta) > 0.25", "for": "2m", "severity": "warn"},
   {"name": "LLMBackendDegraded",  "expr": "min(ion_llm_backend_health) < 0.5", "for": "1m", "severity": "page"}
 ]`))
@@ -503,14 +497,8 @@ func evalExpr(s *Store, e expr) (float64, bool) {
 		vals = append(vals, r.Points[len(r.Points)-1].V)
 	}
 	switch e.fn {
-	case "avg":
-		return aggregate(vals, "avg"), true
-	case "min":
-		return aggregate(vals, "min"), true
-	case "sum":
-		return aggregate(vals, "sum"), true
-	case "last":
-		return aggregate(vals, "last"), true
+	case "avg", "min", "sum", "last":
+		return aggregate(vals, e.fn), true
 	default: // max, p50/p95/p99 (already series-selected), and bare metrics
 		return aggregate(vals, "max"), true
 	}

@@ -14,6 +14,7 @@ import (
 	"ion/internal/jobs"
 	"ion/internal/llm/ledger"
 	"ion/internal/obs"
+	"ion/internal/prompt"
 )
 
 // llmServer builds a job server with the audit ledger wired in: the
@@ -125,6 +126,23 @@ func TestLLMLedgerAPI(t *testing.T) {
 	var errBody struct{ Error string }
 	if st := getJSON(t, srv.URL+"/api/llm/ledger?limit=bogus", &errBody); st != http.StatusBadRequest {
 		t.Fatalf("bad limit status = %d", st)
+	}
+
+	// A chat call is attributed to the job it asks about.
+	if _, err := postAsk(srv.URL, sr.Job.ID, "which issue should I fix first?"); err != nil {
+		t.Fatal(err)
+	}
+	if st := getJSON(t, srv.URL+"/api/llm/ledger?job="+sr.Job.ID, &body); st != http.StatusOK {
+		t.Fatalf("job-filtered status = %d", st)
+	}
+	chats := 0
+	for _, e := range body.Entries {
+		if e.Template == prompt.KindChat {
+			chats++
+		}
+	}
+	if chats != 1 {
+		t.Errorf("ledger view of %s holds %d chat calls, want 1", sr.Job.ID, chats)
 	}
 }
 

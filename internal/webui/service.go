@@ -44,9 +44,7 @@ type JobServer struct {
 	llmLedger *ledger.Client   // nil disables /dashboard/llm and /api/llm/ledger
 	quality   *quality.Store   // nil disables /dashboard/quality and /api/quality
 	reqSeq    atomic.Int64     // request-id source for latency exemplars
-
-	mu       sync.Mutex
-	sessions map[string]*ion.Session // job id → chat session
+	chats     chats            // per-job chat sessions, least recently used evicted
 }
 
 // NewJobServer wires the service and chat backend into a handler. By
@@ -57,11 +55,11 @@ func NewJobServer(client llm.Client, svc *jobs.Service) (*JobServer, error) {
 		return nil, fmt.Errorf("webui: client and service are required")
 	}
 	return &JobServer{
-		svc:      svc,
-		client:   client,
-		obs:      obs.NewRegistry(),
-		log:      obs.NopLogger(),
-		sessions: map[string]*ion.Session{},
+		svc:    svc,
+		client: client,
+		obs:    obs.NewRegistry(),
+		log:    obs.NopLogger(),
+		chats:  chats{max: maxChatSessions},
 	}, nil
 }
 
@@ -215,72 +213,51 @@ type submitResponse struct {
 }
 
 func (s *JobServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, maxTraceBody)
-	data, err := io.ReadAll(body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, "trace too large", http.StatusRequestEntityTooLarge)
-			return
-		}
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTraceBody))
+	if err != nil && !errors.As(err, new(*http.MaxBytesError)) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	job, dedup, err := s.svc.Submit(r.URL.Query().Get("name"), data)
-	switch {
-	case errors.Is(err, jobs.ErrQueueFull):
-		w.Header().Set("Retry-After", "5")
-		http.Error(w, "queue is full, retry later", http.StatusTooManyRequests)
-		return
-	case errors.Is(err, jobs.ErrBadTrace):
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	case errors.Is(err, jobs.ErrClosed):
-		http.Error(w, "service is shutting down", http.StatusServiceUnavailable)
-		return
-	case err != nil:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	var job jobs.Job
+	var dedup bool
+	if err == nil {
+		job, dedup, err = s.svc.Submit(r.URL.Query().Get("name"), data)
 	}
-	status := http.StatusAccepted
-	if dedup {
-		status = http.StatusOK
-	}
-	s.writeJSON(w, status, submitResponse{Job: job, Dedup: dedup})
+	s.writeSubmitted(w, job, dedup, err)
 }
 
 // handleSubmitStream is the chunked-upload twin of handleSubmit: the
 // body is handed to the service as a stream and parsed shard by shard
 // while it is still arriving, instead of being buffered whole first.
-// Same responses as POST /api/jobs, plus 429 + Retry-After when the
-// service-wide streaming buffer budget is exhausted.
+// Same responses as POST /api/jobs; 429 + Retry-After also covers an
+// exhausted service-wide streaming buffer budget.
 func (s *JobServer) handleSubmitStream(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, maxTraceBody)
 	job, dedup, err := s.svc.SubmitStream(r.URL.Query().Get("name"), body)
+	s.writeSubmitted(w, job, dedup, err)
+}
+
+// writeSubmitted answers a submission: 202 with the new job, 200 with
+// the earlier one on a dedup hit, or the status of the error.
+func (s *JobServer) writeSubmitted(w http.ResponseWriter, job jobs.Job, dedup bool, err error) {
 	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooBig):
 		http.Error(w, "trace too large", http.StatusRequestEntityTooLarge)
-		return
 	case errors.Is(err, jobs.ErrStreamBusy), errors.Is(err, jobs.ErrQueueFull):
 		w.Header().Set("Retry-After", "5")
 		http.Error(w, err.Error()+", retry later", http.StatusTooManyRequests)
-		return
 	case errors.Is(err, jobs.ErrBadTrace):
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
 	case errors.Is(err, jobs.ErrClosed):
 		http.Error(w, "service is shutting down", http.StatusServiceUnavailable)
-		return
 	case err != nil:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	case dedup:
+		s.writeJSON(w, http.StatusOK, submitResponse{Job: job, Dedup: true})
+	default:
+		s.writeJSON(w, http.StatusAccepted, submitResponse{Job: job})
 	}
-	status := http.StatusAccepted
-	if dedup {
-		status = http.StatusOK
-	}
-	s.writeJSON(w, status, submitResponse{Job: job, Dedup: dedup})
 }
 
 func (s *JobServer) handleList(w http.ResponseWriter, r *http.Request) {
@@ -338,32 +315,9 @@ func (s *JobServer) handleJobAsk(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req askRequest
-	if !readJSON(w, r, maxAskBody, &req) {
-		return
-	}
-	if strings.TrimSpace(req.Question) == "" {
-		http.Error(w, "bad request: empty question", http.StatusBadRequest)
-		return
-	}
-	session, err := s.session(job.ID)
-	if errors.Is(err, jobs.ErrNotDone) {
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	// Session history is stateful: serialize questions per server.
-	s.mu.Lock()
-	answer, err := session.Ask(r.Context(), req.Question)
-	s.mu.Unlock()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, askResponse{Answer: answer})
+	// The job id attributes the chat call in the LLM ledger.
+	r = r.WithContext(llm.WithJobID(r.Context(), job.ID))
+	serveAsk(w, r, func() (*ion.Session, error) { return s.session(job.ID) })
 }
 
 func (s *JobServer) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -528,11 +482,11 @@ func (s *JobServer) getJob(w http.ResponseWriter, r *http.Request) (jobs.Job, bo
 }
 
 // session returns (creating on first use) the chat session over a
-// finished job's report.
+// finished job's report. The report is loaded outside the sessions
+// lock; when two first questions race, both get the session kept
+// first.
 func (s *JobServer) session(id string) (*ion.Session, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sess, ok := s.sessions[id]; ok {
+	if sess := s.chats.keep(id, nil); sess != nil {
 		return sess, nil
 	}
 	rep, err := s.svc.Report(id)
@@ -543,22 +497,60 @@ func (s *JobServer) session(id string) (*ion.Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.sessions[id] = sess
-	return sess, nil
+	return s.chats.keep(id, sess), nil
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers are gone; nothing useful left to report.
-		return
+// maxChatSessions bounds the chat sessions a JobServer keeps. A job
+// whose session was evicted gets a fresh one, without the earlier
+// turns, on its next question.
+const maxChatSessions = 128
+
+// chats holds chat sessions by job id, evicting the least recently
+// used past max. Its lock is never held across a report load or a
+// model call.
+type chats struct {
+	max  int
+	mu   sync.Mutex
+	byID map[string]*chat
+	uses int64 // use clock
+}
+
+type chat struct {
+	sess *ion.Session
+	used int64
+}
+
+// keep returns the job's session, marking it used. When the job has
+// none, it keeps sess (if not nil) and returns it.
+func (c *chats) keep(id string, sess *ion.Session) *ion.Session {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.uses++
+	if ch, ok := c.byID[id]; ok {
+		ch.used = c.uses
+		return ch.sess
 	}
+	if sess == nil {
+		return nil
+	}
+	if c.byID == nil {
+		c.byID = map[string]*chat{}
+	}
+	c.byID[id] = &chat{sess: sess, used: c.uses}
+	if len(c.byID) > c.max {
+		oldest := id
+		for k, ch := range c.byID {
+			if ch.used < c.byID[oldest].used {
+				oldest = k
+			}
+		}
+		delete(c.byID, oldest)
+	}
+	return sess
 }
 
-// writeJSON is the JobServer's logging variant of the package helper:
-// an encode failure after the headers are sent cannot reach the
-// client, so at least leave a trace in the logs.
+// writeJSON writes v as a JSON response. An encode failure after the
+// headers are sent cannot reach the client, so it is logged.
 func (s *JobServer) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

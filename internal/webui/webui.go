@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 
 	"ion/internal/ion"
+	"ion/internal/jobs"
 	"ion/internal/llm"
 	"ion/internal/report"
 )
@@ -23,10 +23,7 @@ const maxAskBody = 1 << 20
 
 // Server wires a report and a chat session behind an http.Handler.
 type Server struct {
-	report *ion.Report
-	client llm.Client
-
-	mu      sync.Mutex
+	report  *ion.Report
 	session *ion.Session
 }
 
@@ -40,7 +37,7 @@ func New(client llm.Client, rep *ion.Report) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Server{report: rep, client: client, session: session}, nil
+	return &Server{report: rep, session: session}, nil
 }
 
 // Handler returns the HTTP routes:
@@ -114,6 +111,14 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
+	serveAsk(w, r, func() (*ion.Session, error) { return s.session, nil })
+}
+
+// serveAsk answers one chat question against the session open returns:
+// 400 for an empty question, 413 past maxAskBody, 409 while a job's
+// report is not ready. Questions on one session are answered in turn;
+// nothing here serializes different sessions.
+func serveAsk(w http.ResponseWriter, r *http.Request, open func() (*ion.Session, error)) {
 	var req askRequest
 	if !readJSON(w, r, maxAskBody, &req) {
 		return
@@ -122,18 +127,22 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: empty question", http.StatusBadRequest)
 		return
 	}
-	// Session history is stateful: serialize questions.
-	s.mu.Lock()
-	answer, err := s.session.Ask(r.Context(), req.Question)
-	s.mu.Unlock()
+	session, err := open()
+	if errors.Is(err, jobs.ErrNotDone) {
+		http.Error(w, err.Error(), http.StatusConflict)
+		return
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	answer, err := session.Ask(r.Context(), req.Question)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(askResponse{Answer: answer}); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	json.NewEncoder(w).Encode(askResponse{Answer: answer})
 }
 
 // chatWidget is the message window of the paper's front end, posting
