@@ -5,7 +5,6 @@ import (
 	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // defaultStreamChunk is the target shard size for streamed parsing:
@@ -46,9 +45,8 @@ type StreamOptions struct {
 type StreamParser struct {
 	opts StreamOptions
 
-	sem    chan struct{} // parse-worker slots; cap = Workers
-	wg     sync.WaitGroup
-	failed atomic.Bool
+	sem chan struct{} // parse-worker slots; cap = Workers
+	wg  sync.WaitGroup
 
 	seg      []byte
 	chunks   [][]byte
@@ -72,16 +70,13 @@ func NewStreamParser(opts StreamOptions) *StreamParser {
 	}
 }
 
-// Write implements io.Writer. It never fails on well-formed input; a
-// non-nil error means either a pathologically long line or that an
-// already-dispatched shard failed to parse (callers should stop
-// uploading and use Finish for the canonical, positioned error).
+// Write implements io.Writer. It fails only on a line longer than the
+// parser accepts. A syntax error does not stop it, so a body is read to
+// its end however the parse shards are scheduled; Finish returns the
+// canonical, positioned error.
 func (s *StreamParser) Write(p []byte) (int, error) {
 	n := len(p)
 	for len(p) > 0 {
-		if s.failed.Load() {
-			return n - len(p), errors.New("darshan: stream parse failed")
-		}
 		if s.seg == nil {
 			s.seg = make([]byte, 0, s.opts.ChunkBytes)
 		}
@@ -138,9 +133,6 @@ func (s *StreamParser) dispatch(chunk []byte, early bool) {
 		defer s.wg.Done()
 		defer func() { <-s.sem }()
 		*slot = *parseShard(idx, chunk, idx > 0, s.opts.OnShard)
-		if slot.err != nil {
-			s.failed.Store(true)
-		}
 	}()
 }
 

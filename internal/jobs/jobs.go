@@ -136,8 +136,8 @@ type Quality struct {
 }
 
 // Job is one analysis request: a Darshan trace submitted for diagnosis.
-// The service hands out copies; the canonical record lives in the
-// Service and is persisted through the Store on every state change.
+// The service hands out copies; the canonical record is the job
+// table's, journaled on every state change.
 type Job struct {
 	// ID uniquely identifies the job ("j-" + 12 hex chars).
 	ID string `json:"id"`

@@ -74,38 +74,42 @@ func (s *Service) observeQuality(ctx context.Context, id, hash string, rep *ion.
 }
 
 // maybeShadow samples a reused or conditioned diagnosis for a
-// background full fan-out re-run. Candidates are dropped (never
+// background full fan-out re-run, and returns the re-run for run to
+// start once the job has settled, or nil. Candidates are dropped (never
 // queued) when the sample misses, the job queue is under pressure, or
 // the shadow concurrency bound is reached — the hot path must not feel
 // the observatory. derived names the semantic-cache entries the served
-// verdicts came from, which a flip revokes.
-func (s *Service) maybeShadow(id string, out *extractor.Output, served *ion.Report, mode quality.Mode, derived []semcache.Entry) {
+// verdicts came from, which a flip revokes. The re-run reads the job's
+// work directory, and removes the job's inputs when it ends.
+func (s *Service) maybeShadow(id string, out *extractor.Output, served *ion.Report, mode quality.Mode, derived []semcache.Entry) func() {
 	if s.qual == nil || s.cfg.ShadowSampleRate <= 0 {
-		return
+		return nil
 	}
 	if mathrand.Float64() >= s.cfg.ShadowSampleRate {
-		return
+		return nil
 	}
 	if s.Stats().QueueUtilization() >= shadowPressureMax {
 		s.shadowSkips.Inc()
 		s.log.Info("skipping shadow re-run under queue pressure", "job", id)
-		return
+		return nil
 	}
 	select {
 	case s.shadowSem <- struct{}{}:
 	default:
 		s.shadowSkips.Inc()
 		s.log.Info("skipping shadow re-run, concurrency bound reached", "job", id)
-		return
+		return nil
 	}
+	// Added before the job settles, so its waiters can wait for it too.
 	s.shadowWG.Add(1)
-	go func() {
+	return func() {
 		defer func() {
+			s.store.removeInputs(id)
 			<-s.shadowSem
 			s.shadowWG.Done()
 		}()
 		s.runShadow(id, out, served, mode, derived)
-	}()
+	}
 }
 
 // runShadow re-runs one diagnosis through full fan-out, compares the
@@ -143,15 +147,13 @@ func (s *Service) runShadow(id string, out *extractor.Output, served *ion.Report
 	if err := s.qual.Put(card); err != nil {
 		logger.Warn("journaling shadow result", "err", err)
 	}
-	s.update(id, func(j *Job) bool {
+	s.update(id, func(j *Job) {
 		var q Quality
 		if j.Quality != nil {
 			q = *j.Quality
 		}
 		q.Shadowed, q.Flips = true, len(flips)
 		j.Quality = &q
-		// A job still in flight gets the stamp in finish's write.
-		return j.State.Terminal()
 	})
 	if len(flips) > 0 {
 		// The served verdicts are ones a fresh fan-out contradicts: stop

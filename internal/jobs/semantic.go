@@ -92,7 +92,8 @@ func (s *Service) report(ctx context.Context, id string, out *extractor.Output, 
 // the semantic index (fan-out reports only: a verbatim report would
 // duplicate its neighbor's entry) and the shadow sample (reused or
 // conditioned reports only) — and returns what finish writes onto the
-// job: the reuse provenance, the LLM cost and the scorecard summary.
+// job: the reuse provenance, the LLM cost and the scorecard summary,
+// with the sampled shadow re-run.
 // Without a report only the counter, provenance and cost are recorded.
 func (s *Service) record(ctx context.Context, id, hash string, sig semcache.Signature, out *extractor.Output, rep *ion.Report, mode quality.Mode, m semcache.Match) outcome {
 	res := outcome{reuse: s.noteReuse(ctx, mode, m), cost: s.cost(id)}
@@ -107,7 +108,7 @@ func (s *Service) record(ctx context.Context, id, hash string, sig semcache.Sign
 		derived = append(derived, s.indexResult(id, hash, sig, rep, mode))
 	}
 	if mode != quality.ModeFull {
-		s.maybeShadow(id, out, rep, mode, derived)
+		res.shadow = s.maybeShadow(id, out, rep, mode, derived)
 	}
 	return res
 }

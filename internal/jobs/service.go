@@ -20,6 +20,7 @@ import (
 	"ion/internal/darshan"
 	"ion/internal/extractor"
 	"ion/internal/ion"
+	"ion/internal/journal"
 	"ion/internal/llm"
 	"ion/internal/llm/ledger"
 	"ion/internal/obs"
@@ -42,6 +43,8 @@ type Config struct {
 	Paused bool
 	// QueueDepth bounds queued-but-unstarted jobs; Submit returns
 	// ErrQueueFull beyond it. 0 or negative means the default (16).
+	// Open refuses a QueueDepth plus Workers that reaches the job
+	// table's bound (4096 records).
 	QueueDepth int
 	// JobTimeout bounds one analysis attempt; 0 means the default (5m).
 	JobTimeout time.Duration
@@ -147,11 +150,13 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Service is the asynchronous analysis engine: a persistent job store,
-// a bounded queue, and a pool of workers running the ion pipeline.
+// Service is the asynchronous analysis engine: a journaled job table, a
+// store for the jobs' files, a bounded queue, and a pool of workers
+// running the ion pipeline.
 type Service struct {
 	cfg   Config
 	store *Store
+	jobs  *journal.Store[Job] // the job table; written through put, with mu held
 	fw    *ion.Framework
 	obs   *obs.Registry
 	log   *slog.Logger
@@ -191,17 +196,12 @@ type Service struct {
 	streamRejected *obs.Counter
 	streamInflight atomic.Int64 // bytes reserved by in-flight streams
 
-	// writeMu is held by update from a record's edit through its write,
-	// so job records reach the store in the order they were edited.
-	// Taken before mu, never while holding it.
-	writeMu sync.Mutex
-
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	done   map[string]chan struct{} // closed when the job reaches a terminal state
-	byHash map[string]string        // trace hash → job id (dedup cache)
-	closed bool
-	busy   int
+	mu      sync.Mutex
+	done    map[string]chan struct{} // unsettled jobs; closed and dropped when the job settles
+	byHash  map[string]string        // trace hash → job id (dedup cache)
+	closed  bool
+	busy    int
+	dropped map[string]Job // evicted records for settleEvictions, by id: a job's last eviction wins
 
 	// parked hands each submission's parse to the worker that runs its
 	// job, so a trace is parsed once. Keyed by job id, filled by admit
@@ -234,12 +234,16 @@ type parsedTrace struct {
 }
 
 // Open starts a Service over cfg.Dir, recovering any jobs a previous
-// process left queued or in flight (they restart as queued).
+// process left queued or in flight (they restart as queued), and sweeps
+// the store of what a crash left behind.
 func Open(cfg Config) (*Service, error) {
 	if cfg.Client == nil {
 		return nil, fmt.Errorf("jobs: Config.Client is required")
 	}
 	cfg.applyDefaults()
+	if cfg.QueueDepth+cfg.Workers >= maxJobs {
+		return nil, fmt.Errorf("jobs: queue depth plus workers must stay under the job table's %d records", maxJobs)
+	}
 	store, err := OpenStore(cfg.Dir)
 	if err != nil {
 		return nil, err
@@ -249,66 +253,60 @@ func Open(cfg Config) (*Service, error) {
 		return nil, err
 	}
 
-	existing, err := store.Jobs()
-	if err != nil {
+	s := &Service{
+		cfg:       cfg,
+		store:     store,
+		fw:        fw,
+		obs:       cfg.Obs,
+		log:       cfg.Logger,
+		sem:       cfg.SemCache,
+		ledger:    cfg.Ledger,
+		qual:      cfg.Quality,
+		stop:      make(chan struct{}),
+		done:      map[string]chan struct{}{},
+		byHash:    map[string]string{},
+		dropped:   map[string]Job{},
+		parked:    make(map[string]parsedTrace, maxParked),
+		shadowSem: make(chan struct{}, shadowConcurrency),
+	}
+	if s.jobs, err = openJobs(cfg.Dir, func(j Job) { s.dropped[j.ID] = j }); err != nil {
 		return nil, err
 	}
-	var pending []*Job
-	for _, j := range existing {
+	if err := importLegacy(cfg.Dir, s.jobs.Put); err != nil {
+		s.jobs.Close()
+		return nil, err
+	}
+	s.settleEvictions()
+	s.baseCtx, s.abort = context.WithCancel(context.Background())
+	s.shadowCtx, s.shadowCancel = context.WithCancel(s.baseCtx)
+
+	var pending []Job
+	s.jobs.Each(func(j Job) bool {
 		if !j.State.Terminal() {
 			pending = append(pending, j)
 		}
-	}
+		// Completed jobs seed the dedup cache; unsettled jobs join it too
+		// so a resubmission coalesces onto the recovered job.
+		if j.State != StateFailed && j.Hash != "" {
+			s.byHash[j.Hash] = j.ID
+		}
+		return true
+	})
 	// Oldest first, so recovered work keeps its submission order.
 	sort.Slice(pending, func(i, k int) bool {
 		return pending[i].SubmittedAt.Before(pending[k].SubmittedAt)
 	})
-
-	ctx, cancel := context.WithCancel(context.Background())
-	s := &Service{
-		cfg:     cfg,
-		store:   store,
-		fw:      fw,
-		obs:     cfg.Obs,
-		log:     cfg.Logger,
-		sem:     cfg.SemCache,
-		ledger:  cfg.Ledger,
-		qual:    cfg.Quality,
-		baseCtx: ctx,
-		abort:   cancel,
-		stop:    make(chan struct{}),
-		// Recovered jobs must all fit alongside a full queue.
-		queue:  make(chan string, cfg.QueueDepth+len(pending)),
-		jobs:   make(map[string]*Job, len(existing)),
-		done:   make(map[string]chan struct{}, len(existing)),
-		byHash: make(map[string]string, len(existing)),
-		parked: make(map[string]parsedTrace, maxParked),
-	}
-	s.shadowCtx, s.shadowCancel = context.WithCancel(ctx)
-	s.shadowSem = make(chan struct{}, shadowConcurrency)
-	for _, j := range existing {
-		s.jobs[j.ID] = j
-		ch := make(chan struct{})
-		if j.State.Terminal() {
-			close(ch)
-		}
-		s.done[j.ID] = ch
-		// Completed jobs seed the dedup cache; non-terminal jobs join it
-		// too so a resubmission coalesces onto the recovered job.
-		if j.State != StateFailed && j.Hash != "" {
-			s.byHash[j.Hash] = j.ID
-		}
-	}
+	// Recovered jobs must all fit alongside a full queue.
+	s.queue = make(chan string, cfg.QueueDepth+len(pending))
 	for _, j := range pending {
 		j.State = StateQueued
 		j.Error = ""
-		if err := store.PutJob(j); err != nil {
-			cancel()
-			return nil, err
-		}
+		s.done[j.ID] = make(chan struct{})
+		s.put(j)
 		s.queue <- j.ID
 		s.recovered++
 	}
+	store.sweep(s.jobs.Get)
 
 	if s.recovered > 0 {
 		s.log.Info("recovered interrupted jobs", "count", s.recovered)
@@ -319,7 +317,7 @@ func Open(cfg Config) (*Service, error) {
 	// a restart.
 	s.refreshQualityMetrics()
 	s.log.Info("job service open", "dir", cfg.Dir, "workers", cfg.Workers,
-		"queue_capacity", cfg.QueueDepth, "jobs", len(existing))
+		"queue_capacity", cfg.QueueDepth, "jobs", s.jobs.Len())
 
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -483,18 +481,20 @@ func (s *Service) admit(name, hash string, trace []byte, ingest *Ingest, pre par
 		return Job{}, false, ErrClosed
 	}
 	if id, ok := s.byHash[hash]; ok {
-		if j := s.jobs[id]; j != nil && j.State != StateFailed {
+		if j, ok := s.jobs.Get(id); ok && j.State != StateFailed {
 			s.submitted++
 			s.cacheHits++
 			s.log.Info("submission answered from dedup cache",
 				"job", id, "trace", name, "hash", hash[:12])
-			return *j, true, nil
+			return j, true, nil
 		}
 	}
+	// The queue holds fewer than QueueDepth jobs under mu, and workers
+	// only drain it, so the send below cannot block.
 	if len(s.queue) >= s.cfg.QueueDepth {
 		return Job{}, false, ErrQueueFull
 	}
-	j := &Job{
+	j := Job{
 		ID:          newID(),
 		Trace:       name,
 		Hash:        hash,
@@ -505,52 +505,35 @@ func (s *Service) admit(name, hash string, trace []byte, ingest *Ingest, pre par
 	if err := s.store.PutTrace(j.ID, trace); err != nil {
 		return Job{}, false, err
 	}
-	if err := s.store.PutJob(j); err != nil {
-		return Job{}, false, err
-	}
-	s.jobs[j.ID] = j
+	s.put(j)
 	s.done[j.ID] = make(chan struct{})
 	s.byHash[hash] = j.ID
 	s.submitted++
 	if len(s.parked) < maxParked {
 		s.parked[j.ID] = pre
 	}
-	select {
-	case s.queue <- j.ID:
-	default:
-		// Unreachable: the depth check above holds s.mu and workers only
-		// drain the channel, but fail closed rather than block.
-		delete(s.parked, j.ID)
-		delete(s.jobs, j.ID)
-		delete(s.done, j.ID)
-		delete(s.byHash, hash)
-		s.submitted--
-		return Job{}, false, ErrQueueFull
-	}
+	s.queue <- j.ID
 	s.log.Info("job submitted", "job", j.ID, "trace", name, "hash", hash[:12],
 		"queue_depth", len(s.queue))
-	return *j, false, nil
+	return j, false, nil
 }
 
 // Get returns a snapshot of one job.
 func (s *Service) Get(id string) (Job, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	j, ok := s.jobs.Get(id)
 	if !ok {
 		return Job{}, ErrNotFound
 	}
-	return *j, nil
+	return j, nil
 }
 
 // List returns snapshots of all jobs, newest submission first.
 func (s *Service) List() []Job {
-	s.mu.Lock()
-	out := make([]Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		out = append(out, *j)
-	}
-	s.mu.Unlock()
+	out := make([]Job, 0, s.jobs.Len())
+	s.jobs.Each(func(j Job) bool {
+		out = append(out, j)
+		return true
+	})
 	sort.Slice(out, func(i, k int) bool {
 		if !out[i].SubmittedAt.Equal(out[k].SubmittedAt) {
 			return out[i].SubmittedAt.After(out[k].SubmittedAt)
@@ -577,15 +560,14 @@ func (s *Service) Report(id string) (*ion.Report, error) {
 // then returns the job snapshot.
 func (s *Service) Wait(ctx context.Context, id string) (Job, error) {
 	s.mu.Lock()
-	ch, ok := s.done[id]
+	ch, unsettled := s.done[id]
 	s.mu.Unlock()
-	if !ok {
-		return Job{}, ErrNotFound
-	}
-	select {
-	case <-ctx.Done():
-		return Job{}, ctx.Err()
-	case <-ch:
+	if unsettled {
+		select {
+		case <-ctx.Done():
+			return Job{}, ctx.Err()
+		case <-ch:
+		}
 	}
 	return s.Get(id)
 }
@@ -599,7 +581,7 @@ func (s *Service) Stats() Stats {
 		Busy:          s.busy,
 		QueueDepth:    len(s.queue),
 		QueueCapacity: s.cfg.QueueDepth,
-		Jobs:          len(s.jobs),
+		Jobs:          s.jobs.Len(),
 		Submitted:     s.submitted,
 		Completed:     s.completed,
 		Failed:        s.failed,
@@ -619,14 +601,6 @@ func (s *Service) Stats() Stats {
 // SemCache exposes the semantic cache (nil when disabled); read-only
 // use by the web layer.
 func (s *Service) SemCache() *semcache.Store { return s.sem }
-
-// Ledger exposes the LLM audit ledger (nil when disabled); read-only
-// use by the web layer.
-func (s *Service) Ledger() *ledger.Store { return s.ledger }
-
-// Quality exposes the scorecard store (nil when disabled); read-only
-// use by the web layer.
-func (s *Service) Quality() *quality.Store { return s.qual }
 
 // SemThresholds returns the reuse and conditioning similarity
 // thresholds in effect.
@@ -653,7 +627,8 @@ func (s *Service) Close(ctx context.Context) error {
 	close(s.stop)
 	// Shadow re-runs are best-effort: cancel them outright rather than
 	// holding shutdown for a background fan-out, then wait for the
-	// goroutines so nothing writes to the stores after Close returns.
+	// goroutines so nothing writes to the stores after Close returns,
+	// and close the job table, whose records stay readable.
 	s.shadowCancel()
 
 	drained := make(chan struct{})
@@ -664,10 +639,11 @@ func (s *Service) Close(ctx context.Context) error {
 	}()
 	select {
 	case <-drained:
-		return nil
+		return s.jobs.Close()
 	case <-ctx.Done():
 		s.abort()
 		<-drained
+		s.jobs.Close()
 		return ctx.Err()
 	}
 }
@@ -693,13 +669,15 @@ func (s *Service) worker() {
 
 // outcome is how a run settles its job: the terminal state (empty when
 // the job was parked for recovery) and its cause, plus what the record
-// stage attaches to the job in finish's terminal write.
+// stage attaches to the job in finish's terminal write and the shadow
+// re-run it sampled, if any.
 type outcome struct {
 	state   State
 	cause   error
 	reuse   *Reuse
 	cost    *Cost
 	quality *Quality
+	shadow  func()
 }
 
 // run executes one job in stages: ingest and extract (tables), the
@@ -712,7 +690,7 @@ func (s *Service) run(id string) {
 	// Take the parked parse first, so no outcome below leaves it behind.
 	pre := s.parked[id]
 	delete(s.parked, id)
-	j, ok := s.jobs[id]
+	j, ok := s.jobs.Get(id)
 	if !ok || j.State.Terminal() {
 		s.mu.Unlock()
 		return
@@ -754,10 +732,18 @@ func (s *Service) run(id string) {
 
 	// Settle: the timeline is persisted before the terminal state is
 	// applied, so the moment a watcher observes a terminal job its trace
-	// is already readable.
+	// is already readable. A job parked for recovery keeps its inputs.
 	s.saveTimeline(id, tracer, root)
-	if res.state != "" {
-		s.finish(id, res)
+	if res.state == "" {
+		return
+	}
+	s.finish(id, res)
+	// A settled job keeps only its record, report and timeline. A shadow
+	// re-run reads the work directory, so it removes the inputs itself.
+	if res.shadow != nil {
+		go res.shadow()
+	} else {
+		s.store.removeInputs(id)
 	}
 }
 
@@ -875,51 +861,76 @@ func (s *Service) sleep(d time.Duration) bool {
 }
 
 func (s *Service) snapshotName(id string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok {
+	if j, ok := s.jobs.Get(id); ok {
 		return j.Trace
 	}
 	return id
 }
 
 // update is the one way a job record changes once admit has created
-// it and Open has recovered it: change edits the record under s.mu and
-// says whether to persist it, and the edited snapshot is then written.
-// writeMu is held from the edit through the write, so a slow write can
-// never land after, and replace, a newer record.
-func (s *Service) update(id string, change func(*Job) bool) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
+// it and Open has recovered it: under s.mu, change edits a copy of the
+// record and put writes it, so records reach the journal in edit order.
+// A record that turns terminal releases the job's waiters.
+func (s *Service) update(id string, change func(*Job)) {
 	s.mu.Lock()
-	j, ok := s.jobs[id]
+	defer s.mu.Unlock()
+	j, ok := s.jobs.Get(id)
 	if !ok {
-		s.mu.Unlock()
 		return
 	}
-	persist := change(j)
-	snapshot := *j
-	s.mu.Unlock()
-	if !persist {
-		return
+	change(&j)
+	s.put(j)
+	if ch, unsettled := s.done[id]; unsettled && j.State.Terminal() {
+		delete(s.done, id)
+		close(ch)
 	}
-	if err := s.store.PutJob(&snapshot); err != nil {
-		// The in-memory state is authoritative while the process lives;
-		// a persistence miss only degrades crash recovery. Say so.
-		s.log.Warn("persisting job record", "job", id, "state", snapshot.State, "err", err)
+}
+
+// put writes j to the job table and settles the records its write
+// evicted. A failed write still advances the job: the journal keeps the
+// record live, and only a crash loses it. s.mu is held, or Open is
+// running.
+func (s *Service) put(j Job) {
+	if err := s.jobs.Put(j); err != nil {
+		s.log.Warn("persisting job record", "job", j.ID, "state", j.State, "err", err)
+	}
+	s.settleEvictions()
+}
+
+// settleEvictions deals with the records the job table's bound dropped.
+// A settled job loses its report, timeline, dedup entry and
+// semantic-cache entry. An unsettled job, which one long attempt can
+// leave the oldest, is put back as the newest record; fewer jobs are
+// unsettled than the bound holds (Open checks), so the put-backs end.
+// s.mu is held, or Open is running.
+func (s *Service) settleEvictions() {
+	for id, j := range s.dropped {
+		delete(s.dropped, id)
+		if !j.State.Terminal() {
+			if _, live := s.jobs.Get(id); !live {
+				s.put(j) // settles what this write evicts, too
+			}
+			continue
+		}
+		if s.byHash[j.Hash] == j.ID {
+			delete(s.byHash, j.Hash)
+		}
+		if err := s.sem.Revoke(semcache.Entry{TraceHash: j.Hash, JobID: j.ID}); err != nil {
+			s.log.Warn("revoking an evicted job's semantic-cache entry", "job", j.ID, "err", err)
+		}
+		s.store.removeOutputs(j.ID)
 	}
 }
 
 // transition moves a job to a non-terminal state and persists it.
 func (s *Service) transition(id string, state State, attempt int, errMsg string) {
-	s.update(id, func(j *Job) bool {
+	s.update(id, func(j *Job) {
 		j.State = state
 		j.Attempts = attempt
 		j.Error = errMsg
 		if state == StateRunning && j.StartedAt.IsZero() {
 			j.StartedAt = time.Now().UTC()
 		}
-		return true
 	})
 }
 
@@ -927,23 +938,14 @@ func (s *Service) transition(id string, state State, attempt int, errMsg string)
 // attached, persists it, bumps the outcome counters, and releases
 // waiters.
 func (s *Service) finish(id string, res outcome) {
-	var ch chan struct{}
-	s.update(id, func(j *Job) bool {
+	s.update(id, func(j *Job) {
 		j.State = res.state
 		j.FinishedAt = time.Now().UTC()
 		j.Error = ""
 		if res.cause != nil {
 			j.Error = res.cause.Error()
 		}
-		j.ReusedFrom, j.Cost = res.reuse, res.cost
-		if res.quality != nil {
-			q := *res.quality
-			if j.Quality != nil {
-				// A shadow re-run that beat finish has stamped the record.
-				q.Shadowed, q.Flips = j.Quality.Shadowed, j.Quality.Flips
-			}
-			j.Quality = &q
-		}
+		j.ReusedFrom, j.Cost, j.Quality = res.reuse, res.cost, res.quality
 		switch res.state {
 		case StateDone, StateReused:
 			s.completed++
@@ -954,12 +956,7 @@ func (s *Service) finish(id string, res outcome) {
 				delete(s.byHash, j.Hash)
 			}
 		}
-		ch = s.done[id]
-		return true
 	})
-	if ch != nil {
-		close(ch)
-	}
 }
 
 // backoff computes the exponential delay before retry `attempt`+1 with

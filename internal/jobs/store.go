@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -8,21 +9,46 @@ import (
 	"strings"
 
 	"ion/internal/ion"
+	"ion/internal/journal"
 	"ion/internal/obs"
 )
 
-// Store persists job records, uploaded trace bytes, and finished
-// reports as plain files under a data directory:
+// maxJobs bounds the job table, as the other journals' default bounds
+// theirs. A var so tests can lower it.
+var maxJobs = 4096
+
+// openJobs replays the job table: the job records, one journal keyed by
+// job id at <dir>/jobs.jsonl and bounded at maxJobs records. evicted
+// sees each record the bound drops.
+func openJobs(dir string, evicted func(Job)) (*journal.Store[Job], error) {
+	return journal.Open(journal.Options[Job]{
+		Path:       filepath.Join(dir, "jobs.jsonl"),
+		Key:        func(j Job) string { return j.ID },
+		Size:       func(Job) int64 { return 0 },
+		Check:      Job.check,
+		MaxRecords: maxJobs,
+		Evicted:    evicted,
+	})
+}
+
+// check rejects a record the job table must not hold.
+func (j Job) check() error {
+	if !j.State.Valid() {
+		return fmt.Errorf("jobs: job %q has unknown state %q", j.ID, j.State)
+	}
+	return validID(j.ID)
+}
+
+// Store keeps the files of the jobs in the job table under a data
+// directory:
 //
-//	<dir>/jobs/<id>.json             job record
-//	<dir>/traces/<id>.darshan        submitted trace bytes
+//	<dir>/traces/<id>.darshan        submitted trace bytes, until the job settles
+//	<dir>/work/<id>/                 per-job CSV extraction workspace, until the job settles
 //	<dir>/reports/<id>.json          finished report (ion versioned envelope)
 //	<dir>/reports/<id>.trace.json    span timeline of the analysis run
-//	<dir>/work/<id>/                 per-job CSV extraction workspace
 //
-// Writes go through a temp-file + rename so a crash mid-write never
-// leaves a torn record, and a fresh Store over an existing directory
-// recovers every job that was queued or in flight.
+// Writes go through a temp file and a rename, so a crash mid-write never
+// leaves a torn file, and sweep removes whatever a crash leaves behind.
 type Store struct {
 	dir string
 }
@@ -32,13 +58,16 @@ func OpenStore(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("jobs: store directory is required")
 	}
-	for _, sub := range []string{"jobs", "traces", "reports", "work"} {
+	for _, sub := range storeDirs {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("jobs: opening store: %w", err)
 		}
 	}
 	return &Store{dir: dir}, nil
 }
+
+// storeDirs are the subdirectories a Store owns.
+var storeDirs = []string{"traces", "work", "reports"}
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
@@ -48,111 +77,32 @@ func (s *Store) WorkDir(id string) string {
 	return filepath.Join(s.dir, "work", id)
 }
 
-// PutJob persists a job record atomically.
-func (s *Store) PutJob(j *Job) error {
-	if err := validID(j.ID); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(j, "", "  ")
-	if err != nil {
-		return fmt.Errorf("jobs: marshaling job %s: %w", j.ID, err)
-	}
-	return writeAtomic(filepath.Join(s.dir, "jobs", j.ID+".json"), data)
-}
-
-// GetJob loads one job record.
-func (s *Store) GetJob(id string) (*Job, error) {
-	if err := validID(id); err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(filepath.Join(s.dir, "jobs", id+".json"))
-	if os.IsNotExist(err) {
-		return nil, ErrNotFound
-	}
-	if err != nil {
-		return nil, fmt.Errorf("jobs: reading job %s: %w", id, err)
-	}
-	var j Job
-	if err := json.Unmarshal(data, &j); err != nil {
-		return nil, fmt.Errorf("jobs: parsing job %s: %w", id, err)
-	}
-	return &j, nil
-}
-
-// Jobs loads every job record in the store. Records that fail to parse
-// are skipped rather than poisoning recovery.
-func (s *Store) Jobs() ([]*Job, error) {
-	entries, err := os.ReadDir(filepath.Join(s.dir, "jobs"))
-	if err != nil {
-		return nil, fmt.Errorf("jobs: listing store: %w", err)
-	}
-	var out []*Job
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		j, err := s.GetJob(strings.TrimSuffix(name, ".json"))
-		if err != nil {
-			continue
-		}
-		if j.ID == "" || !j.State.Valid() {
-			continue
-		}
-		out = append(out, j)
-	}
-	return out, nil
-}
-
 // PutTrace persists the submitted trace bytes for a job.
 func (s *Store) PutTrace(id string, data []byte) error {
-	if err := validID(id); err != nil {
-		return err
-	}
-	return writeAtomic(filepath.Join(s.dir, "traces", id+".darshan"), data)
+	return s.write("traces", id, ".darshan", data)
 }
 
 // Trace reads back the submitted trace bytes for a job.
 func (s *Store) Trace(id string) ([]byte, error) {
-	if err := validID(id); err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(filepath.Join(s.dir, "traces", id+".darshan"))
-	if os.IsNotExist(err) {
-		return nil, ErrNotFound
-	}
-	if err != nil {
-		return nil, fmt.Errorf("jobs: reading trace for %s: %w", id, err)
-	}
-	return data, nil
+	return s.read("traces", id, ".darshan")
 }
 
-// PutReport persists a finished report atomically.
+// PutReport persists a finished report.
 func (s *Store) PutReport(id string, rep *ion.Report) error {
-	if err := validID(id); err != nil {
-		return err
-	}
-	var b strings.Builder
+	var b bytes.Buffer
 	if err := rep.EncodeJSON(&b); err != nil {
 		return err
 	}
-	return writeAtomic(filepath.Join(s.dir, "reports", id+".json"), []byte(b.String()))
+	return s.write("reports", id, ".json", b.Bytes())
 }
 
 // Report reads back the report for a completed job.
 func (s *Store) Report(id string) (*ion.Report, error) {
-	if err := validID(id); err != nil {
+	data, err := s.read("reports", id, ".json")
+	if err != nil {
 		return nil, err
 	}
-	f, err := os.Open(filepath.Join(s.dir, "reports", id+".json"))
-	if os.IsNotExist(err) {
-		return nil, ErrNotFound
-	}
-	if err != nil {
-		return nil, fmt.Errorf("jobs: reading report for %s: %w", id, err)
-	}
-	defer f.Close()
-	rep, err := ion.DecodeJSON(f)
+	rep, err := ion.DecodeJSON(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("jobs: report for %s: %w", id, err)
 	}
@@ -160,61 +110,96 @@ func (s *Store) Report(id string) (*ion.Report, error) {
 }
 
 // PutTimeline persists the span timeline of a job's analysis run next
-// to its report, atomically.
+// to its report.
 func (s *Store) PutTimeline(id string, tl obs.Timeline) error {
-	if err := validID(id); err != nil {
-		return err
-	}
 	data, err := json.MarshalIndent(tl, "", "  ")
 	if err != nil {
 		return fmt.Errorf("jobs: marshaling timeline for %s: %w", id, err)
 	}
-	return writeAtomic(filepath.Join(s.dir, "reports", id+".trace.json"), data)
+	return s.write("reports", id, ".trace.json", data)
 }
 
 // Timeline reads back the raw timeline JSON for a job, for the HTTP
 // layer to serve verbatim.
 func (s *Store) Timeline(id string) ([]byte, error) {
+	return s.read("reports", id, ".trace.json")
+}
+
+// read returns the bytes of a job's file, or ErrNotFound.
+func (s *Store) read(sub, id, suffix string) ([]byte, error) {
 	if err := validID(id); err != nil {
 		return nil, err
 	}
-	data, err := os.ReadFile(filepath.Join(s.dir, "reports", id+".trace.json"))
+	data, err := os.ReadFile(filepath.Join(s.dir, sub, id+suffix))
 	if os.IsNotExist(err) {
 		return nil, ErrNotFound
 	}
 	if err != nil {
-		return nil, fmt.Errorf("jobs: reading timeline for %s: %w", id, err)
+		return nil, fmt.Errorf("jobs: %w", err)
 	}
 	return data, nil
 }
 
-// writeAtomic writes data to path via a temp file + rename so readers
-// never observe a partial record.
-func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
+// write writes a job's file through a temp file and a rename, so
+// readers never observe a partial file.
+func (s *Store) write(sub, id, suffix string, data []byte) error {
+	if err := validID(id); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(filepath.Join(s.dir, sub), ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("jobs: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobs: writing %s: %w", path, err)
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobs: writing %s: %w", path, err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(s.dir, sub, id+suffix))
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("jobs: writing %s: %w", path, err)
+		return fmt.Errorf("jobs: writing %s for %s: %w", sub, id, err)
 	}
 	return nil
 }
 
+// removeInputs deletes a job's trace and work directory, which nothing
+// reads once the job has settled and its shadow re-run, if any, has
+// ended. What a removal misses, the next sweep removes.
+func (s *Store) removeInputs(id string) {
+	os.Remove(filepath.Join(s.dir, "traces", id+".darshan"))
+	os.RemoveAll(s.WorkDir(id))
+}
+
+// removeOutputs deletes an evicted job's report and timeline. What it
+// misses, the next sweep removes.
+func (s *Store) removeOutputs(id string) {
+	os.Remove(filepath.Join(s.dir, "reports", id+".json"))
+	os.Remove(filepath.Join(s.dir, "reports", id+".trace.json"))
+}
+
+// sweep removes what a crash can leave in the store's directories: temp
+// files, the files of any id without a record in get, and the inputs of
+// settled jobs. Its errors are dropped: nothing reads what it misses,
+// and the next Open sweeps again.
+func (s *Store) sweep(get func(id string) (Job, bool)) {
+	for _, sub := range storeDirs {
+		entries, _ := os.ReadDir(filepath.Join(s.dir, sub))
+		for _, e := range entries {
+			// <id>, <id>.darshan, <id>.json or <id>.trace.json; a
+			// ".tmp-*" name has no record.
+			id := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(e.Name(), ".darshan"), ".json"), ".trace")
+			if j, ok := get(id); !ok || (j.State.Terminal() && sub != "reports") {
+				os.RemoveAll(filepath.Join(s.dir, sub, e.Name()))
+			}
+		}
+	}
+}
+
 // validID guards file-name construction: ids are generated internally,
-// but recovery reads names off disk and the HTTP layer passes ids from
-// URLs, so reject anything that could escape the store layout.
+// but the job table and the HTTP layer hand back ids read from disk and
+// from URLs, so reject anything that could escape the store layout.
 func validID(id string) error {
 	if id == "" || len(id) > 64 {
 		return fmt.Errorf("jobs: invalid job id %q", id)

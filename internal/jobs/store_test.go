@@ -11,12 +11,15 @@ import (
 	"ion/internal/issue"
 )
 
+// TestStoreJobRoundTrip: a job record written to the job table reads
+// back the same after a reopen.
 func TestStoreJobRoundTrip(t *testing.T) {
-	st, err := OpenStore(t.TempDir())
+	dir := t.TempDir()
+	table, err := openJobs(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := &Job{
+	j := Job{
 		ID:          "j-0123456789ab",
 		Trace:       "ior-hard",
 		Hash:        "deadbeef",
@@ -24,12 +27,17 @@ func TestStoreJobRoundTrip(t *testing.T) {
 		Attempts:    1,
 		SubmittedAt: time.Now().UTC().Truncate(time.Second),
 	}
-	if err := st.PutJob(j); err != nil {
+	if err := table.Put(j); err != nil {
 		t.Fatal(err)
 	}
-	back, err := st.GetJob(j.ID)
-	if err != nil {
+	table.Close()
+	if table, err = openJobs(dir, nil); err != nil {
 		t.Fatal(err)
+	}
+	defer table.Close()
+	back, ok := table.Get(j.ID)
+	if !ok {
+		t.Fatal("record lost across a reopen")
 	}
 	if back.ID != j.ID || back.Trace != j.Trace || back.State != j.State || !back.SubmittedAt.Equal(j.SubmittedAt) {
 		t.Errorf("round-trip mismatch: %+v != %+v", back, j)
@@ -37,13 +45,11 @@ func TestStoreJobRoundTrip(t *testing.T) {
 }
 
 func TestStoreGetJobNotFound(t *testing.T) {
-	st, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.GetJob("j-aaaaaaaaaaaa"); !errors.Is(err, ErrNotFound) {
+	svc := openService(t, Config{Paused: true})
+	if _, err := svc.Get("j-aaaaaaaaaaaa"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing job error = %v, want ErrNotFound", err)
 	}
+	st := svc.Store()
 	if _, err := st.Trace("j-aaaaaaaaaaaa"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing trace error = %v, want ErrNotFound", err)
 	}
@@ -52,47 +58,53 @@ func TestStoreGetJobNotFound(t *testing.T) {
 	}
 }
 
+// TestStoreRejectsBadIDs: no id that could escape the store layout names
+// a record or a file.
 func TestStoreRejectsBadIDs(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"", "../escape", "a/b", "UPPER", "j..j", "j j"} {
-		if err := st.PutJob(&Job{ID: id}); err == nil {
-			t.Errorf("PutJob accepted id %q", id)
+		if err := (Job{ID: id, State: StateQueued}).check(); err == nil {
+			t.Errorf("the job table accepts id %q", id)
 		}
-		if _, err := st.GetJob(id); err == nil {
-			t.Errorf("GetJob accepted id %q", id)
+		if err := st.PutTrace(id, []byte("x")); err == nil {
+			t.Errorf("PutTrace accepted id %q", id)
+		}
+		if _, err := st.Report(id); err == nil || errors.Is(err, ErrNotFound) {
+			t.Errorf("Report(%q) = %v, want an invalid-id error", id, err)
 		}
 	}
 }
 
+// TestStoreJobsSkipsGarbage: a torn tail, a garbage line and a record
+// with an unknown state in jobs.jsonl do not poison recovery, and the
+// one valid record is recovered.
 func TestStoreJobsSkipsGarbage(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(dir)
+	table, err := openJobs(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutJob(&Job{ID: "j-0123456789ab", State: StateQueued}); err != nil {
+	if err := table.Put(Job{ID: "j-0123456789ab", State: StateQueued}); err != nil {
 		t.Fatal(err)
 	}
-	// A torn write, a non-JSON file, and a record with a bogus state
-	// must not poison recovery.
-	for name, body := range map[string]string{
-		"torn.json":     `{"id": "j-to`,
-		"notes.txt":     "not a job",
-		"badstate.json": `{"id":"j-badstate1234","state":"exploded"}`,
-	} {
-		if err := os.WriteFile(filepath.Join(dir, "jobs", name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	jobs, err := st.Jobs()
+	table.Close()
+	f, err := os.OpenFile(filepath.Join(dir, "jobs.jsonl"), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(jobs) != 1 || jobs[0].ID != "j-0123456789ab" {
-		t.Errorf("Jobs() = %+v, want the one valid record", jobs)
+	f.WriteString("not a job\n" + `{"id":"j-badstate1234","state":"exploded"}` + "\n" + `{"id": "j-to`)
+	f.Close()
+
+	svc := openService(t, Config{Dir: dir, Paused: true})
+	jobs := svc.List()
+	if len(jobs) != 1 || jobs[0].ID != "j-0123456789ab" || jobs[0].State != StateQueued {
+		t.Errorf("List() = %+v, want the one valid record", jobs)
+	}
+	if st := svc.Stats(); st.Recovered != 1 {
+		t.Errorf("recovered %d jobs, want 1", st.Recovered)
 	}
 }
 

@@ -79,8 +79,8 @@ func (s *Service) SubmitStream(name string, r io.Reader) (Job, bool, error) {
 			s.streamBytes.Add(float64(n))
 			hasher.Write(buf[:n])
 			if _, werr := sink.Write(buf[:n]); werr != nil {
-				// A shard already failed; stop uploading. Finish below
-				// reports the canonical positioned error.
+				// A line is too long to parse; stop uploading. Finish
+				// below reports the canonical positioned error.
 				break
 			}
 		}

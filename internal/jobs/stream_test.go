@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ion/internal/darshan"
+	"ion/internal/obs"
 )
 
 // paddedTextTrace renders a text trace and pads it past several stream
@@ -210,6 +211,33 @@ func TestSubmitStreamBadTrace(t *testing.T) {
 	}
 	if _, _, err := svc.SubmitStream("empty", strings.NewReader("")); !errors.Is(err, ErrBadTrace) {
 		t.Fatalf("empty body err = %v, want ErrBadTrace", err)
+	}
+}
+
+// TestSubmitStreamBadBodyReadToEnd: a multi-megabyte text body whose
+// first line is malformed is read to its end whatever the reader's
+// pace, and rejected with the error naming line 1. Whether an early
+// shard's failure cut the upload short must not depend on scheduling.
+func TestSubmitStreamBadBodyReadToEnd(t *testing.T) {
+	body := append([]byte("this is not a darshan log\n"), paddedTextTrace(t, "ior-hard", 2_400_000)...)
+	for _, tc := range []struct {
+		name string
+		r    func() io.Reader
+	}{
+		{"paced", func() io.Reader { return pacedReader{bytes.NewReader(body)} }},
+		{"bytes.Reader", func() io.Reader { return bytes.NewReader(body) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			svc := openService(t, Config{Workers: 1, Obs: reg})
+			_, _, err := svc.SubmitStream("bad", tc.r())
+			if !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), "line 1") {
+				t.Fatalf("err = %v, want ErrBadTrace naming line 1", err)
+			}
+			if got := gatherGauge(t, reg, "ion_stream_bytes_total"); got != float64(len(body)) {
+				t.Errorf("read %.0f of the %d-byte body", got, len(body))
+			}
+		})
 	}
 }
 

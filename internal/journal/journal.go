@@ -1,8 +1,8 @@
-// Package journal is the one JSON-lines store behind the semantic
-// cache, the LLM ledger, the quality scorecards and the profile
-// windows. A Store keeps its live records in memory, newest first, and
-// appends every write to a file as one line, so a restarted process
-// replays what it had. The Store owns the whole crash discipline:
+// Package journal is the one JSON-lines store behind the job table,
+// the semantic cache, the LLM ledger, the quality scorecards and the
+// profile windows. A Store keeps its live records in memory, newest
+// first, and appends every write to a file as one line, so a restarted
+// process replays what it had. The Store owns the whole crash discipline:
 //
 //   - A torn last line, left by a crash mid-append, is skipped at replay
 //     and terminated at open, so the next append starts a line of its
@@ -12,6 +12,8 @@
 //   - A record supersedes the live record with the same key.
 //   - Count, byte and age bounds evict the oldest records, never the
 //     newest, after every write and again at replay.
+//   - A checked record is live before it is appended: a failed append
+//     is returned, and the record is lost only at the next restart.
 //   - Once the file holds more than 2·live+16 lines it is rewritten with
 //     only the live records, through a temp file and a rename, so a crash
 //     mid-compaction leaves the old file whole.
@@ -67,6 +69,9 @@ type Options[T any] struct {
 	// Replayed, when set, sees every valid record Open reads, superseded
 	// and evicted ones included, in file order.
 	Replayed func(T)
+	// Evicted, when set, sees each record a bound drops, at replay too.
+	// It runs with the Store locked, so it must not call the Store.
+	Evicted func(T)
 }
 
 // Store is a journaled, bounded set of records in recency order. All
@@ -171,10 +176,14 @@ func ReadLines(r io.Reader, fn func(line []byte)) (lines int, torn bool, err err
 	}
 }
 
-// Put appends rec to the file and makes it the newest live record. It
+// ErrAppend wraps the error of a failed append. Put returns it for a
+// record that is live but missing from the file, so a restart loses it.
+var ErrAppend = errors.New("journal: append failed")
+
+// Put makes rec the newest live record and appends it to the file. It
 // returns Check's error, or an error for a line longer than MaxLine,
-// without writing anything. After Close, records are kept in memory
-// only.
+// without keeping or writing anything; any other error wraps ErrAppend.
+// After Close, records are kept in memory only.
 func (s *Store[T]) Put(rec T) error {
 	if err := s.opts.Check(rec); err != nil {
 		return err
@@ -185,14 +194,15 @@ func (s *Store[T]) Put(rec T) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.file != nil {
-		if _, err := s.file.Write(line); err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
-		s.lines++
-	}
 	s.insert(rec)
-	if s.file != nil && s.lines > compactFactor*len(s.byKey)+compactSlack {
+	if s.file == nil {
+		return nil
+	}
+	if _, err := s.file.Write(line); err != nil {
+		return fmt.Errorf("%w: %w", ErrAppend, err)
+	}
+	s.lines++
+	if s.lines > compactFactor*len(s.byKey)+compactSlack {
 		s.compact()
 	}
 	return nil
@@ -234,6 +244,9 @@ func (s *Store[T]) insert(rec T) {
 		}
 		s.remove(oldest)
 		s.evicted++
+		if o.Evicted != nil {
+			o.Evicted(oldest.rec)
+		}
 	}
 }
 

@@ -288,6 +288,33 @@ func TestCrashConsistency(t *testing.T) {
 			},
 		},
 		{
+			name: "append fails",
+			file: line(a),
+			run: func(t *testing.T, path string, open func() *Store[rec]) {
+				s := open()
+				// A read-only append handle fails every write, as a full
+				// disk would.
+				ro, err := os.Open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.mu.Lock()
+				s.file.Close()
+				s.file = ro
+				s.mu.Unlock()
+				if err := s.Put(b); !errors.Is(err, ErrAppend) {
+					t.Fatalf("Put with a failing append: %v, want ErrAppend", err)
+				}
+				if got := keys(s); got != "b a" {
+					t.Fatalf("live %q, want the record whose append failed live", got)
+				}
+				s.Close()
+				if got := keys(open()); got != "a" {
+					t.Fatalf("replayed %q, want only the appended record", got)
+				}
+			},
+		},
+		{
 			name: "eviction keeps the newest record",
 			opts: func(o *Options[rec]) { o.MaxBytes = 100 },
 			run: func(t *testing.T, path string, open func() *Store[rec]) {
@@ -343,6 +370,25 @@ func TestReplayedSeesEveryValidRecord(t *testing.T) {
 	}
 	if got := keys(s); got != "b" {
 		t.Fatalf("live %q, want b", got)
+	}
+}
+
+func TestEvictedSeesEachDroppedRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	opts := recOpts(path)
+	opts.MaxRecords = 2
+	var dropped []string
+	opts.Evicted = func(r rec) { dropped = append(dropped, r.K) }
+	s := mustOpen(t, opts)
+	mustPut(t, s, rec{K: "a"}, rec{K: "b"}, rec{K: "a", V: 1}, rec{K: "c"}, rec{K: "d"})
+	if got := strings.Join(dropped, " "); got != "b a" {
+		t.Fatalf("Evicted saw %q, want the dropped records b and a, not the superseded a", got)
+	}
+	s.Close()
+	dropped = nil
+	mustOpen(t, opts)
+	if got := strings.Join(dropped, " "); got != "b a" {
+		t.Fatalf("Evicted saw %q at replay, want %q", got, "b a")
 	}
 }
 

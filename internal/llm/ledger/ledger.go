@@ -188,7 +188,8 @@ func (st *Store) count(e Entry) {
 	}
 }
 
-// Append journals and retains one entry, assigning an ID if empty.
+// Append journals and retains one entry, assigning an ID if empty. An
+// entry whose append fails is still retained and counted.
 func (st *Store) Append(e Entry) error {
 	if st == nil {
 		return nil
@@ -199,10 +200,13 @@ func (st *Store) Append(e Entry) error {
 	if e.Time.IsZero() {
 		e.Time = time.Now().UTC()
 	}
-	if err := st.j.Put(e); err != nil {
+	err := st.j.Put(e)
+	if err == nil || errors.Is(err, journal.ErrAppend) {
+		st.count(e) // live, so counted even when the append failed
+	}
+	if err != nil {
 		return fmt.Errorf("ledger: %w", err)
 	}
-	st.count(e)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package quality
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -94,15 +95,19 @@ func Open(opts Options) (*Store, error) {
 }
 
 // Put journals and indexes a scorecard, superseding any prior record
-// for the same job (how shadow results update an existing card).
+// for the same job (how shadow results update an existing card). A
+// scorecard whose append fails is still indexed and counted.
 func (st *Store) Put(c Scorecard) error {
 	if st == nil {
 		return nil
 	}
-	if err := st.j.Put(c); err != nil {
+	err := st.j.Put(c)
+	if err == nil || errors.Is(err, journal.ErrAppend) {
+		st.puts.Add(1) // live, so counted even when the append failed
+	}
+	if err != nil {
 		return fmt.Errorf("quality: %w", err)
 	}
-	st.puts.Add(1)
 	return nil
 }
 
