@@ -13,6 +13,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -29,6 +32,7 @@ import (
 	"ion/internal/ion"
 	"ion/internal/iosim"
 	"ion/internal/issue"
+	"ion/internal/jobs"
 	"ion/internal/knowledge"
 	"ion/internal/llm"
 	"ion/internal/llm/ledger"
@@ -38,6 +42,7 @@ import (
 	"ion/internal/rag"
 	"ion/internal/semcache"
 	"ion/internal/testutil"
+	"ion/internal/webui"
 	"ion/internal/workloads"
 )
 
@@ -881,5 +886,54 @@ func BenchmarkParseTextLarge(b *testing.B) {
 		if _, err := darshan.ParseText(bytes.NewReader(text)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSubmitHTTP times POST /api/jobs of each of the 12 families
+// as a whole darshan-parser text body, upload included, against an
+// httptest JobServer over a paused service. The first post of a family
+// queues its job; every repeat is a dedup hit that is still read,
+// parsed and hashed in full, so the queue never fills and each
+// iteration measures the submit path alone.
+func BenchmarkSubmitHTTP(b *testing.B) {
+	svc, err := jobs.Open(jobs.Config{Dir: b.TempDir(), Client: expertsim.New(), Paused: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close(context.Background())
+	js, err := webui.NewJobServer(expertsim.New(), svc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := httptest.NewServer(js.Handler())
+	defer srv.Close()
+	for _, w := range append(workloads.All(), workloads.Extras()...) {
+		log, err := testutil.Log(w.Name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := log.WriteText(&buf); err != nil {
+			b.Fatal(err)
+		}
+		if err := log.WriteDXTText(&buf); err != nil {
+			b.Fatal(err)
+		}
+		body := buf.Bytes()
+		b.Run(w.Name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				resp, err := http.Post(srv.URL+"/api/jobs?name="+w.Name, "application/octet-stream", bytes.NewReader(body))
+				if err != nil {
+					b.Fatal(err)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+					b.Fatalf("POST /api/jobs: status %d", resp.StatusCode)
+				}
+			}
+		})
 	}
 }

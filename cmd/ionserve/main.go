@@ -52,7 +52,7 @@ func main() {
 		workers      = flag.Int("workers", 2, "analysis worker pool size")
 		queueDepth   = flag.Int("queue", 16, "queued-job bound; submissions beyond it get HTTP 429")
 		parseWorkers = flag.Int("parse-workers", 0, "trace-parse shard pool size (0 = GOMAXPROCS)")
-		streamMaxBuf = flag.Int64("stream-max-buffer", 256<<20, "total bytes buffered across in-flight streaming uploads before 429 (negative = unlimited)")
+		streamMaxBuf = flag.Int64("stream-max-buffer", 256<<20, "total trace bytes held by in-flight uploads, on both submit routes, before 429 (negative = unlimited)")
 		jobTimeout   = flag.Duration("job-timeout", 5*time.Minute, "per-attempt analysis timeout")
 		retries      = flag.Int("retries", 3, "max analysis attempts per job (first run included)")
 		logLevel     = flag.String("log-level", "info", "structured log level: debug, info, warn, or error")

@@ -36,13 +36,6 @@ type Config struct {
 	Parallel int
 	// SkipSummary disables the global summarization step.
 	SkipSummary bool
-	// SelfConsistency, when > 1, samples that many completions per
-	// issue and majority-votes the verdict (self-consistency CoT,
-	// Wang et al. 2023 — the reliability technique the paper cites).
-	// The reported diagnosis is the first completion that carries the
-	// winning verdict. Pointless for deterministic backends; valuable
-	// against sampling LLMs.
-	SelfConsistency int
 }
 
 // Framework is the assembled ION instance.
@@ -67,9 +60,6 @@ type IssueDiagnosis struct {
 	Conclusion string
 	Verdict    issue.Verdict
 	Usage      llm.Usage
-	// Samples records how many completions were majority-voted (1 for
-	// a single-shot diagnosis).
-	Samples int
 	// Raw is the unparsed completion, kept for the interactive session.
 	Raw string
 }
@@ -288,59 +278,16 @@ func (f *Framework) diagnoseOne(ctx context.Context, builder *prompt.Builder, id
 	if err != nil {
 		return nil, fmt.Errorf("ion: building %s prompt: %w", id, err)
 	}
-	samples := f.cfg.SelfConsistency
-	if samples < 1 {
-		samples = 1
+	comp, err := f.cfg.Client.Complete(ctx, req)
+	if err != nil {
+		return nil, fmt.Errorf("ion: completing %s diagnosis: %w", id, err)
 	}
-	var (
-		diags []*IssueDiagnosis
-		usage llm.Usage
-	)
-	for i := 0; i < samples; i++ {
-		comp, err := f.cfg.Client.Complete(ctx, req)
-		if err != nil {
-			return nil, fmt.Errorf("ion: completing %s diagnosis: %w", id, err)
-		}
-		diag, err := ParseCompletion(id, comp.Content)
-		if err != nil {
-			return nil, fmt.Errorf("ion: parsing %s completion: %w", id, err)
-		}
-		usage.PromptTokens += comp.Usage.PromptTokens
-		usage.CompletionTokens += comp.Usage.CompletionTokens
-		diags = append(diags, diag)
+	diag, err := ParseCompletion(id, comp.Content)
+	if err != nil {
+		return nil, fmt.Errorf("ion: parsing %s completion: %w", id, err)
 	}
-	diag := majorityDiagnosis(diags)
-	diag.Usage = usage
-	diag.Samples = samples
+	diag.Usage = comp.Usage
 	return diag, nil
-}
-
-// majorityDiagnosis returns the first diagnosis carrying the verdict
-// that most samples agreed on (ties break toward the more severe
-// verdict, so disagreement errs on the side of surfacing a problem).
-func majorityDiagnosis(diags []*IssueDiagnosis) *IssueDiagnosis {
-	if len(diags) == 1 {
-		return diags[0]
-	}
-	votes := map[issue.Verdict]int{}
-	for _, d := range diags {
-		votes[d.Verdict]++
-	}
-	severity := []issue.Verdict{issue.VerdictDetected, issue.VerdictMitigated, issue.VerdictNotDetected}
-	var winner issue.Verdict
-	best := -1
-	for _, v := range severity {
-		if votes[v] > best {
-			best = votes[v]
-			winner = v
-		}
-	}
-	for _, d := range diags {
-		if d.Verdict == winner {
-			return d
-		}
-	}
-	return diags[0]
 }
 
 // ParseCompletion splits a diagnosis completion into its sections and

@@ -370,74 +370,3 @@ func TestLoadJSONErrors(t *testing.T) {
 		t.Error("empty report accepted")
 	}
 }
-
-// flakyClient returns different verdicts across calls for one issue,
-// simulating a sampling LLM.
-type flakyClient struct {
-	inner llm.Client
-	calls int32
-}
-
-func (c *flakyClient) Name() string { return "flaky" }
-func (c *flakyClient) Complete(ctx context.Context, req llm.Request) (llm.Completion, error) {
-	n := atomic.AddInt32(&c.calls, 1)
-	// Every third completion flips to a wrong not-detected verdict.
-	if n%3 == 0 {
-		return llm.Completion{Content: `### ANALYSIS STEPS
-1. (hallucinated pass)
-
-### ANALYSIS CODE
-` + "```python\npass\n```" + `
-
-### CONCLUSION
-Nothing to see here.
-VERDICT: not-detected
-`, Model: "flaky"}, nil
-	}
-	return c.inner.Complete(ctx, req)
-}
-
-func TestSelfConsistencyVoting(t *testing.T) {
-	log, err := testutil.Log("ior-hard")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc := &flakyClient{inner: expertsim.New()}
-	fw, err := New(Config{
-		Client:          fc,
-		Issues:          []issue.ID{issue.SmallIO},
-		SkipSummary:     true,
-		SelfConsistency: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := fw.AnalyzeLog(context.Background(), log, "ior-hard", t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := rep.Diagnoses[issue.SmallIO]
-	if d.Verdict != issue.VerdictDetected {
-		t.Errorf("majority vote failed: verdict = %s", d.Verdict)
-	}
-	if d.Samples != 5 {
-		t.Errorf("samples = %d", d.Samples)
-	}
-	if strings.Contains(d.Conclusion, "Nothing to see here") {
-		t.Error("winning diagnosis picked from the losing verdict")
-	}
-}
-
-func TestMajorityDiagnosisTieBreaksSevere(t *testing.T) {
-	diags := []*IssueDiagnosis{
-		{Verdict: issue.VerdictNotDetected, Conclusion: "a"},
-		{Verdict: issue.VerdictDetected, Conclusion: "b"},
-	}
-	if got := majorityDiagnosis(diags); got.Verdict != issue.VerdictDetected {
-		t.Errorf("tie should break toward detected, got %s", got.Verdict)
-	}
-	single := []*IssueDiagnosis{{Verdict: issue.VerdictMitigated}}
-	if majorityDiagnosis(single).Verdict != issue.VerdictMitigated {
-		t.Error("single diagnosis changed")
-	}
-}

@@ -33,10 +33,9 @@ func spanEnd(r obs.SpanRecord) time.Time {
 }
 
 // checkSingleParse asserts that a finished job was parsed exactly once,
-// at submission: a whole-body upload's timeline holds one parse span,
-// adopted by the job root and ended before it started; a streamed
-// upload's holds none and its root says so. Either way "job" is the
-// only root. It returns the parse span (zero for a streamed upload).
+// at submission: its timeline holds one parse span, adopted by the job
+// root and ended before it started, and "job" is the only root. It
+// returns the parse span.
 func checkSingleParse(t *testing.T, svc *Service, j Job) obs.SpanRecord {
 	t.Helper()
 	tl := jobTimeline(t, svc, j.ID)
@@ -54,23 +53,14 @@ func checkSingleParse(t *testing.T, svc *Service, j Job) obs.SpanRecord {
 	if len(roots) != 1 || root.Name != "job" {
 		t.Fatalf("job %s: roots %v (%q), want the job span alone", j.ID, roots, root.Name)
 	}
-	switch j.Ingest.Mode {
-	case IngestStream:
-		if len(parses) != 0 || root.Attrs["parse"] != "streamed" {
-			t.Fatalf("streamed job %s: %d parse spans, root attrs %v; want none and parse=streamed",
-				j.ID, len(parses), root.Attrs)
-		}
-		return obs.SpanRecord{}
-	default:
-		if len(parses) != 1 {
-			t.Fatalf("job %s: %d parse spans, want exactly one", j.ID, len(parses))
-		}
-		p := parses[0]
-		if p.Parent != root.ID || spanEnd(p).After(root.Start) {
-			t.Fatalf("job %s: parse %+v is not the submission's parse adopted by root %+v", j.ID, p, root)
-		}
-		return p
+	if len(parses) != 1 {
+		t.Fatalf("job %s: %d parse spans, want exactly one", j.ID, len(parses))
 	}
+	p := parses[0]
+	if p.Parent != root.ID || spanEnd(p).After(root.Start) {
+		t.Fatalf("job %s: parse %+v is not the submission's parse adopted by root %+v", j.ID, p, root)
+	}
+	return p
 }
 
 // TestSubmitParsesOnce: a whole-body text submission is parsed once, at
@@ -84,8 +74,8 @@ func TestSubmitParsesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Ingest == nil || j.Ingest.Mode != IngestBody || j.Ingest.Shards != 2 {
-		t.Fatalf("ingest = %+v, want a body upload parsed in 2 shards", j.Ingest)
+	if j.Ingest == nil || j.Ingest.Shards != 2 {
+		t.Fatalf("ingest = %+v, want a body parsed in 2 shards", j.Ingest)
 	}
 	final := waitDone(t, svc, j.ID)
 	if final.State != StateDone {

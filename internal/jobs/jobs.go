@@ -79,29 +79,20 @@ const (
 	ReuseConditioned = "conditioned"
 )
 
-// Ingest records how a job's trace entered the service — whole-body
-// POST or the chunked streaming path — the provenance surfaced on job
-// pages and in /api/jobs/{id} as "ingest".
+// Ingest records how a job's trace was read and parsed — the
+// provenance surfaced on job pages and in /api/jobs/{id} as "ingest".
+// Records written before the upload routes shared one ingest carry a
+// "mode" too, which loading ignores.
 type Ingest struct {
-	// Mode is IngestBody (buffered whole-body upload) or IngestStream
-	// (chunked streaming upload parsed incrementally).
-	Mode string `json:"mode"`
 	// Bytes is the trace body size.
 	Bytes int64 `json:"bytes"`
-	// Shards is how many parse shards the body was cut into. Zero for
-	// a binary container parsed whole.
+	// Shards is how many parse segments the body was cut into. Zero for
+	// a binary container, which is decoded whole.
 	Shards int `json:"shards,omitempty"`
-	// ParseOverlapped reports that at least one shard finished parsing
-	// while the client was still uploading — the property the streaming
-	// path exists for.
+	// ParseOverlapped reports that at least one segment was handed to
+	// the parser while the body was still being read.
 	ParseOverlapped bool `json:"parse_overlapped,omitempty"`
 }
-
-// Ingest mode labels.
-const (
-	IngestBody   = "body"
-	IngestStream = "stream"
-)
 
 // Cost is the per-job LLM cost attribution, summed from the audit
 // ledger's entries for this job: calls made, tokens moved and estimated
@@ -155,8 +146,8 @@ type Job struct {
 	// diagnosis was served from (or conditioned on) a similar prior
 	// job.
 	ReusedFrom *Reuse `json:"reused_from,omitempty"`
-	// Ingest records how the trace entered the service (whole-body vs
-	// streamed) and how much parsing overlapped the upload.
+	// Ingest records the trace's size, its parse segments and whether
+	// parsing overlapped the upload.
 	Ingest *Ingest `json:"ingest,omitempty"`
 	// Cost is the job's LLM cost attribution from the audit ledger,
 	// attached when the job settles (nil when no ledger is configured).
@@ -186,9 +177,9 @@ var (
 	// ErrNotDone is returned when a report is requested for a job that
 	// has not completed successfully.
 	ErrNotDone = errors.New("jobs: job has not completed")
-	// ErrStreamBusy is returned by SubmitStream when the in-flight
-	// streaming-buffer budget is exhausted; the HTTP layer maps it to
-	// 429 with a Retry-After hint.
+	// ErrStreamBusy is returned by Submit and SubmitStream when the
+	// in-flight ingest buffer budget is exhausted; the HTTP layer maps
+	// it to 429 with a Retry-After hint.
 	ErrStreamBusy = errors.New("jobs: streaming buffer budget exhausted")
 )
 

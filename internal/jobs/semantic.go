@@ -65,7 +65,7 @@ func (s *Service) lookup(ctx context.Context, id string, sig semcache.Signature)
 func (s *Service) report(ctx context.Context, id string, out *extractor.Output, m semcache.Match, near bool) (State, quality.Mode, *ion.Report, error) {
 	logger := obs.LoggerFrom(ctx)
 	if near && m.Similarity >= s.cfg.SemReuseThreshold {
-		rep, err := s.serveFromNeighbor(id, m.Entry.JobID)
+		rep, err := s.serveFromNeighbor(id, m.Entry.JobID, out)
 		if err == nil {
 			return StateReused, quality.ModeVerbatim, rep, nil
 		}
@@ -133,14 +133,15 @@ func (s *Service) noteReuse(ctx context.Context, mode quality.Mode, m semcache.M
 }
 
 // serveFromNeighbor copies the nearest neighbor's report onto this job.
-// The report is re-labeled with this job's trace name; everything else
-// (diagnoses, summary, model) carries over.
-func (s *Service) serveFromNeighbor(id, from string) (*ion.Report, error) {
+// The report takes this job's trace name and the header of its own
+// extraction; the diagnoses and the summary (and the model that wrote
+// them) carry over.
+func (s *Service) serveFromNeighbor(id, from string, out *extractor.Output) (*ion.Report, error) {
 	rep, err := s.store.Report(from)
 	if err != nil {
 		return nil, fmt.Errorf("loading neighbor report: %w", err)
 	}
-	rep.Trace = s.snapshotName(id)
+	rep.Trace, rep.Header = s.snapshotName(id), out.Header
 	if err := s.store.PutReport(id, rep); err != nil {
 		return nil, fmt.Errorf("persisting reused report: %w", err)
 	}

@@ -1,13 +1,16 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ion/internal/darshan"
 	"ion/internal/eval"
 	"ion/internal/expertsim"
 	"ion/internal/llm"
@@ -169,6 +172,54 @@ func TestSemanticReuseLadder(t *testing.T) {
 	ss := sem.Stats()
 	if ss.Hits != 1 || ss.Misses < 2 {
 		t.Errorf("store stats = %+v, want 1 hit and >=2 misses", ss)
+	}
+}
+
+// TestReusedReportTakesItsOwnHeader: a report served verbatim from a
+// neighbour carries this trace's header and name; only the diagnoses
+// and the summary come from the neighbour.
+func TestReusedReportTakesItsOwnHeader(t *testing.T) {
+	svc := openService(t, Config{Workers: 1, SemCache: openSemStore(t, semcache.Options{})})
+	withJobID := func(jobID int64) []byte {
+		// Decode a private copy: the generated log is shared between tests.
+		log, err := darshan.ReadBinary(bytes.NewReader(traceBytes(t, "ior-hard")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		log.Header.JobID = jobID
+		var buf bytes.Buffer
+		if err := log.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	j1, _, err := svc.Submit("ior-hard-1111", withJobID(1111))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitDone(t, svc, j1.ID); got.State != StateDone {
+		t.Fatalf("first job: state %s (%s), want done", got.State, got.Error)
+	}
+	j2, _, err := svc.Submit("ior-hard-2222", withJobID(2222))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitDone(t, svc, j2.ID); got.State != StateReused {
+		t.Fatalf("second job: state %s (%s), want reused", got.State, got.Error)
+	}
+	r1, err := svc.Report(j1.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := svc.Report(j2.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r2.Header.JobID != 2222 || r2.Trace != "ior-hard-2222" {
+		t.Errorf("reused report: job id %d, trace %q; want 2222 and its own name", r2.Header.JobID, r2.Trace)
+	}
+	if !reflect.DeepEqual(r2.Diagnoses, r1.Diagnoses) || r2.Summary != r1.Summary {
+		t.Error("reused report's diagnoses or summary differ from its neighbour's")
 	}
 }
 

@@ -1,10 +1,8 @@
 package jobs
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -55,13 +53,16 @@ type Config struct {
 	// per retry with ±50% jitter up to maxRetryDelay; 0 means the
 	// default (500ms).
 	RetryDelay time.Duration
-	// ParseWorkers bounds the shard count when parsing trace text in
-	// parallel (both the whole-body and streaming paths); 0 or negative
-	// means GOMAXPROCS.
+	// ParseWorkers bounds how many segments of one trace parse at once,
+	// and a body of known length is cut into that many segments; 0 or
+	// negative means GOMAXPROCS.
 	ParseWorkers int
-	// StreamMaxBuffer bounds the total bytes buffered across all
-	// in-flight streaming uploads; SubmitStream sheds load with
-	// ErrStreamBusy beyond it. 0 means the default (256 MiB).
+	// StreamMaxBuffer bounds the total trace bytes held by in-flight
+	// ingests: every upload, whichever route or method it came by, and
+	// a worker's re-read of a stored trace. An upload that would pass it
+	// is refused with ErrStreamBusy; a re-read is charged but never
+	// refused. 0 means the default (256 MiB); negative disables the
+	// bound.
 	StreamMaxBuffer int64
 	// SemCache, when non-nil, enables semantic reuse: after the
 	// exact-hash dedup misses, a completed diagnosis whose counter
@@ -187,14 +188,14 @@ type Service struct {
 	shadowWG     sync.WaitGroup
 	shadowSkips  *obs.Counter
 
-	// Parse/stream instrumentation (see registerMetrics).
+	// Ingest instrumentation (see registerMetrics).
 	parseShards    *obs.Counter
 	parseMBps      *obs.Gauge
 	streamSubs     *obs.Counter
 	streamBytes    *obs.Counter
 	streamStalls   *obs.Counter
 	streamRejected *obs.Counter
-	streamInflight atomic.Int64 // bytes reserved by in-flight streams
+	streamInflight atomic.Int64 // bytes reserved by in-flight ingests
 
 	mu      sync.Mutex
 	done    map[string]chan struct{} // unsettled jobs; closed and dropped when the job settles
@@ -211,7 +212,7 @@ type Service struct {
 	submitted, completed, failed, retried, cacheHits, recovered int64
 }
 
-// defaultStreamMaxBuffer bounds in-flight streaming-upload memory.
+// defaultStreamMaxBuffer bounds in-flight ingest memory.
 const defaultStreamMaxBuffer = 256 << 20
 
 // maxRetryDelay caps the retry backoff.
@@ -228,8 +229,7 @@ const maxParked = 8
 type parsedTrace struct {
 	log *darshan.Log
 	// tracer holds the parse span and its parse_shard children; the
-	// worker records the job's spans in it too. nil for a streamed
-	// upload, whose parse overlapped the upload and is not timed.
+	// worker records the job's spans in it too.
 	tracer *obs.Tracer
 }
 
@@ -366,20 +366,20 @@ func (s *Service) registerMetrics() {
 		stat(func(st Stats) float64 { return st.QueueUtilization() }))
 
 	s.parseShards = s.obs.Counter("ion_parse_shards_total",
-		"Trace-parse shards dispatched to the parallel parser.")
+		"Trace-parse segments dispatched to the parse pool.")
 	s.parseMBps = s.obs.Gauge("ion_parse_mb_per_s",
 		"Throughput of the most recent trace parse, in MB/s.")
 	s.obs.GaugeFunc("ion_parse_workers", "Configured parse-shard concurrency bound.",
 		func() float64 { return float64(s.cfg.ParseWorkers) })
 	s.streamSubs = s.obs.Counter("ion_stream_submissions_total",
-		"Streaming uploads accepted for incremental parsing.")
+		"Uploads read by the streaming ingest, whichever submit route or method they came by.")
 	s.streamBytes = s.obs.Counter("ion_stream_bytes_total",
-		"Body bytes received over the streaming ingestion path.")
+		"Trace bytes read by the streaming ingest: uploads, and stored traces a worker re-reads.")
 	s.streamStalls = s.obs.Counter("ion_stream_backpressure_total",
-		"Times a streaming upload blocked waiting for a parse worker.")
+		"Times an ingest blocked waiting for a parse worker.")
 	s.streamRejected = s.obs.Counter("ion_stream_rejected_total",
-		"Streaming uploads shed because the buffer budget was exhausted.")
-	s.obs.GaugeFunc("ion_stream_inflight_bytes", "Bytes currently reserved by in-flight streaming uploads.",
+		"Uploads shed because the ingest buffer budget was exhausted.")
+	s.obs.GaugeFunc("ion_stream_inflight_bytes", "Bytes currently reserved by in-flight ingests.",
 		func() float64 { return float64(s.streamInflight.Load()) })
 
 	if s.sem != nil {
@@ -441,42 +441,67 @@ func (s *Service) Draining() bool {
 	return s.closed
 }
 
-// Submit accepts a Darshan trace (binary container or darshan-parser
-// text) for analysis. name is a display label. The returned bool is
-// true when the submission was answered from the dedup cache — an
-// identical trace was already submitted — in which case the returned
-// job is the cached one. Returns ErrQueueFull when the queue is at
-// capacity, ErrBadTrace when the bytes do not parse, ErrClosed after
-// shutdown has begun.
+// admit runs the second half of a submission: the dedup lookup, queue
+// admission, the trace write and the job record. pre is the
+// submission's parse, parked for the job's worker unless the park is
+// full. Dedup hits and refusals write and park nothing.
 //
-// The parse that validates the trace is the job's only one: its log
-// (and its parse spans) wait for the worker that runs the job.
-func (s *Service) Submit(name string, trace []byte) (Job, bool, error) {
-	tracer := obs.NewTracer()
-	ctx, span := obs.StartSpan(obs.WithTracer(context.Background(), tracer), "parse")
-	log, shards, err := s.parseTrace(ctx, trace)
-	span.SetError(err)
-	span.End()
-	if err != nil {
+// The trace is written outside s.mu, so Stats, Wait and the workers'
+// updates never wait on it. Admission is checked before the write and
+// again after it, because an identical upload may have been admitted,
+// the queue filled or Close begun in between; then the trace just
+// written is removed. A crash between the write and the record leaves
+// a trace without a record, which Open's sweep removes.
+func (s *Service) admit(name string, b body, pre parsedTrace) (Job, bool, error) {
+	if name == "" {
+		name = "trace-" + b.hash[:8]
+	}
+	s.mu.Lock()
+	j, dedup, err := s.screen(name, b.hash)
+	s.mu.Unlock()
+	if dedup || err != nil {
+		return j, dedup, err
+	}
+	id := newID()
+	if err := s.store.PutTrace(id, b.data); err != nil {
 		return Job{}, false, err
 	}
-	sum := sha256.Sum256(trace)
-	ingest := &Ingest{Mode: IngestBody, Bytes: int64(len(trace)), Shards: shards}
-	return s.admit(name, hex.EncodeToString(sum[:]), trace, ingest, parsedTrace{log: log, tracer: tracer})
+	s.mu.Lock()
+	if j, dedup, err := s.screen(name, b.hash); dedup || err != nil {
+		s.mu.Unlock()
+		s.store.removeInputs(id)
+		return j, dedup, err
+	}
+	defer s.mu.Unlock()
+	in := b.ingest
+	j = Job{
+		ID:          id,
+		Trace:       name,
+		Hash:        b.hash,
+		State:       StateQueued,
+		Ingest:      &in,
+		SubmittedAt: time.Now().UTC(),
+	}
+	s.put(j)
+	s.done[id] = make(chan struct{})
+	s.byHash[b.hash] = id
+	s.submitted++
+	if len(s.parked) < maxParked {
+		s.parked[id] = pre
+	}
+	// screen saw fewer than QueueDepth jobs queued under mu, and workers
+	// only drain the queue, so the send cannot block.
+	s.queue <- id
+	s.log.Info("job submitted", "job", id, "trace", name, "hash", b.hash[:12],
+		"bytes", in.Bytes, "shards", in.Shards, "parse_overlapped", in.ParseOverlapped,
+		"queue_depth", len(s.queue))
+	return j, false, nil
 }
 
-// admit runs the post-validation half of a submission — dedup lookup,
-// queue admission, persistence, enqueue — shared by the whole-body and
-// streaming paths. hash is the hex SHA-256 of trace; pre is the
-// submission's parse, parked for the job's worker unless the park is
-// full. Dedup hits and refusals park nothing.
-func (s *Service) admit(name, hash string, trace []byte, ingest *Ingest, pre parsedTrace) (Job, bool, error) {
-	if name == "" {
-		name = "trace-" + hash[:8]
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// screen is admit's check, under s.mu: ErrClosed once Close has begun,
+// the earlier job on a dedup hit (counted), or ErrQueueFull when the
+// queue is at capacity.
+func (s *Service) screen(name, hash string) (Job, bool, error) {
 	if s.closed {
 		return Job{}, false, ErrClosed
 	}
@@ -489,33 +514,10 @@ func (s *Service) admit(name, hash string, trace []byte, ingest *Ingest, pre par
 			return j, true, nil
 		}
 	}
-	// The queue holds fewer than QueueDepth jobs under mu, and workers
-	// only drain it, so the send below cannot block.
 	if len(s.queue) >= s.cfg.QueueDepth {
 		return Job{}, false, ErrQueueFull
 	}
-	j := Job{
-		ID:          newID(),
-		Trace:       name,
-		Hash:        hash,
-		State:       StateQueued,
-		Ingest:      ingest,
-		SubmittedAt: time.Now().UTC(),
-	}
-	if err := s.store.PutTrace(j.ID, trace); err != nil {
-		return Job{}, false, err
-	}
-	s.put(j)
-	s.done[j.ID] = make(chan struct{})
-	s.byHash[hash] = j.ID
-	s.submitted++
-	if len(s.parked) < maxParked {
-		s.parked[j.ID] = pre
-	}
-	s.queue <- j.ID
-	s.log.Info("job submitted", "job", j.ID, "trace", name, "hash", hash[:12],
-		"queue_depth", len(s.queue))
-	return j, false, nil
+	return Job{}, false, nil
 }
 
 // Get returns a snapshot of one job.
@@ -717,13 +719,9 @@ func (s *Service) run(id string) {
 	// The submission's parse spans join the job's tree. They end before
 	// the job span starts, so it still measures the run alone.
 	root.AdoptRoots()
-	if pre.log != nil && pre.tracer == nil {
-		root.Annotate("parse", "streamed")
-		logger.Info("using parse from streamed ingestion", "hash", hash[:12])
-	}
 
 	var res outcome
-	if out, err := s.tables(ctx, id, pre.log); err != nil {
+	if out, err := s.tables(ctx, id, hash, pre.log); err != nil {
 		logger.Error("job unrunnable", "err", err)
 		res = outcome{state: StateFailed, cause: err}
 	} else {
@@ -749,21 +747,24 @@ func (s *Service) run(id string) {
 
 // tables runs the ingest and extract stages. A job whose submission
 // parse was not parked (recovered, or admitted while the park was
-// full) parses its stored trace; the log's tables are then extracted
-// into the job's own work directory.
-func (s *Service) tables(ctx context.Context, id string, log *darshan.Log) (*extractor.Output, error) {
+// full) reads its stored trace through ingest, which must hash to the
+// job's hash; the log's tables are then extracted into the job's own
+// work directory.
+func (s *Service) tables(ctx context.Context, id, hash string, log *darshan.Log) (*extractor.Output, error) {
 	if log == nil {
-		trace, err := s.store.Trace(id)
+		f, size, err := s.store.Trace(id)
 		if err != nil {
 			return nil, err
 		}
-		pctx, span := obs.StartSpan(ctx, "parse")
-		log, _, err = s.parseTrace(pctx, trace)
-		span.SetError(err)
-		span.End()
+		b, err := s.ingest(ctx, f, size, false)
+		f.Close()
 		if err != nil {
 			return nil, err
 		}
+		if b.hash != hash {
+			return nil, fmt.Errorf("jobs: stored trace of %s does not match its hash", id)
+		}
+		log = b.log
 	}
 	ectx, span := obs.StartSpan(ctx, "extract")
 	out, err := extractor.ExtractToDirContext(ectx, log, s.store.WorkDir(id))
@@ -971,71 +972,6 @@ func backoff(base, max time.Duration, attempt int) time.Duration {
 	}
 	// Jitter in [d/2, 3d/2) de-synchronizes retry storms.
 	return d/2 + time.Duration(mathrand.Int63n(int64(d)+1))
-}
-
-// parseTrace decodes trace bytes as a Darshan log (see parseTraceOpts)
-// with the shard concurrency bounded by Config.ParseWorkers, per-shard
-// spans and throughput metrics. It also returns how many shards a text
-// parse used (0 for a binary container).
-func (s *Service) parseTrace(ctx context.Context, data []byte) (*darshan.Log, int, error) {
-	var shards atomic.Int32
-	hook := s.shardHook(ctx)
-	opts := darshan.ParallelOptions{
-		Workers: s.cfg.ParseWorkers,
-		OnShard: func(shard int, chunk []byte) func(error) {
-			shards.Add(1)
-			return hook(shard, chunk)
-		},
-	}
-	start := time.Now()
-	log, err := parseTraceOpts(data, opts)
-	if err == nil {
-		s.recordParseRate(int64(len(data)), time.Since(start))
-	}
-	return log, int(shards.Load()), err
-}
-
-// shardHook returns a ParallelOptions.OnShard callback that opens one
-// span per parse shard under ctx and counts shards. Safe under
-// concurrent shard starts; no-op spans when ctx has no tracer.
-func (s *Service) shardHook(ctx context.Context) func(int, []byte) func(error) {
-	return func(shard int, chunk []byte) func(error) {
-		s.parseShards.Inc()
-		_, span := obs.StartSpan(ctx, "parse_shard",
-			obs.L("shard", strconv.Itoa(shard)),
-			obs.L("bytes", strconv.Itoa(len(chunk))))
-		return func(err error) {
-			span.SetError(err)
-			span.End()
-		}
-	}
-}
-
-// recordParseRate publishes the most recent parse throughput.
-func (s *Service) recordParseRate(bytes int64, elapsed time.Duration) {
-	if secs := elapsed.Seconds(); secs > 0 {
-		s.parseMBps.Set(float64(bytes) / 1e6 / secs)
-	}
-}
-
-// parseTraceOpts decodes trace bytes as a Darshan log, accepting the
-// binary container format and falling back to sharded text parsing.
-func parseTraceOpts(data []byte, opts darshan.ParallelOptions) (*darshan.Log, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: empty body", ErrBadTrace)
-	}
-	log, binErr := darshan.ReadBinary(bytes.NewReader(data))
-	if binErr != nil {
-		var txtErr error
-		log, txtErr = darshan.ParseTextParallelOpts(data, opts)
-		if txtErr != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadTrace, txtErr)
-		}
-	}
-	if len(log.Modules) == 0 && len(log.DXT) == 0 {
-		return nil, fmt.Errorf("%w: no module records", ErrBadTrace)
-	}
-	return log, nil
 }
 
 // newID returns a fresh job id: "j-" + 12 random hex chars.

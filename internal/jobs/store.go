@@ -82,9 +82,25 @@ func (s *Store) PutTrace(id string, data []byte) error {
 	return s.write("traces", id, ".darshan", data)
 }
 
-// Trace reads back the submitted trace bytes for a job.
-func (s *Store) Trace(id string) ([]byte, error) {
-	return s.read("traces", id, ".darshan")
+// Trace opens the submitted trace of a job for reading and returns its
+// size. The caller closes the file.
+func (s *Store) Trace(id string) (*os.File, int64, error) {
+	if err := validID(id); err != nil {
+		return nil, 0, err
+	}
+	f, err := os.Open(filepath.Join(s.dir, "traces", id+".darshan"))
+	if os.IsNotExist(err) {
+		return nil, 0, ErrNotFound
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("jobs: %w", err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, fmt.Errorf("jobs: %w", err)
+	}
+	return f, fi.Size(), nil
 }
 
 // PutReport persists a finished report.

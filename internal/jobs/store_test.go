@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -50,7 +51,7 @@ func TestStoreGetJobNotFound(t *testing.T) {
 		t.Errorf("missing job error = %v, want ErrNotFound", err)
 	}
 	st := svc.Store()
-	if _, err := st.Trace("j-aaaaaaaaaaaa"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := st.Trace("j-aaaaaaaaaaaa"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing trace error = %v, want ErrNotFound", err)
 	}
 	if _, err := st.Report("j-aaaaaaaaaaaa"); !errors.Is(err, ErrNotFound) {
@@ -117,12 +118,17 @@ func TestStoreTraceAndReportRoundTrip(t *testing.T) {
 	if err := st.PutTrace(id, []byte("trace bytes")); err != nil {
 		t.Fatal(err)
 	}
-	data, err := st.Trace(id)
+	f, size, err := st.Trace(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(data) != "trace bytes" {
-		t.Errorf("trace round-trip = %q", data)
+	data, err := io.ReadAll(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != "trace bytes" || size != int64(len(data)) {
+		t.Errorf("trace round-trip = %q (size %d)", data, size)
 	}
 
 	rep := &ion.Report{

@@ -6,59 +6,109 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"ion/internal/darshan"
+	"ion/internal/obs"
 )
 
-// SubmitStream accepts a Darshan trace as a byte stream (typically a
-// chunked-transfer POST body). darshan-parser text is parsed
-// incrementally while it uploads: completed segments are cut at line
-// boundaries and handed to the parse pool, so by the time the last
-// byte arrives most of the trace is already parsed, and the worker
-// running the job skips the parse stage entirely.
+// Submit accepts a Darshan trace held in memory; it is SubmitStream
+// over the bytes, whose length sizes the parse segments.
+func (s *Service) Submit(name string, trace []byte) (Job, bool, error) {
+	return s.SubmitStream(name, bytes.NewReader(trace))
+}
+
+// SubmitStream accepts a Darshan trace (binary container or
+// darshan-parser text) as it arrives, read once by ingest: text is
+// parsed segment by segment during the read, so by the time the last
+// byte arrives most of the trace is already parsed. When r reports its
+// length up front through a Len method, as *bytes.Reader and the HTTP
+// layer's bodies do, the length sizes the segments. name is a display
+// label.
 //
-// A body that starts with the binary container's magic is one gzip
-// stream that decodes only whole: it is buffered as it arrives (hashed
-// and charged to the buffer budget like text) and decoded once after
-// the last byte, whatever its size. Either way the job gets the same
-// log, and so the same report, as the same bytes sent to Submit.
-//
-// The content hash is computed incrementally over the same bytes, so
-// dedup and semantic-cache keying behave exactly as with Submit.
-// Returns ErrStreamBusy when the service-wide streaming buffer budget
+// The returned bool is true when an identical trace (same content
+// hash) was already submitted, in which case the returned job is the
+// earlier one. Returns ErrStreamBusy when the buffer budget
 // (Config.StreamMaxBuffer) is exhausted — the HTTP layer maps it to
-// 429 + Retry-After — and otherwise the same results and errors as
-// Submit.
+// 429 + Retry-After — ErrQueueFull when the queue is at capacity,
+// ErrBadTrace when the bytes do not parse, and ErrClosed after shutdown
+// has begun.
+//
+// The parse is the job's only one: its log and its parse spans wait
+// for the worker that runs the job.
 func (s *Service) SubmitStream(name string, r io.Reader) (Job, bool, error) {
 	if s.Draining() {
 		return Job{}, false, ErrClosed
 	}
 	s.streamSubs.Inc()
+	size := int64(-1)
+	if l, ok := r.(interface{ Len() int }); ok {
+		size = int64(l.Len())
+	}
+	tracer := obs.NewTracer()
+	b, err := s.ingest(obs.WithTracer(context.Background(), tracer), r, size, true)
+	if err != nil {
+		if errors.Is(err, ErrStreamBusy) {
+			s.log.Warn("upload shed: buffer budget exhausted",
+				"trace", name, "inflight_bytes", s.streamInflight.Load())
+		}
+		return Job{}, false, err
+	}
+	return s.admit(name, b, parsedTrace{log: b.log, tracer: tracer})
+}
 
+// body is a trace as ingest read it.
+type body struct {
+	log    *darshan.Log
+	data   []byte // the bytes read, for the store
+	hash   string // hex SHA-256 of data
+	ingest Ingest
+}
+
+// ingest is the one way trace bytes become a parsed log, for every
+// submission and for a worker's re-read of a stored trace. One pass
+// over r sniffs the binary magic, hashes the bytes, charges them to the
+// buffer budget and hands darshan-parser text to a stream parser, whose
+// segments parse while the rest is still being read. A binary
+// container is one gzip stream that decodes only whole: it is buffered
+// and decoded after the last byte. size is the body's length, or -1
+// when unknown; it sizes the segments (see segmentBytes).
+//
+// The parse span, with one parse_shard child per segment, goes to
+// ctx's tracer. It ends when the merged log is ready, so for a body
+// arriving over the network it covers the transfer as well. A
+// submission (shed) that would take the budget past
+// Config.StreamMaxBuffer is refused with ErrStreamBusy; a stored
+// trace's re-read is charged but never refused, since its job is
+// already admitted.
+func (s *Service) ingest(ctx context.Context, r io.Reader, size int64, shed bool) (b body, err error) {
+	ctx, span := obs.StartSpan(ctx, "parse")
+	defer func() {
+		span.SetError(err)
+		span.End()
+	}()
 	br := bufio.NewReader(r)
 	var (
 		sp   *darshan.StreamParser // text bodies; nil for a binary container
-		body bytes.Buffer          // a binary container's bytes
-		sink io.Writer             = &body
+		bin  bytes.Buffer          // a binary container's bytes
+		sink io.Writer             = &bin
 	)
 	if !darshan.IsBinary(br) {
 		sp = darshan.NewStreamParser(darshan.StreamOptions{
 			Workers:        s.cfg.ParseWorkers,
-			OnShard:        s.shardHook(context.Background()),
-			OnBackpressure: func() { s.streamStalls.Inc() },
+			ChunkBytes:     s.segmentBytes(size),
+			OnShard:        s.shardHook(ctx),
+			OnBackpressure: s.streamStalls.Inc,
 		})
 		sink = sp
 	}
 	hasher := sha256.New()
 	var reserved int64
-	defer func() {
-		if reserved > 0 {
-			s.streamInflight.Add(-reserved)
-		}
-	}()
+	defer func() { s.streamInflight.Add(-reserved) }()
 
 	buf := make([]byte, 64<<10)
 	start := time.Now()
@@ -66,20 +116,18 @@ func (s *Service) SubmitStream(name string, r io.Reader) (Job, bool, error) {
 	for {
 		n, err := br.Read(buf)
 		if n > 0 {
-			if !s.reserveStream(int64(n)) {
+			if !s.reserveStream(int64(n), shed) {
 				s.streamRejected.Inc()
 				if sp != nil {
 					sp.Finish() // drain the pool; the body is abandoned
 				}
-				s.log.Warn("streaming upload shed: buffer budget exhausted",
-					"trace", name, "inflight_bytes", s.streamInflight.Load())
-				return Job{}, false, ErrStreamBusy
+				return body{}, ErrStreamBusy
 			}
 			reserved += int64(n)
 			s.streamBytes.Add(float64(n))
 			hasher.Write(buf[:n])
 			if _, werr := sink.Write(buf[:n]); werr != nil {
-				// A line is too long to parse; stop uploading. Finish
+				// A line is too long to parse; stop reading. Finish
 				// below reports the canonical positioned error.
 				break
 			}
@@ -93,56 +141,62 @@ func (s *Service) SubmitStream(name string, r io.Reader) (Job, bool, error) {
 		}
 	}
 
-	var (
-		log  *darshan.Log
-		data []byte
-		perr error
-	)
+	var perr error
 	if sp != nil {
-		log, data, perr = sp.Finish()
+		b.log, b.data, perr = sp.Finish()
+		b.ingest.Shards, b.ingest.ParseOverlapped = sp.Shards(), sp.EarlyShards() > 0
 	} else {
-		data = body.Bytes()
+		b.data = bin.Bytes()
 		if readErr == nil {
-			log, perr = darshan.ReadBinary(bytes.NewReader(data))
+			b.log, perr = darshan.ReadBinary(bytes.NewReader(b.data))
 		}
 	}
-	if perr == nil && readErr == nil {
-		// For text, upload and parse overlapped, so this is end-to-end
-		// ingest throughput: bytes from first read to merged log.
-		s.recordParseRate(int64(len(data)), time.Since(start))
+	switch {
+	case readErr != nil:
+		return body{}, fmt.Errorf("jobs: reading stream: %w", readErr)
+	case len(b.data) == 0:
+		return body{}, fmt.Errorf("%w: empty body", ErrBadTrace)
+	case perr != nil:
+		return body{}, fmt.Errorf("%w: %v", ErrBadTrace, perr)
+	case len(b.log.Modules) == 0 && len(b.log.DXT) == 0:
+		return body{}, fmt.Errorf("%w: no module records", ErrBadTrace)
 	}
-	if readErr != nil {
-		return Job{}, false, fmt.Errorf("jobs: reading stream: %w", readErr)
-	}
-	if len(data) == 0 {
-		return Job{}, false, fmt.Errorf("%w: empty body", ErrBadTrace)
-	}
-	if perr != nil {
-		return Job{}, false, fmt.Errorf("%w: %v", ErrBadTrace, perr)
-	}
-	if len(log.Modules) == 0 && len(log.DXT) == 0 {
-		return Job{}, false, fmt.Errorf("%w: no module records", ErrBadTrace)
-	}
-
-	hash := hex.EncodeToString(hasher.Sum(nil))
-	ingest := &Ingest{Mode: IngestStream, Bytes: int64(len(data))}
-	if sp != nil {
-		ingest.Shards, ingest.ParseOverlapped = sp.Shards(), sp.EarlyShards() > 0
-	}
-	job, dedup, err := s.admit(name, hash, data, ingest, parsedTrace{log: log})
-	if err == nil && !dedup {
-		s.log.Info("streamed submission admitted",
-			"job", job.ID, "shards", ingest.Shards, "parse_overlapped", ingest.ParseOverlapped,
-			"bytes", len(data))
-	}
-	return job, dedup, err
+	// Reading and parsing overlap, so this is end-to-end ingest
+	// throughput: bytes from the first read to the merged log.
+	s.recordParseRate(int64(len(b.data)), time.Since(start))
+	b.hash = hex.EncodeToString(hasher.Sum(nil))
+	b.ingest.Bytes = int64(len(b.data))
+	return b, nil
 }
 
-// reserveStream takes n bytes from the streaming buffer budget,
-// refusing when the budget would be exceeded. A negative budget
-// disables the bound.
-func (s *Service) reserveStream(n int64) bool {
-	if s.cfg.StreamMaxBuffer < 0 {
+// Segment bounds for a body of known length; see segmentBytes.
+const (
+	minSegment = 256 << 10
+	maxSegment = 1 << 20
+	// segmentSlack leaves room in each segment for the partial line
+	// its cut carries into the next, so a body splits into
+	// ParseWorkers segments, not one more holding its last few bytes.
+	segmentSlack = 4 << 10
+)
+
+// segmentBytes sizes the stream parser's segments. A body of known
+// length gets one segment per parse worker, clamped to [256 KiB,
+// 1 MiB], so no body parses in fewer shards than ParseTextParallel
+// cuts it into; a body of unknown length (-1) gets 1 MiB segments.
+func (s *Service) segmentBytes(size int64) int {
+	if size < 0 {
+		return maxSegment
+	}
+	n := size/int64(s.cfg.ParseWorkers) + segmentSlack
+	return int(min(max(n, minSegment), maxSegment))
+}
+
+// reserveStream charges n bytes to the buffer budget. It refuses a
+// submission (shed) the budget cannot take, and charges anything else
+// regardless. A negative budget disables the bound.
+func (s *Service) reserveStream(n int64, shed bool) bool {
+	if !shed || s.cfg.StreamMaxBuffer < 0 {
+		s.streamInflight.Add(n)
 		return true
 	}
 	for {
@@ -153,5 +207,28 @@ func (s *Service) reserveStream(n int64) bool {
 		if s.streamInflight.CompareAndSwap(cur, cur+n) {
 			return true
 		}
+	}
+}
+
+// shardHook returns a StreamOptions.OnShard callback that opens one
+// span per parse shard under ctx and counts shards. Safe under
+// concurrent shard starts; no-op spans when ctx has no tracer.
+func (s *Service) shardHook(ctx context.Context) func(int, []byte) func(error) {
+	return func(shard int, chunk []byte) func(error) {
+		s.parseShards.Inc()
+		_, span := obs.StartSpan(ctx, "parse_shard",
+			obs.L("shard", strconv.Itoa(shard)),
+			obs.L("bytes", strconv.Itoa(len(chunk))))
+		return func(err error) {
+			span.SetError(err)
+			span.End()
+		}
+	}
+}
+
+// recordParseRate publishes the most recent parse throughput.
+func (s *Service) recordParseRate(bytes int64, elapsed time.Duration) {
+	if secs := elapsed.Seconds(); secs > 0 {
+		s.parseMBps.Set(float64(bytes) / 1e6 / secs)
 	}
 }

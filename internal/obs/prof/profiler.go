@@ -163,11 +163,13 @@ func New(opts Options) (*Profiler, error) {
 			return 0
 		})
 
-	// A restarted process resumes its diff state from the replayed
-	// journal, so the first new window diffs against history instead of
-	// an empty baseline.
+	// A restarted process shows the newest replayed window's shares but
+	// publishes no deltas for it: that window was diffed by the process
+	// that captured it, and its deltas would go stale here until the
+	// next window. The first new window diffs against the replayed
+	// history.
 	if w, ok := p.store.Latest(KindCPU); ok {
-		p.refreshDiff(w)
+		p.refreshDiff(w, false)
 		p.mu.Lock()
 		p.lastWindow, p.lastCPU = w.End, w.End
 		p.mu.Unlock()
@@ -376,23 +378,25 @@ func (p *Profiler) AddWindow(w Window) error {
 	}
 	p.mu.Unlock()
 	if w.Kind == KindCPU {
-		p.refreshDiff(w)
+		p.refreshDiff(w, true)
 	}
 	return nil
 }
 
 // refreshDiff recomputes the hot-function table for the given (latest)
-// CPU window against the trailing baseline and re-exports the
-// per-function share/delta gauges, zeroing functions that dropped out
-// so stale series decay instead of lying.
-func (p *Profiler) refreshDiff(latest Window) {
+// CPU window and re-exports the per-function share/delta gauges,
+// zeroing functions that dropped out so stale series decay instead of
+// lying. With diff, deltas are taken against the trailing baseline;
+// without, every delta is zero, as for a first window.
+func (p *Profiler) refreshDiff(latest Window, diff bool) {
 	// Baseline: the mean flat share per function over the trailing
 	// windows (excluding the latest itself).
-	trailing := p.store.Windows(KindCPU, p.opts.BaselineWindows+1)
 	var baseline []Window
-	for _, w := range trailing {
-		if w.ID != latest.ID {
-			baseline = append(baseline, w)
+	if diff {
+		for _, w := range p.store.Windows(KindCPU, p.opts.BaselineWindows+1) {
+			if w.ID != latest.ID {
+				baseline = append(baseline, w)
+			}
 		}
 	}
 	base := map[string]float64{}

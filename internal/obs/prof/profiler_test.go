@@ -287,6 +287,51 @@ func TestProfilerResumesBaselineFromJournal(t *testing.T) {
 	}
 }
 
+// TestProfilerRestartPublishesNoStaleDelta: the newest replayed window
+// was diffed by the process that captured it. Reopened over a store
+// whose newest window gives one function the whole CPU share, over a
+// baseline where it had none, a profiler publishes no delta for that
+// window, so the default hot-function rule stays ok with no new
+// traffic. The first window it captures still diffs against the
+// replayed baseline.
+func TestProfilerRestartPublishesNoStaleDelta(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "windows.jsonl")
+	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
+	st, err := OpenStore(StoreOptions{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, _ := newTestProfiler(t, Options{Store: st})
+	for i := 0; i < 5; i++ {
+		p1.AddWindow(syntheticCPUWindow(i, base.Add(time.Duration(i)*time.Minute),
+			map[string]float64{"ion.Serve": 1}))
+	}
+	p1.AddWindow(syntheticCPUWindow(5, base.Add(5*time.Minute), map[string]float64{"ion.Idle": 1}))
+	st.Close()
+
+	st2, err := OpenStore(StoreOptions{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	p2, reg := newTestProfiler(t, Options{Store: st2})
+	if v, _ := gatherValue(t, reg, "ion_prof_max_share_delta", nil); v != 0 {
+		t.Fatalf("ion_prof_max_share_delta after a restart = %v, want 0", v)
+	}
+	ss := series.New(reg, series.Options{Interval: time.Second, Rules: series.DefaultRules()})
+	ss.Scrape(base.Add(6 * time.Minute))
+	for _, a := range ss.Alerts() {
+		if a.Rule.Name == "HotFunctionRegression" && a.State != series.StateOK {
+			t.Fatalf("HotFunctionRegression = %q (value %v) after a restart with no traffic, want ok", a.State, a.Value)
+		}
+	}
+
+	p2.AddWindow(syntheticCPUWindow(6, base.Add(7*time.Minute), map[string]float64{"ion.Idle": 1}))
+	if v, _ := gatherValue(t, reg, "ion_prof_max_share_delta", nil); v < 0.5 {
+		t.Fatalf("first new window's max delta = %v, want it diffed against the replayed baseline", v)
+	}
+}
+
 // TestProfilerStartStop exercises the real loop briefly with a tiny
 // interval and makes sure Stop interrupts an in-flight window.
 func TestProfilerStartStop(t *testing.T) {

@@ -1,0 +1,176 @@
+package webui
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"testing"
+	"time"
+
+	"ion/internal/expertsim"
+	"ion/internal/jobs"
+	"ion/internal/obs"
+	"ion/internal/testutil"
+)
+
+// paddedText renders a workload as darshan-parser text, padded with
+// metadata comments to at least minBytes.
+func paddedText(t *testing.T, workload string, minBytes int) []byte {
+	t.Helper()
+	log, err := testutil.Log(workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := log.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.WriteDXTText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; buf.Len() < minBytes; i++ {
+		fmt.Fprintf(&buf, "# metadata: pad_%d = %d\n", i, i)
+	}
+	return buf.Bytes()
+}
+
+// pacedReader hands out its body 64 KiB per Read, a millisecond apart,
+// the way an upload arrives over a network. It has no Len, so a POST
+// of it goes out chunked.
+type pacedReader struct{ r io.Reader }
+
+func (p pacedReader) Read(b []byte) (int, error) {
+	time.Sleep(time.Millisecond)
+	if len(b) > 64<<10 {
+		b = b[:64<<10]
+	}
+	return p.r.Read(b)
+}
+
+// TestSubmitEndpointBudget: POST /api/jobs charges its body to the
+// ingest buffer budget, as the stream route does. Past a 1 MiB budget
+// a 2 MB text body answers 429 with Retry-After; a 0.5 MB body is
+// accepted.
+func TestSubmitEndpointBudget(t *testing.T) {
+	srv, _ := jobServer(t, jobs.Config{Paused: true, StreamMaxBuffer: 1 << 20})
+	resp, err := http.Post(srv.URL+"/api/jobs?name=big", "application/octet-stream",
+		bytes.NewReader(paddedText(t, "ior-hard", 2_000_000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("2 MB body: status %d, Retry-After %q; want 429 with a Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if _, status := postTrace(t, srv.URL+"/api/jobs?name=small", paddedText(t, "ior-rnd4k", 500_000)); status != http.StatusAccepted {
+		t.Fatalf("0.5 MB body: status %d, want 202", status)
+	}
+}
+
+// TestEveryEntryPointRecordsOneParse: whichever way a text trace
+// enters the service — an in-process Submit, a whole-body POST, a
+// chunked POST arriving over time, or a job recovered after a paused
+// restart — its timeline holds exactly one parse span with at least one
+// parse_shard child, and ion_pipeline_stage_seconds counts one parse
+// per job.
+func TestEveryEntryPointRecordsOneParse(t *testing.T) {
+	body := paddedText(t, "ior-hard", 1_500_000)
+	for _, tc := range []struct {
+		name string
+		// submit sends body to a service over dir reporting into reg
+		// and returns the service with the job's id.
+		submit func(t *testing.T, dir string, reg *obs.Registry) (*jobs.Service, string)
+	}{
+		{"submit", func(t *testing.T, dir string, reg *obs.Registry) (*jobs.Service, string) {
+			_, svc := jobServer(t, jobs.Config{Dir: dir, Workers: 1, Obs: reg})
+			j, _, err := svc.Submit("ior-hard", body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return svc, j.ID
+		}},
+		{"whole-body POST", func(t *testing.T, dir string, reg *obs.Registry) (*jobs.Service, string) {
+			srv, svc := jobServer(t, jobs.Config{Dir: dir, Workers: 1, Obs: reg})
+			sr, status := postTrace(t, srv.URL+"/api/jobs?name=ior-hard", body)
+			if status != http.StatusAccepted {
+				t.Fatalf("status %d, want 202", status)
+			}
+			return svc, sr.Job.ID
+		}},
+		{"chunked POST", func(t *testing.T, dir string, reg *obs.Registry) (*jobs.Service, string) {
+			srv, svc := jobServer(t, jobs.Config{Dir: dir, Workers: 1, Obs: reg})
+			resp, err := http.Post(srv.URL+"/api/jobs/stream?name=ior-hard", "application/octet-stream",
+				pacedReader{bytes.NewReader(body)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var sr submitResponse
+			if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil || resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("status %d, decode error %v; want 202", resp.StatusCode, err)
+			}
+			return svc, sr.Job.ID
+		}},
+		{"recovered", func(t *testing.T, dir string, reg *obs.Registry) (*jobs.Service, string) {
+			paused, err := jobs.Open(jobs.Config{Dir: dir, Client: expertsim.New(), Paused: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, _, err := paused.Submit("ior-hard", body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := paused.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			_, svc := jobServer(t, jobs.Config{Dir: dir, Workers: 1, Obs: reg})
+			return svc, j.ID
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			svc, id := tc.submit(t, t.TempDir(), reg)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			if j, err := svc.Wait(ctx, id); err != nil || j.State != jobs.StateDone {
+				t.Fatalf("job %s: state %s (%s), err %v; want done", id, j.State, j.Error, err)
+			}
+			raw, err := svc.Store().Timeline(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tl obs.Timeline
+			if err := json.Unmarshal(raw, &tl); err != nil {
+				t.Fatal(err)
+			}
+			var parses []obs.SpanRecord
+			for _, r := range tl.Spans {
+				if r.Name == "parse" {
+					parses = append(parses, r)
+				}
+			}
+			if len(parses) != 1 {
+				t.Fatalf("%d parse spans, want exactly one", len(parses))
+			}
+			shards := 0
+			for _, k := range tl.Children(parses[0].ID) {
+				if k.Name == "parse_shard" {
+					shards++
+				}
+			}
+			if shards == 0 {
+				t.Error("the parse span has no parse_shard child")
+			}
+			h := reg.Histogram("ion_pipeline_stage_seconds", "", nil, obs.L("stage", "parse"))
+			if h.Count() != 1 {
+				t.Errorf("ion_pipeline_stage_seconds{stage=\"parse\"} counts %d parses for one job", h.Count())
+			}
+		})
+	}
+}

@@ -100,8 +100,8 @@ func (s *JobServer) WithFlight(rec *flight.Recorder) *JobServer {
 //
 //	GET  /                     the job list page (HTML)
 //	GET  /jobs/{id}            a finished job's diagnosis page (HTML)
-//	POST /api/jobs             submit a trace (raw Darshan bytes; ?name=)
-//	POST /api/jobs/stream      submit a trace as a chunked stream, parsed during upload
+//	POST /api/jobs             submit a trace (raw Darshan bytes; ?name=), parsed during upload
+//	POST /api/jobs/stream      the same handler, kept for clients that send chunked bodies there
 //	GET  /api/jobs             list jobs (JSON)
 //	GET  /api/jobs/{id}        one job's status (JSON)
 //	GET  /api/jobs/{id}/report the finished report (JSON)
@@ -136,7 +136,7 @@ func (s *JobServer) Handler() http.Handler {
 	handle("GET /{$}", s.handleIndex)
 	handle("GET /jobs/{id}", s.handleJobPage)
 	handle("POST /api/jobs", s.handleSubmit)
-	handle("POST /api/jobs/stream", s.handleSubmitStream)
+	handle("POST /api/jobs/stream", s.handleSubmit)
 	handle("GET /api/jobs", s.handleList)
 	handle("GET /api/jobs/{id}", s.handleJob)
 	handle("GET /api/jobs/{id}/report", s.handleJobReport)
@@ -212,30 +212,28 @@ type submitResponse struct {
 	Dedup bool `json:"dedup"`
 }
 
+// handleSubmit serves both submit routes. The body goes to the service
+// as it arrives, where it is hashed, charged to the ingest buffer
+// budget and parsed segment by segment during the upload; a declared
+// Content-Length sizes the segments. 429 + Retry-After covers an
+// exhausted budget as well as a full queue.
 func (s *JobServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTraceBody))
-	if err != nil && !errors.As(err, new(*http.MaxBytesError)) {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
+	var body io.Reader = http.MaxBytesReader(w, r.Body, maxTraceBody)
+	if r.ContentLength >= 0 {
+		body = declared{body, r.ContentLength}
 	}
-	var job jobs.Job
-	var dedup bool
-	if err == nil {
-		job, dedup, err = s.svc.Submit(r.URL.Query().Get("name"), data)
-	}
-	s.writeSubmitted(w, job, dedup, err)
-}
-
-// handleSubmitStream is the chunked-upload twin of handleSubmit: the
-// body is handed to the service as a stream and parsed shard by shard
-// while it is still arriving, instead of being buffered whole first.
-// Same responses as POST /api/jobs; 429 + Retry-After also covers an
-// exhausted service-wide streaming buffer budget.
-func (s *JobServer) handleSubmitStream(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, maxTraceBody)
 	job, dedup, err := s.svc.SubmitStream(r.URL.Query().Get("name"), body)
 	s.writeSubmitted(w, job, dedup, err)
 }
+
+// declared is a request body that reports its declared length, which
+// jobs.Service.SubmitStream sizes its parse segments from.
+type declared struct {
+	io.Reader
+	n int64
+}
+
+func (d declared) Len() int { return int(d.n) }
 
 // writeSubmitted answers a submission: 202 with the new job, 200 with
 // the earlier one on a dedup hit, or the status of the error.
@@ -382,21 +380,21 @@ func (s *JobServer) handleJobPage(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, strings.Replace(page.String(), "</body>", widget+"</body>", 1))
 }
 
-// ingestBanner renders how the trace entered the service when it came
-// through the streaming path: body size, how many parse shards it was
-// cut into, and whether parsing overlapped the upload. Empty for
-// whole-body submissions, which are the unremarkable default.
+// ingestBanner renders how a darshan-parser text trace was ingested:
+// body size, how many parse shards it was cut into, and whether parsing
+// overlapped the upload. Empty for a binary container, which is decoded
+// whole.
 func ingestBanner(job jobs.Job) string {
 	in := job.Ingest
-	if in == nil || in.Mode != jobs.IngestStream {
+	if in == nil || in.Shards == 0 {
 		return ""
 	}
-	overlap := "parsed after upload completed"
+	overlap := "parsed after the upload completed"
 	if in.ParseOverlapped {
 		overlap = "parsing overlapped the upload"
 	}
 	return fmt.Sprintf(`<div style="margin-top:2rem;padding:0.75rem 1rem;border:1px solid #059669;border-radius:6px;background:#ecfdf5">
-<strong>Streamed ingestion:</strong> %.1f MiB uploaded in chunks, cut into %d parse shard(s); %s.</div>`,
+<strong>Streamed ingestion:</strong> %.1f MiB cut into %d parse shard(s) as it arrived; %s.</div>`,
 		float64(in.Bytes)/(1<<20), in.Shards, overlap)
 }
 

@@ -19,7 +19,9 @@ import (
 
 func jobServer(t *testing.T, cfg jobs.Config) (*httptest.Server, *jobs.Service) {
 	t.Helper()
-	cfg.Dir = t.TempDir()
+	if cfg.Dir == "" {
+		cfg.Dir = t.TempDir()
+	}
 	if cfg.Client == nil {
 		cfg.Client = expertsim.New()
 	}

