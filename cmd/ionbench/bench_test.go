@@ -27,8 +27,9 @@ func benchBody(tb testing.TB, minBytes int) []byte {
 	return tileTrace(text.Bytes(), minBytes)
 }
 
-// BenchmarkParseTextParallel sweeps the shard pool size over an ~8 MiB
-// body; workers=1 is the sequential baseline on the same input.
+// BenchmarkParseTextParallel sweeps the shard pool size over a body
+// tiled past 8 MiB, cut into the segments the service cuts for an
+// upload of that size; workers=1 parses them one at a time.
 func BenchmarkParseTextParallel(b *testing.B) {
 	body := benchBody(b, 8<<20)
 	for _, w := range workerSweep() {

@@ -13,10 +13,10 @@ func ParseTextUnsorted(data []byte) (*Log, error) {
 	return p.log, nil
 }
 
-// ParseTextSharded is ParseTextParallel with shards cut every
-// minChunk bytes, so small inputs still parse as several shards.
-func ParseTextSharded(data []byte, workers, minChunk int) (*Log, error) {
-	return ParseTextParallelOpts(data, ParallelOptions{Workers: workers, minChunkBytes: minChunk})
+// ParseTextSharded is ParseTextParallel with segments of segBytes, so
+// small inputs still parse as several shards.
+func ParseTextSharded(data []byte, workers, segBytes int) (*Log, error) {
+	return parseStreamed(data, StreamOptions{Workers: workers, segBytes: segBytes})
 }
 
 // ReferenceSortByStart is referenceSortByStart: the stable comparison

@@ -28,7 +28,7 @@ func render(tb testing.TB, l *Log) []byte {
 // truncated comma-bearing names in DXT comments); and the sharded
 // parser agrees with the sequential one — same rendered log on
 // success, same positioned error on failure — even when forced to cut
-// tiny inputs into many shards.
+// tiny inputs into many 24-byte segments.
 func FuzzParseText(f *testing.F) {
 	if data, err := os.ReadFile("testdata/real_sample.txt"); err == nil {
 		f.Add(data)
@@ -39,9 +39,9 @@ func FuzzParseText(f *testing.F) {
 	}
 	f.Add([]byte("# darshan log version: 3.41\n# nprocs: 2\nPOSIX\t0\t42\tPOSIX_OPENS\t3\t/f\t/\ttmpfs\n"))
 	f.Add([]byte("# DXT, file_id: 9, file_name: /d\n# DXT, rank: 0, hostname: n1\nX_POSIX 0 write 0 0 8 0.1 0.2 [0,1]\n"))
-	// Splitter exercise: interleaved counter lines and a DXT block long
-	// enough that small-chunk shards cut through the event rows, the
-	// rank header, and the block header.
+	// Segmenter exercise: interleaved counter lines and a DXT block long
+	// enough that small segments cut through the event rows, the rank
+	// header, and the block header.
 	f.Add([]byte("# nprocs: 2\n" +
 		"POSIX\t0\t7\tPOSIX_OPENS\t1\t/a\t/\ttmpfs\n" +
 		"POSIX\t1\t7\tPOSIX_OPENS\t2\t/a\t/\ttmpfs\n" +
@@ -57,7 +57,7 @@ func FuzzParseText(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		log, err := ParseText(bytes.NewReader(data))
-		plog, perr := ParseTextParallelOpts(data, ParallelOptions{Workers: 4, minChunkBytes: 24})
+		plog, perr := parseStreamed(data, StreamOptions{Workers: 4, segBytes: 24})
 		switch {
 		case err == nil && perr != nil:
 			t.Fatalf("sequential accepted what sharded rejected: %v", perr)

@@ -16,14 +16,22 @@ import (
 // fall back to append growth past this point.
 const maxDXTPrealloc = 1 << 15
 
-// maxLineBytes bounds a single input line; anything longer is rejected
-// with a positioned error rather than buffering without limit.
+// maxLineBytes bounds a single input line, newline excluded; a longer
+// line is rejected with a positioned errLineTooLong rather than buffered
+// without limit.
 const maxLineBytes = 16 * 1024 * 1024
+
+// errLineTooLong reports a line longer than maxLineBytes.
+var errLineTooLong = errors.New("line too long")
+
+// quoteBytes bounds how much of an offending field or line an error
+// quotes.
+const quoteBytes = 64
 
 // ParseError locates a parse failure in the input: Line is 1-based,
 // Offset is the byte offset of the start of the offending line. All
-// errors returned by ParseText, ParseTextParallel, and the streaming
-// parser carry a *ParseError in their chain.
+// errors returned by ParseText and by the stream parser (which
+// ParseTextParallel is) carry a *ParseError in their chain.
 type ParseError struct {
 	Line   int
 	Offset int64
@@ -138,12 +146,12 @@ func ParseText(r io.Reader) (*Log, error) {
 		line := raw
 		if err == bufio.ErrBufferFull {
 			spill = append(spill[:0], raw...)
-			for err == bufio.ErrBufferFull {
-				if len(spill) > maxLineBytes {
-					return nil, posErr(lineno, lineStart, errors.New("line too long"))
-				}
+			for err == bufio.ErrBufferFull && len(spill) <= maxLineBytes {
 				raw, err = br.ReadSlice('\n')
 				spill = append(spill, raw...)
+			}
+			if len(bytes.TrimSuffix(spill, []byte{'\n'})) > maxLineBytes {
+				return nil, posErr(lineno, lineStart, errLineTooLong)
 			}
 			line = spill
 		}
@@ -221,6 +229,9 @@ func (p *parser) parseChunk(data []byte) (lines int, err error) {
 			advance = i + 1
 		}
 		lines++
+		if len(raw) > maxLineBytes {
+			return lines, posErr(lines, int64(pos), errLineTooLong)
+		}
 		if err := p.parseLine(raw, lines, int64(pos)); err != nil {
 			return lines, err
 		}
@@ -247,6 +258,27 @@ func cutPrefix(b []byte, prefix string) ([]byte, bool) {
 		return b[len(prefix):], true
 	}
 	return nil, false
+}
+
+// quote renders an offending field or line for an error message: in
+// full when short, else its first quoteBytes bytes and its length, so
+// an error stays small however long the input.
+func quote(b []byte) string {
+	if len(b) <= quoteBytes {
+		return strconv.Quote(string(b))
+	}
+	return fmt.Sprintf("%q... (%d bytes)", b[:quoteBytes], len(b))
+}
+
+// badNum reports a field that did not parse as a number. It wraps
+// strconv's cause (ErrSyntax or ErrRange) rather than its *NumError,
+// whose text quotes the whole field again.
+func badNum(what string, field []byte, err error) error {
+	var ne *strconv.NumError
+	if errors.As(err, &ne) {
+		err = ne.Err
+	}
+	return fmt.Errorf("bad %s %s: %w", what, quote(field), err)
 }
 
 // intern returns the canonical string for b, copying it at most once
@@ -308,54 +340,60 @@ func (p *parser) parseComment(line []byte) error {
 		return nil
 	}
 	if rest, ok := cutPrefix(body, "uid:"); ok {
-		v, err := strconv.Atoi(bstr(bytes.TrimSpace(rest)))
+		rest = bytes.TrimSpace(rest)
+		v, err := strconv.Atoi(bstr(rest))
 		if err != nil {
-			return fmt.Errorf("bad uid: %w", err)
+			return badNum("uid", rest, err)
 		}
 		l.Header.UID = v
 		p.headerSet |= hdrUID
 		return nil
 	}
 	if rest, ok := cutPrefix(body, "jobid:"); ok {
-		v, err := strconv.ParseInt(bstr(bytes.TrimSpace(rest)), 10, 64)
+		rest = bytes.TrimSpace(rest)
+		v, err := strconv.ParseInt(bstr(rest), 10, 64)
 		if err != nil {
-			return fmt.Errorf("bad jobid: %w", err)
+			return badNum("jobid", rest, err)
 		}
 		l.Header.JobID = v
 		p.headerSet |= hdrJobID
 		return nil
 	}
 	if rest, ok := cutPrefix(body, "start_time:"); ok {
-		v, err := strconv.ParseInt(bstr(bytes.TrimSpace(rest)), 10, 64)
+		rest = bytes.TrimSpace(rest)
+		v, err := strconv.ParseInt(bstr(rest), 10, 64)
 		if err != nil {
-			return fmt.Errorf("bad start_time: %w", err)
+			return badNum("start_time", rest, err)
 		}
 		l.Header.StartTime = v
 		p.headerSet |= hdrStartTime
 		return nil
 	}
 	if rest, ok := cutPrefix(body, "end_time:"); ok {
-		v, err := strconv.ParseInt(bstr(bytes.TrimSpace(rest)), 10, 64)
+		rest = bytes.TrimSpace(rest)
+		v, err := strconv.ParseInt(bstr(rest), 10, 64)
 		if err != nil {
-			return fmt.Errorf("bad end_time: %w", err)
+			return badNum("end_time", rest, err)
 		}
 		l.Header.EndTime = v
 		p.headerSet |= hdrEndTime
 		return nil
 	}
 	if rest, ok := cutPrefix(body, "nprocs:"); ok {
-		v, err := strconv.Atoi(bstr(bytes.TrimSpace(rest)))
+		rest = bytes.TrimSpace(rest)
+		v, err := strconv.Atoi(bstr(rest))
 		if err != nil {
-			return fmt.Errorf("bad nprocs: %w", err)
+			return badNum("nprocs", rest, err)
 		}
 		l.Header.NProcs = v
 		p.headerSet |= hdrNProcs
 		return nil
 	}
 	if rest, ok := cutPrefix(body, "run time:"); ok {
-		v, err := strconv.ParseFloat(bstr(bytes.TrimSpace(rest)), 64)
+		rest = bytes.TrimSpace(rest)
+		v, err := strconv.ParseFloat(bstr(rest), 64)
 		if err != nil {
-			return fmt.Errorf("bad run time: %w", err)
+			return badNum("run time", rest, err)
 		}
 		l.Header.RunTime = v
 		p.headerSet |= hdrRunTime
@@ -411,7 +449,7 @@ func (p *parser) parseDXTComment(rest []byte) error {
 	if idb, ok := p.attr("file_id"); ok {
 		id, err := strconv.ParseUint(bstr(idb), 10, 64)
 		if err != nil {
-			return fmt.Errorf("bad DXT file_id: %w", err)
+			return badNum("DXT file_id", idb, err)
 		}
 		p.dxtTrace = p.dxtFor(id)
 		if nameb, ok := p.attr("file_name"); ok {
@@ -421,7 +459,7 @@ func (p *parser) parseDXTComment(rest []byte) error {
 	if rb, ok := p.attr("rank"); ok {
 		r, err := strconv.ParseInt(bstr(rb), 10, 64)
 		if err != nil {
-			return fmt.Errorf("bad DXT rank: %w", err)
+			return badNum("DXT rank", rb, err)
 		}
 		p.dxtRank = r
 		if hb, ok := p.attr("hostname"); ok {
@@ -492,15 +530,15 @@ func (p *parser) parseCounterLine(line []byte) error {
 	fields := splitByte(p.fields[:0], line, '\t')
 	p.fields = fields
 	if len(fields) < 5 {
-		return fmt.Errorf("malformed counter line %q", line)
+		return fmt.Errorf("malformed counter line %s", quote(line))
 	}
 	rank, err := strconv.ParseInt(bstr(fields[1]), 10, 64)
 	if err != nil {
-		return fmt.Errorf("bad rank %q: %w", fields[1], err)
+		return badNum("rank", fields[1], err)
 	}
 	fileID, err := strconv.ParseUint(bstr(fields[2]), 10, 64)
 	if err != nil {
-		return fmt.Errorf("bad record id %q: %w", fields[2], err)
+		return badNum("record id", fields[2], err)
 	}
 	if len(fields) >= 6 && len(fields[5]) > 0 {
 		p.setName(fileID, fields[5])
@@ -523,14 +561,14 @@ func (p *parser) parseCounterLine(line []byte) error {
 	if isFloatCounter(bstr(counter)) {
 		v, err := strconv.ParseFloat(bstr(value), 64)
 		if err != nil {
-			return fmt.Errorf("bad float counter %s=%q: %w", counter, value, err)
+			return badNum("float counter "+quote(counter)+" value", value, err)
 		}
 		rec.FCounters[p.intern(counter)] = v
 		return nil
 	}
 	v, err := strconv.ParseInt(bstr(value), 10, 64)
 	if err != nil {
-		return fmt.Errorf("bad counter %s=%q: %w", counter, value, err)
+		return badNum("counter "+quote(counter)+" value", value, err)
 	}
 	rec.Counters[p.intern(counter)] = v
 	return nil
@@ -554,13 +592,13 @@ func (p *parser) parseDXTEventLine(line []byte) error {
 	fields := splitWS(p.fields[:0], line)
 	p.fields = fields
 	if len(fields) < 8 {
-		return fmt.Errorf("malformed DXT event %q", line)
+		return fmt.Errorf("malformed DXT event %s", quote(line))
 	}
 	var ev DXTEvent
 	ev.Module = p.intern(fields[0])
 	var err error
 	if ev.Rank, err = strconv.ParseInt(bstr(fields[1]), 10, 64); err != nil {
-		return fmt.Errorf("bad DXT rank: %w", err)
+		return badNum("DXT rank", fields[1], err)
 	}
 	switch {
 	case string(fields[2]) == "read":
@@ -568,22 +606,22 @@ func (p *parser) parseDXTEventLine(line []byte) error {
 	case string(fields[2]) == "write":
 		ev.Op = OpWrite
 	default:
-		return fmt.Errorf("bad DXT op %q", fields[2])
+		return fmt.Errorf("bad DXT op %s", quote(fields[2]))
 	}
 	if ev.Segment, err = strconv.ParseInt(bstr(fields[3]), 10, 64); err != nil {
-		return fmt.Errorf("bad DXT segment: %w", err)
+		return badNum("DXT segment", fields[3], err)
 	}
 	if ev.Offset, err = strconv.ParseInt(bstr(fields[4]), 10, 64); err != nil {
-		return fmt.Errorf("bad DXT offset: %w", err)
+		return badNum("DXT offset", fields[4], err)
 	}
 	if ev.Length, err = strconv.ParseInt(bstr(fields[5]), 10, 64); err != nil {
-		return fmt.Errorf("bad DXT length: %w", err)
+		return badNum("DXT length", fields[5], err)
 	}
 	if ev.Start, err = strconv.ParseFloat(bstr(fields[6]), 64); err != nil {
-		return fmt.Errorf("bad DXT start: %w", err)
+		return badNum("DXT start", fields[6], err)
 	}
 	if ev.End, err = strconv.ParseFloat(bstr(fields[7]), 64); err != nil {
-		return fmt.Errorf("bad DXT end: %w", err)
+		return badNum("DXT end", fields[7], err)
 	}
 	if len(fields) >= 9 {
 		ost := bytes.Trim(fields[8], "[]")
@@ -600,7 +638,7 @@ func (p *parser) parseDXTEventLine(line []byte) error {
 			}
 			o, err := strconv.Atoi(bstr(s))
 			if err != nil {
-				return fmt.Errorf("bad DXT OST list %q: %w", fields[8], err)
+				return badNum("DXT OST list", fields[8], err)
 			}
 			p.ostArena = append(p.ostArena, o)
 		}

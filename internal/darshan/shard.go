@@ -1,95 +1,38 @@
 package darshan
 
-import (
-	"bytes"
-	"errors"
-	"runtime"
-	"sync"
-)
+import "errors"
 
 // Sharded text parsing.
 //
-// ParseTextParallel splits the input at line boundaries into roughly
-// equal chunks, parses each chunk with an independent parser (its own
-// intern table, scratch buffers, and dedup sets), and merges the
-// results into a log indistinguishable from a sequential ParseText of
-// the same bytes.
+// A sharded parse cuts the input at line boundaries into segments (the
+// StreamParser in stream.go is the one segmenter), parses each segment
+// with an independent parser (its own intern table, scratch buffers,
+// and dedup sets), and merges the results into a log indistinguishable
+// from a sequential ParseText of the same bytes.
 //
 // Correctness does not depend on where the cuts land: any line
 // boundary is valid. A chunk that opens inside a DXT block collects
 // the headerless event rows (and any rank-header hostname) as orphan
 // state, and the merge reattaches them to the file trace left open by
 // the previous chunk — or reports the same positioned error the
-// sequential parser would if no such trace exists. The splitter merely
-// *prefers* cuts at self-contained region starts (a counter line or a
-// "# DXT, file_id" block header) so orphan carry-over stays rare.
+// sequential parser would if no such trace exists.
 
-// minShardBytes is the input size below which ParseTextParallel does
-// not bother splitting: chunk setup and merge overhead would exceed
-// the parse cost itself.
-const minShardBytes = 256 << 10
-
-// seekWindow bounds how far past the naive cut point the splitter
-// scans for a self-contained region start before settling for the
-// plain line boundary.
-const seekWindow = 64 << 10
-
-// ParallelOptions configures ParseTextParallelOpts.
-type ParallelOptions struct {
-	// Workers bounds parse concurrency; <= 0 means GOMAXPROCS.
-	Workers int
-	// OnShard, when non-nil, is called as each shard begins parsing and
-	// returns a completion callback invoked with the shard's error (nil
-	// on success). Callers hang per-shard tracing spans off it.
-	OnShard func(shard int, chunk []byte) func(error)
-
-	// minChunkBytes overrides minShardBytes so tests can force
-	// multi-shard parses of small inputs.
-	minChunkBytes int
-}
-
-// ParseTextParallel parses a darshan-parser text log using up to
-// workers goroutines (<= 0 means GOMAXPROCS). The result is
+// ParseTextParallel parses a darshan-parser text log held in memory
+// using up to workers goroutines (<= 0 means GOMAXPROCS). It is a
+// StreamParser fed data with its size known, so it cuts the segments
+// the service cuts for an upload of that size. The result is
 // byte-identical — under the render/parse fixed point — to
 // ParseText(bytes.NewReader(data)), including error positions.
 func ParseTextParallel(data []byte, workers int) (*Log, error) {
-	return ParseTextParallelOpts(data, ParallelOptions{Workers: workers})
+	return parseStreamed(data, StreamOptions{Workers: workers, Size: int64(len(data))})
 }
 
-// ParseTextParallelOpts is ParseTextParallel with shard callbacks and
-// test knobs.
-func ParseTextParallelOpts(data []byte, opts ParallelOptions) (*Log, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	minChunk := opts.minChunkBytes
-	if minChunk <= 0 {
-		minChunk = minShardBytes
-	}
-	n := len(data) / minChunk
-	if n > workers {
-		n = workers
-	}
-	if n < 1 {
-		n = 1
-	}
-	chunks := splitChunks(data, n)
-	shards := make([]*shardResult, len(chunks))
-	if len(chunks) == 1 {
-		shards[0] = parseShard(0, chunks[0], false, opts.OnShard)
-	} else {
-		var wg sync.WaitGroup
-		for i, c := range chunks {
-			wg.Add(1)
-			go func(i int, c []byte) {
-				defer wg.Done()
-				shards[i] = parseShard(i, c, i > 0, opts.OnShard)
-			}(i, c)
-		}
-		wg.Wait()
-	}
-	return mergeShards(shards)
+// parseStreamed parses data through a StreamParser configured by opts.
+func parseStreamed(data []byte, opts StreamOptions) (*Log, error) {
+	sp := NewStreamParser(opts)
+	_, _ = sp.Write(data) // fails only on a line too long, which Finish reports
+	log, _, err := sp.Finish()
+	return log, err
 }
 
 // shardResult is one chunk's parse outcome: the parser (whose log,
@@ -113,79 +56,6 @@ func parseShard(i int, chunk []byte, allowOrphan bool, onShard func(int, []byte)
 		done(err)
 	}
 	return &shardResult{p: p, chunk: chunk, lines: lines, err: err}
-}
-
-// splitChunks cuts data into at most n chunks, each ending on a line
-// boundary, with cut points nudged forward (bounded by seekWindow) to
-// the next self-contained region start.
-func splitChunks(data []byte, n int) [][]byte {
-	if n <= 1 || len(data) == 0 {
-		return [][]byte{data}
-	}
-	chunks := make([][]byte, 0, n)
-	start := 0
-	for i := 1; i < n; i++ {
-		cut := len(data) * i / n
-		if cut <= start {
-			continue
-		}
-		cut = nextLineStart(data, cut)
-		cut = seekRegionStart(data, cut)
-		if cut >= len(data) {
-			break
-		}
-		if cut <= start {
-			continue
-		}
-		chunks = append(chunks, data[start:cut])
-		start = cut
-	}
-	if start < len(data) || len(chunks) == 0 {
-		chunks = append(chunks, data[start:])
-	}
-	return chunks
-}
-
-// nextLineStart returns the offset just past the next '\n' at or after
-// pos, or len(data) when no newline remains.
-func nextLineStart(data []byte, pos int) int {
-	if i := bytes.IndexByte(data[pos:], '\n'); i >= 0 {
-		return pos + i + 1
-	}
-	return len(data)
-}
-
-// seekRegionStart advances a line-start cut to the first line within
-// seekWindow that opens a self-contained region: a counter record line
-// (shards never need prior state for those) or a "# DXT, file_id"
-// block header (which re-establishes the current file trace). DXT
-// event rows, rank headers, and other comments are skipped. If the
-// window runs out, the original cut stands — the orphan carry-over in
-// the merge keeps any line boundary correct.
-func seekRegionStart(data []byte, cut int) int {
-	limit := cut + seekWindow
-	if limit > len(data) {
-		limit = len(data)
-	}
-	for pos := cut; pos < limit; {
-		next := nextLineStart(data, pos)
-		line := bytes.TrimSpace(data[pos:next])
-		switch {
-		case len(line) == 0:
-			// blank: keep scanning
-		case line[0] == '#':
-			body := bytes.TrimSpace(line[1:])
-			if rest, ok := cutPrefix(body, "DXT,"); ok && bytes.Contains(rest, []byte("file_id")) {
-				return pos
-			}
-		case len(line) >= 2 && line[0] == 'X' && line[1] == '_':
-			// headerless event row: keep scanning
-		default:
-			return pos // counter record line
-		}
-		pos = next
-	}
-	return cut
 }
 
 // mergeShards combines per-chunk parse results, in chunk order, into a

@@ -4,22 +4,25 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 )
 
 // parallelAt parses data as shards cut at exactly the given byte
-// offsets, bypassing the splitter, so tests control where boundaries
-// land. Offsets must be increasing positions within data.
+// offsets, dispatched straight to a StreamParser's pool, so tests
+// control where boundaries land. Offsets must be increasing positions
+// within data.
 func parallelAt(data []byte, cuts ...int) (*Log, error) {
-	var shards []*shardResult
+	sp := NewStreamParser(StreamOptions{Workers: 2})
 	prev := 0
 	for _, c := range append(cuts, len(data)) {
-		shards = append(shards, parseShard(len(shards), data[prev:c], len(shards) > 0, nil))
+		sp.dispatch(data[prev:c], true)
 		prev = c
 	}
-	return mergeShards(shards)
+	log, _, err := sp.Finish()
+	return log, err
 }
 
 // mustRenderEqual asserts that par parses data into a log that renders
@@ -56,11 +59,11 @@ func TestParseTextParallelMatchesSequential(t *testing.T) {
 	text, _ := syntheticText(t, 40)
 	for _, workers := range []int{1, 2, 3, 4, 8} {
 		mustRenderEqual(t, text, func() (*Log, error) {
-			return ParseTextParallelOpts(text, ParallelOptions{Workers: workers, minChunkBytes: 512})
+			return parseStreamed(text, StreamOptions{Workers: workers, segBytes: 512})
 		})
 	}
-	// Default minimum chunk size: an input this small takes the
-	// single-shard path, which must behave identically.
+	// Default segment size: an input this small is one shard, which
+	// must behave identically.
 	mustRenderEqual(t, text, func() (*Log, error) {
 		return ParseTextParallel(text, 8)
 	})
@@ -71,9 +74,9 @@ func TestParseTextParallelRealSample(t *testing.T) {
 	if err != nil {
 		t.Skip("no testdata sample")
 	}
-	for _, minChunk := range []int{64, 256, 1024, 8192} {
+	for _, seg := range []int{64, 256, 1024, 8192} {
 		mustRenderEqual(t, data, func() (*Log, error) {
-			return ParseTextParallelOpts(data, ParallelOptions{Workers: 4, minChunkBytes: minChunk})
+			return parseStreamed(data, StreamOptions{Workers: 4, segBytes: seg})
 		})
 	}
 }
@@ -115,33 +118,10 @@ func TestParseTextParallelBoundaryEdges(t *testing.T) {
 		// Sweep a single cut across an interesting region (the
 		// counter/DXT transition) line by line.
 		region := lineStart(t, text, "# DXT_POSIX module data")
-		for cut := region; cut < len(text) && cut < region+2000; cut = nextLineStart(text, cut) {
+		for cut := region; cut < len(text) && cut < region+2000; cut += bytes.IndexByte(text[cut:], '\n') + 1 {
 			mustRenderEqual(t, text, func() (*Log, error) { return parallelAt(text, cut) })
 		}
 	})
-}
-
-func TestSplitChunksReassembles(t *testing.T) {
-	text, _ := syntheticText(t, 20)
-	for n := 1; n <= 9; n++ {
-		chunks := splitChunks(text, n)
-		if len(chunks) > n {
-			t.Fatalf("splitChunks(%d) returned %d chunks", n, len(chunks))
-		}
-		var joined []byte
-		for i, c := range chunks {
-			if len(c) == 0 {
-				t.Fatalf("splitChunks(%d): empty chunk %d", n, i)
-			}
-			if i > 0 && joined[len(joined)-1] != '\n' {
-				t.Fatalf("splitChunks(%d): chunk %d does not start on a line boundary", n, i)
-			}
-			joined = append(joined, c...)
-		}
-		if !bytes.Equal(joined, text) {
-			t.Fatalf("splitChunks(%d) lost bytes: %d != %d", n, len(joined), len(text))
-		}
-	}
 }
 
 // TestParseErrorPosition pins the structured error contract: every
@@ -180,7 +160,7 @@ func TestParseTextParallelErrorPositions(t *testing.T) {
 			if seqErr == nil {
 				t.Fatal("sequential parse unexpectedly succeeded")
 			}
-			_, parErr := ParseTextParallelOpts(data, ParallelOptions{Workers: 4, minChunkBytes: 256})
+			_, parErr := parseStreamed(data, StreamOptions{Workers: 4, segBytes: 256})
 			if parErr == nil {
 				t.Fatal("parallel parse unexpectedly succeeded")
 			}
@@ -191,17 +171,61 @@ func TestParseTextParallelErrorPositions(t *testing.T) {
 	}
 }
 
-// TestParseTextParallelAllocBound holds the sharded path to no more
-// than twice the sequential parser's per-line allocation budget (0.5):
-// per-shard intern tables and scratch duplicate fixed costs, but the
-// per-line fast path must stay allocation-free.
+// TestParseErrorsQuoteAPrefix: an error quotes at most a prefix of the
+// offending field or line, and wraps strconv's cause rather than its
+// *NumError, so a 4 MiB bad field or malformed line gives an error
+// under 1 KiB, at the line's position, from the sequential and the
+// sharded parse alike.
+func TestParseErrorsQuoteAPrefix(t *testing.T) {
+	head := "# nprocs: 1\n"
+	huge := strings.Repeat("9x", 2<<20)
+	for name, tc := range map[string]struct {
+		line  string
+		cause error
+	}{
+		"bad counter value": {"POSIX\t0\t42\tPOSIX_OPENS\t" + huge + "\t/f\t/\ttmpfs\n", strconv.ErrSyntax},
+		"rank out of range": {"POSIX\t" + strings.Repeat("9", 4<<20) + "\t42\tPOSIX_OPENS\t3\n", strconv.ErrRange},
+		"malformed line":    {"POSIX" + huge + "\n", nil},
+	} {
+		t.Run(name, func(t *testing.T) {
+			data := []byte(head + tc.line + "POSIX\t0\t42\tPOSIX_READS\t1\t/f\t/\ttmpfs\n")
+			_, seqErr := ParseText(bytes.NewReader(data))
+			_, parErr := ParseTextParallel(data, 2)
+			var pe *ParseError
+			if !errors.As(seqErr, &pe) || pe.Line != 2 || pe.Offset != int64(len(head)) {
+				t.Fatalf("ParseText: %.200v; want a *ParseError at line 2, byte %d", seqErr, len(head))
+			}
+			if n := len(seqErr.Error()); n >= 1<<10 {
+				t.Fatalf("a %d-byte error: %.200s", n, seqErr)
+			}
+			if tc.cause != nil && !errors.Is(seqErr, tc.cause) {
+				t.Fatalf("%v does not wrap %v", seqErr, tc.cause)
+			}
+			if parErr == nil || parErr.Error() != seqErr.Error() {
+				t.Fatalf("error mismatch:\nsequential: %v\nparallel:   %.200v", seqErr, parErr)
+			}
+		})
+	}
+}
+
+// TestParseTextParallelAllocBound holds the sharded path, at four
+// shards, to no more than twice the sequential parser's per-line
+// allocation budget (0.5): per-shard intern tables, scratch and segment
+// buffers duplicate fixed costs, but the per-line fast path must stay
+// allocation-free.
 func TestParseTextParallelAllocBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
 	}
 	text, lines := syntheticText(t, 200)
+	opts := StreamOptions{Workers: 4, segBytes: len(text)/4 + 1<<10}
+	sp := NewStreamParser(opts)
+	feedStream(t, sp, text, len(text))
+	if _, _, err := sp.Finish(); err != nil || sp.Shards() != 4 {
+		t.Fatalf("%d shards (err %v), want 4", sp.Shards(), err)
+	}
 	avg := testing.AllocsPerRun(5, func() {
-		if _, err := ParseTextParallelOpts(text, ParallelOptions{Workers: 4, minChunkBytes: 1}); err != nil {
+		if _, err := parseStreamed(text, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -215,9 +239,9 @@ func TestParseTextParallelAllocBound(t *testing.T) {
 func TestParseTextParallelOnShard(t *testing.T) {
 	text, _ := syntheticText(t, 40)
 	var started, finished atomic.Int32
-	_, err := ParseTextParallelOpts(text, ParallelOptions{
-		Workers:       2,
-		minChunkBytes: 1024,
+	_, err := parseStreamed(text, StreamOptions{
+		Workers:  2,
+		segBytes: len(text)/2 + 1<<10,
 		OnShard: func(shard int, chunk []byte) func(error) {
 			started.Add(1)
 			if len(chunk) == 0 {

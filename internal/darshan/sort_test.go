@@ -147,7 +147,7 @@ func TestSortByStartNaNShardedMatchesSequential(t *testing.T) {
 		check(fmt.Sprintf("cut at byte %d", cut), got, err)
 		cut += bytes.IndexByte(data[cut:], '\n') + 1
 	}
-	got, err := ParseTextParallelOpts(data, ParallelOptions{Workers: 4, minChunkBytes: 64})
+	got, err := parseStreamed(data, StreamOptions{Workers: 4, segBytes: 64})
 	check("four shards", got, err)
 }
 

@@ -2,20 +2,33 @@ package darshan
 
 import (
 	"bytes"
-	"errors"
 	"runtime"
 	"sync"
 )
 
-// defaultStreamChunk is the target shard size for streamed parsing:
-// big enough that per-shard setup (parser, intern table) is noise,
-// small enough that a multi-megabyte upload yields several shards to
-// overlap with the transfer.
-const defaultStreamChunk = 1 << 20
+// Segment sizes; see segmentBytes.
+const (
+	minSegment = 256 << 10
+	maxSegment = 1 << 20
+	// segmentSlack leaves room in each segment for the partial line
+	// its cut carries into the next, so a body splits into Workers
+	// segments, not one more holding its last few bytes.
+	segmentSlack = 4 << 10
+)
 
-// errStreamTooLong reports a single line exceeding maxLineBytes in a
-// streamed body.
-var errStreamTooLong = errors.New("darshan: stream: line exceeds maximum length")
+// segmentBytes sizes a StreamParser's segments. A body of known size
+// gets one segment per worker, plus segmentSlack, clamped to [256 KiB,
+// 1 MiB]: big enough that per-shard setup (a parser, an intern table,
+// the merge) is noise, small enough that a multi-megabyte upload yields
+// several shards to parse while the rest arrives. A body of unknown
+// size (<= 0) gets 1 MiB segments.
+func segmentBytes(size int64, workers int) int {
+	if size <= 0 {
+		return maxSegment
+	}
+	n := size/int64(workers) + segmentSlack
+	return int(min(max(n, minSegment), maxSegment))
+}
 
 // StreamOptions configures a StreamParser.
 type StreamOptions struct {
@@ -23,21 +36,28 @@ type StreamOptions struct {
 	// Write blocks (backpressure to the sender) when all workers are
 	// busy and a new shard is ready.
 	Workers int
-	// ChunkBytes is the target shard size; <= 0 means 1 MiB.
-	ChunkBytes int
-	// OnShard mirrors ParallelOptions.OnShard.
+	// Size is the body's length in bytes when it is known up front;
+	// <= 0 means unknown. It sizes the segments (see segmentBytes).
+	Size int64
+	// OnShard, when non-nil, is called as each shard begins parsing and
+	// returns a completion callback invoked with the shard's error (nil
+	// on success). Callers hang per-shard tracing spans off it.
 	OnShard func(shard int, chunk []byte) func(error)
 	// OnBackpressure is invoked each time Write must wait for a parse
 	// worker before dispatching the next shard.
 	OnBackpressure func()
+
+	// segBytes overrides segmentBytes so tests can cut small inputs
+	// into many shards.
+	segBytes int
 }
 
 // StreamParser parses a darshan-parser text log incrementally as its
-// bytes arrive. Write accumulates a segment buffer; each time it
-// fills, the segment is cut at its last line boundary and handed to a
-// parse worker, so parsing overlaps the upload. Finish flushes the
-// tail, waits for the pool, and merges shards exactly like
-// ParseTextParallel — the resulting log and error (including
+// bytes arrive; it is the one code that cuts text into shards. Write
+// accumulates a segment buffer; each time it fills, the segment is cut
+// at its last line boundary and handed to a parse worker, so parsing
+// overlaps the upload. Finish flushes the tail, waits for the pool, and
+// merges the shards — the resulting log and error (including
 // positions) match a sequential ParseText of the concatenated bytes.
 //
 // A StreamParser is single-use and Write/Finish must be called from
@@ -48,12 +68,9 @@ type StreamParser struct {
 	sem chan struct{} // parse-worker slots; cap = Workers
 	wg  sync.WaitGroup
 
-	seg      []byte
-	chunks   [][]byte
-	shards   []*shardResult
-	total    int64
-	early    int // shards dispatched before Finish, i.e. during upload
-	finished bool
+	seg    []byte
+	shards []*shardResult
+	early  int // shards dispatched before Finish, i.e. during upload
 }
 
 // NewStreamParser returns a StreamParser ready to receive bytes.
@@ -61,8 +78,8 @@ func NewStreamParser(opts StreamOptions) *StreamParser {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.ChunkBytes <= 0 {
-		opts.ChunkBytes = defaultStreamChunk
+	if opts.segBytes <= 0 {
+		opts.segBytes = segmentBytes(opts.Size, opts.Workers)
 	}
 	return &StreamParser{
 		opts: opts,
@@ -70,38 +87,38 @@ func NewStreamParser(opts StreamOptions) *StreamParser {
 	}
 }
 
-// Write implements io.Writer. It fails only on a line longer than the
-// parser accepts. A syntax error does not stop it, so a body is read to
-// its end however the parse shards are scheduled; Finish returns the
-// canonical, positioned error.
+// Write implements io.Writer. A syntax error does not stop it, so a
+// body is read to its end however the parse shards are scheduled;
+// Finish returns the canonical, positioned error. It fails only on a
+// line longer than ParseText accepts, and then takes no more bytes:
+// Finish reports that line at its position, as ParseText does.
 func (s *StreamParser) Write(p []byte) (int, error) {
 	n := len(p)
 	for len(p) > 0 {
 		if s.seg == nil {
-			s.seg = make([]byte, 0, s.opts.ChunkBytes)
+			s.seg = make([]byte, 0, s.opts.segBytes)
 		}
-		take := cap(s.seg) - len(s.seg)
-		if take > len(p) {
-			take = len(p)
-		}
+		take := min(cap(s.seg)-len(s.seg), len(p))
 		s.seg = append(s.seg, p[:take]...)
 		p = p[take:]
 		if len(s.seg) < cap(s.seg) {
 			continue
 		}
-		if i := bytes.LastIndexByte(s.seg, '\n'); i >= 0 {
+		// A segment starts at a line start, so one without a newline
+		// is a single line.
+		switch i := bytes.LastIndexByte(s.seg, '\n'); {
+		case i >= 0:
 			chunk := s.seg[:i+1]
-			next := make([]byte, 0, s.opts.ChunkBytes)
-			next = append(next, s.seg[i+1:]...)
-			s.seg = next
+			next := make([]byte, 0, s.opts.segBytes)
+			s.seg = append(next, s.seg[i+1:]...)
 			s.dispatch(chunk, true)
-		} else {
-			// No line boundary in the whole segment: a single giant
-			// line. Grow (bounded) until its newline arrives.
-			if cap(s.seg) >= maxLineBytes {
-				return n - len(p), errStreamTooLong
-			}
-			grown := make([]byte, len(s.seg), 2*cap(s.seg))
+		case len(s.seg) > maxLineBytes:
+			// The segment stays full, so every later Write fails too.
+			return n - len(p), errLineTooLong
+		default:
+			// Grow, to one byte past the limit at most, until the
+			// line's newline arrives.
+			grown := make([]byte, len(s.seg), min(2*cap(s.seg), maxLineBytes+1))
 			copy(grown, s.seg)
 			s.seg = grown
 		}
@@ -112,14 +129,12 @@ func (s *StreamParser) Write(p []byte) (int, error) {
 // dispatch hands a completed chunk to a parse worker, blocking — and
 // signaling backpressure — when none is free.
 func (s *StreamParser) dispatch(chunk []byte, early bool) {
-	idx := len(s.chunks)
-	s.chunks = append(s.chunks, chunk)
+	idx := len(s.shards)
 	slot := &shardResult{chunk: chunk}
 	s.shards = append(s.shards, slot)
 	if early {
 		s.early++
 	}
-	s.total += int64(len(chunk))
 	select {
 	case s.sem <- struct{}{}:
 	default:
@@ -137,26 +152,27 @@ func (s *StreamParser) dispatch(chunk []byte, early bool) {
 }
 
 // Finish flushes any buffered tail, waits for all shards, and returns
-// the merged log together with the complete reassembled body (valid
-// even when parsing failed, so callers can persist or inspect it).
+// the merged log together with the bytes written, reassembled (valid
+// even when parsing failed, so callers can persist or inspect them).
+// After a line too long, the tail is that line's start, and its shard
+// fails with the error ParseText gives.
 func (s *StreamParser) Finish() (*Log, []byte, error) {
-	if !s.finished {
-		s.finished = true
-		if len(s.seg) > 0 {
-			s.dispatch(s.seg, false)
-			s.seg = nil
-		}
+	if len(s.seg) > 0 {
+		s.dispatch(s.seg, false)
+		s.seg = nil
 	}
 	s.wg.Wait()
 	var data []byte
-	switch len(s.chunks) {
-	case 0:
-	case 1:
-		data = s.chunks[0]
-	default:
-		data = make([]byte, 0, s.total)
-		for _, c := range s.chunks {
-			data = append(data, c...)
+	if len(s.shards) == 1 {
+		data = s.shards[0].chunk
+	} else {
+		n := 0
+		for _, sh := range s.shards {
+			n += len(sh.chunk)
+		}
+		data = make([]byte, 0, n)
+		for _, sh := range s.shards {
+			data = append(data, sh.chunk...)
 		}
 	}
 	log, err := mergeShards(s.shards)
@@ -168,7 +184,4 @@ func (s *StreamParser) Finish() (*Log, []byte, error) {
 func (s *StreamParser) EarlyShards() int { return s.early }
 
 // Shards reports the total number of parse shards dispatched.
-func (s *StreamParser) Shards() int { return len(s.chunks) }
-
-// BytesIn reports the number of body bytes dispatched so far.
-func (s *StreamParser) BytesIn() int64 { return s.total }
+func (s *StreamParser) Shards() int { return len(s.shards) }

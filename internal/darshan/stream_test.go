@@ -2,6 +2,8 @@ package darshan
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -27,7 +29,7 @@ func TestStreamParserMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, piece := range []int{7, 1021, 64 << 10} {
-		sp := NewStreamParser(StreamOptions{Workers: 3, ChunkBytes: 8 << 10})
+		sp := NewStreamParser(StreamOptions{Workers: 3, segBytes: 8 << 10})
 		feedStream(t, sp, text, piece)
 		log, data, err := sp.Finish()
 		if err != nil {
@@ -45,9 +47,6 @@ func TestStreamParserMatchesSequential(t *testing.T) {
 		if sp.EarlyShards() == 0 {
 			t.Fatalf("piece %d: no shard was dispatched during upload", piece)
 		}
-		if sp.BytesIn() != int64(len(text)) {
-			t.Fatalf("piece %d: BytesIn = %d, want %d", piece, sp.BytesIn(), len(text))
-		}
 	}
 }
 
@@ -58,7 +57,7 @@ func TestStreamParserErrorMatchesSequential(t *testing.T) {
 	if seqErr == nil {
 		t.Fatal("sequential parse unexpectedly succeeded")
 	}
-	sp := NewStreamParser(StreamOptions{Workers: 2, ChunkBytes: 4 << 10})
+	sp := NewStreamParser(StreamOptions{Workers: 2, segBytes: 4 << 10})
 	for off := 0; off < len(data); off += 911 {
 		end := off + 911
 		if end > len(data) {
@@ -99,8 +98,8 @@ func TestStreamParserBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	var stalls int
 	sp := NewStreamParser(StreamOptions{
-		Workers:    1,
-		ChunkBytes: 2 << 10,
+		Workers:  1,
+		segBytes: 2 << 10,
 		OnShard: func(shard int, chunk []byte) func(error) {
 			if shard == 0 {
 				<-gate // hold the only worker until backpressure is observed
@@ -125,4 +124,93 @@ func TestStreamParserBackpressure(t *testing.T) {
 	if len(log.Modules) == 0 {
 		t.Fatal("parse produced no modules")
 	}
+}
+
+// TestSegmentBytes pins the segment rule: a body of known size gets one
+// segment per worker plus 4 KiB for the partial line each cut carries,
+// clamped to [256 KiB, 1 MiB]; a body of unknown size gets 1 MiB.
+func TestSegmentBytes(t *testing.T) {
+	for _, tc := range []struct {
+		size    int64
+		workers int
+		want    int
+	}{
+		{800 << 10, 1, 800<<10 + 4<<10},
+		{800 << 10, 2, 400<<10 + 4<<10},
+		{800 << 10, 4, 256 << 10}, // 204 KiB per worker: the floor
+		{3 << 20, 4, 768<<10 + 4<<10},
+		{10 << 20, 1, 1 << 20}, // the ceiling
+		{10 << 20, 4, 1 << 20},
+		{722312, 2, 365252},
+		{0, 2, 1 << 20}, // unknown
+		{-1, 4, 1 << 20},
+	} {
+		if got := segmentBytes(tc.size, tc.workers); got != tc.want {
+			t.Errorf("segmentBytes(%d, %d) = %d, want %d", tc.size, tc.workers, got, tc.want)
+		}
+	}
+
+	// The slack keeps a 722,312-byte body at two workers in two shards:
+	// the first cut carries a partial line into the second segment,
+	// which the body's remaining bytes then do not fill.
+	body, _ := syntheticText(t, 100)
+	for len(body) < 722312-64 {
+		body = append(body, "# metadata: pad = 0\n"...)
+	}
+	tail := "# metadata: tail = "
+	body = append(body, tail+strings.Repeat("x", 722312-len(body)-len(tail)-1)+"\n"...)
+	if len(body) != 722312 {
+		t.Fatalf("body is %d bytes", len(body))
+	}
+	sp := NewStreamParser(StreamOptions{Workers: 2, Size: int64(len(body))})
+	feedStream(t, sp, body, 64<<10)
+	if _, _, err := sp.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if sp.Shards() != 2 {
+		t.Fatalf("%d shards, want 2", sp.Shards())
+	}
+}
+
+// TestLineLengthLimit: ParseText and the stream parser, at the service's
+// segment size and at tiny segments, accept a line of maxLineBytes and
+// reject one a byte longer at that line's position, even with valid
+// lines after it; the stream parser takes no bytes past that line.
+func TestLineLengthLimit(t *testing.T) {
+	head := "# nprocs: 1\nPOSIX\t0\t42\tPOSIX_OPENS\t3\t/f\t/\ttmpfs\n"
+	tail := "POSIX\t0\t42\tPOSIX_READS\t1\t/f\t/\ttmpfs\n"
+	for _, n := range []int{maxLineBytes, maxLineBytes + 1} {
+		body := []byte(head + "# " + strings.Repeat("x", n-2) + "\n" + tail)
+		_, seqErr := ParseText(bytes.NewReader(body))
+		want := ""
+		if n > maxLineBytes {
+			want = fmt.Sprintf("darshan: line 3 (byte %d): line too long", len(head))
+		}
+		if got := errText(seqErr); got != want {
+			t.Fatalf("%d-byte line: ParseText error %q, want %q", n, got, want)
+		}
+		for name, opts := range map[string]StreamOptions{
+			"sized":   {Workers: 2, Size: int64(len(body))},
+			"24-byte": {Workers: 2, segBytes: 24},
+		} {
+			sp := NewStreamParser(opts)
+			written, werr := sp.Write(body)
+			_, data, err := sp.Finish()
+			if got := errText(err); got != want {
+				t.Fatalf("%d-byte line, %s segments: error %q, want %q", n, name, got, want)
+			}
+			if want != "" && (werr == nil || written > len(head)+maxLineBytes+1 || len(data) != written) {
+				t.Fatalf("%d-byte line, %s segments: Write took %d bytes (err %v) and Finish returned %d; want it stopped at the line",
+					n, name, written, werr, len(data))
+			}
+		}
+	}
+}
+
+// errText is err's message, or "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

@@ -53,9 +53,9 @@ type Config struct {
 	// per retry with ±50% jitter up to maxRetryDelay; 0 means the
 	// default (500ms).
 	RetryDelay time.Duration
-	// ParseWorkers bounds how many segments of one trace parse at once,
-	// and a body of known length is cut into that many segments; 0 or
-	// negative means GOMAXPROCS.
+	// ParseWorkers bounds how many segments of one trace parse at once;
+	// with a body's known length it sizes the segments (see
+	// darshan.StreamOptions). 0 or negative means GOMAXPROCS.
 	ParseWorkers int
 	// StreamMaxBuffer bounds the total trace bytes held by in-flight
 	// ingests: every upload, whichever route or method it came by, and

@@ -76,7 +76,7 @@ type body struct {
 // segments parse while the rest is still being read. A binary
 // container is one gzip stream that decodes only whole: it is buffered
 // and decoded after the last byte. size is the body's length, or -1
-// when unknown; it sizes the segments (see segmentBytes).
+// when unknown; the stream parser sizes its segments by it.
 //
 // The parse span, with one parse_shard child per segment, goes to
 // ctx's tracer. It ends when the merged log is ready, so for a body
@@ -100,7 +100,7 @@ func (s *Service) ingest(ctx context.Context, r io.Reader, size int64, shed bool
 	if !darshan.IsBinary(br) {
 		sp = darshan.NewStreamParser(darshan.StreamOptions{
 			Workers:        s.cfg.ParseWorkers,
-			ChunkBytes:     s.segmentBytes(size),
+			Size:           size,
 			OnShard:        s.shardHook(ctx),
 			OnBackpressure: s.streamStalls.Inc,
 		})
@@ -128,7 +128,7 @@ func (s *Service) ingest(ctx context.Context, r io.Reader, size int64, shed bool
 			hasher.Write(buf[:n])
 			if _, werr := sink.Write(buf[:n]); werr != nil {
 				// A line is too long to parse; stop reading. Finish
-				// below reports the canonical positioned error.
+				// below reports it at its position.
 				break
 			}
 		}
@@ -167,28 +167,6 @@ func (s *Service) ingest(ctx context.Context, r io.Reader, size int64, shed bool
 	b.hash = hex.EncodeToString(hasher.Sum(nil))
 	b.ingest.Bytes = int64(len(b.data))
 	return b, nil
-}
-
-// Segment bounds for a body of known length; see segmentBytes.
-const (
-	minSegment = 256 << 10
-	maxSegment = 1 << 20
-	// segmentSlack leaves room in each segment for the partial line
-	// its cut carries into the next, so a body splits into
-	// ParseWorkers segments, not one more holding its last few bytes.
-	segmentSlack = 4 << 10
-)
-
-// segmentBytes sizes the stream parser's segments. A body of known
-// length gets one segment per parse worker, clamped to [256 KiB,
-// 1 MiB], so no body parses in fewer shards than ParseTextParallel
-// cuts it into; a body of unknown length (-1) gets 1 MiB segments.
-func (s *Service) segmentBytes(size int64) int {
-	if size < 0 {
-		return maxSegment
-	}
-	n := size/int64(s.cfg.ParseWorkers) + segmentSlack
-	return int(min(max(n, minSegment), maxSegment))
 }
 
 // reserveStream charges n bytes to the buffer budget. It refuses a

@@ -4,9 +4,9 @@
 // first, and appends every write to a file as one line, so a restarted
 // process replays what it had. The Store owns the whole crash discipline:
 //
-//   - A torn last line, left by a crash mid-append, is skipped at replay
-//     and terminated at open, so the next append starts a line of its
-//     own.
+//   - A torn last line, left by a crash mid-append or by an append that
+//     failed part-way, is skipped at replay, and the next append starts
+//     with a newline, so its record gets a line of its own.
 //   - A blank, unparseable, invalid or over-long line is skipped, and
 //     replay goes on with the next one.
 //   - A record supersedes the live record with the same key.
@@ -88,6 +88,9 @@ type Store[T any] struct {
 	// lines counts the lines in the file, skipped ones included.
 	lines   int
 	evicted int64
+	// torn is set while the file may end without a newline: a crash or
+	// a failed append left part of a line.
+	torn bool
 }
 
 type node[T any] struct {
@@ -99,7 +102,7 @@ type node[T any] struct {
 
 // Open replays the journal at opts.Path, creating it if missing, and
 // returns a Store that appends to it. Bad lines are skipped; only an
-// error opening, reading or repairing the file fails the open.
+// error opening or reading the file fails the open.
 func Open[T any](opts Options[T]) (*Store[T], error) {
 	if opts.Path == "" {
 		return nil, errors.New("journal: a path is required")
@@ -123,14 +126,11 @@ func Open[T any](opts Options[T]) (*Store[T], error) {
 		}
 		s.insert(rec)
 	})
-	if err == nil && torn {
-		_, err = f.Write([]byte{'\n'})
-	}
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("journal: %s: %w", opts.Path, err)
 	}
-	s.file, s.lines = f, lines
+	s.file, s.lines, s.torn = f, lines, torn
 	return s, nil
 }
 
@@ -198,9 +198,17 @@ func (s *Store[T]) Put(rec T) error {
 	if s.file == nil {
 		return nil
 	}
+	if s.torn {
+		// End the torn line first; if nothing was torn after all, the
+		// newline leaves a blank line, which replay skips.
+		line = append([]byte{'\n'}, line...)
+	}
 	if _, err := s.file.Write(line); err != nil {
+		// The write may have left part of its line behind.
+		s.torn = true
 		return fmt.Errorf("%w: %w", ErrAppend, err)
 	}
+	s.torn = false
 	s.lines++
 	if s.lines > compactFactor*len(s.byKey)+compactSlack {
 		s.compact()

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -84,6 +86,39 @@ func line(r rec) string {
 		panic(err)
 	}
 	return string(b)
+}
+
+// The test binary run with partWriteEnv set to a journal's path is the
+// child of the crash table's part-failed write case.
+const partWriteEnv = "ION_JOURNAL_PART_WRITE"
+
+// partWriteChild appends to the journal at path under a file-size limit
+// ten bytes past its end, so one Put writes part of its line and fails
+// with EFBIG (Go ignores SIGXFSZ). With the limit lifted again, a second
+// Put must succeed.
+func partWriteChild(t *testing.T, path string) {
+	s := mustOpen(t, recOpts(path))
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lim syscall.Rlimit
+	if err := syscall.Getrlimit(syscall.RLIMIT_FSIZE, &lim); err != nil {
+		t.Fatal(err)
+	}
+	short := lim
+	short.Cur = uint64(fi.Size()) + 10
+	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &short); err != nil {
+		t.Fatal(err)
+	}
+	err = s.Put(rec{K: "b", T: t0})
+	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &lim); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(err, ErrAppend) {
+		t.Fatalf("Put past the file-size limit: %v, want ErrAppend", err)
+	}
+	mustPut(t, s, rec{K: "c", T: t0})
 }
 
 func lineCount(t *testing.T, path string) int {
@@ -311,6 +346,33 @@ func TestCrashConsistency(t *testing.T) {
 				s.Close()
 				if got := keys(open()); got != "a" {
 					t.Fatalf("replayed %q, want only the appended record", got)
+				}
+			},
+		},
+		{
+			name: "append after a part-failed write",
+			file: line(a),
+			run: func(t *testing.T, path string, open func() *Store[rec]) {
+				if parent := os.Getenv(partWriteEnv); parent != "" {
+					partWriteChild(t, parent)
+					return
+				}
+				cmd := exec.Command(os.Args[0], "-test.count=1",
+					"-test.run=^TestCrashConsistency$/^append_after_a_part-failed_write$")
+				cmd.Env = append(os.Environ(), partWriteEnv+"="+path)
+				if out, err := cmd.CombinedOutput(); err != nil {
+					t.Fatalf("child: %v\n%s", err, out)
+				}
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := rec{K: "c", T: t0}
+				if want := line(a) + line(b)[:10] + "\n" + line(c); string(data) != want {
+					t.Fatalf("journal holds\n%q\nwant the partial line ended before the next record:\n%q", data, want)
+				}
+				if got := keys(open()); got != "c a" {
+					t.Fatalf("replayed %q, want %q", got, "c a")
 				}
 			},
 		},

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
+	"ion/internal/darshan"
 	"ion/internal/expertsim"
 	"ion/internal/jobs"
 	"ion/internal/obs"
@@ -172,5 +175,50 @@ func TestEveryEntryPointRecordsOneParse(t *testing.T) {
 				t.Errorf("ion_pipeline_stage_seconds{stage=\"parse\"} counts %d parses for one job", h.Count())
 			}
 		})
+	}
+}
+
+// TestOverlongLineRejectedEverywhere: a text body with a line longer
+// than the parser accepts (16 MiB) between two traces is rejected at
+// that line's position by ParseText, ParseTextParallel, Submit, and
+// both POST routes, with a declared length and chunked. None admits the
+// trace cut short at that line.
+func TestOverlongLineRejectedEverywhere(t *testing.T) {
+	first := paddedText(t, "ior-hard", 0)
+	body := append(append([]byte{}, first...), "# metadata: long = "...)
+	body = append(body, bytes.Repeat([]byte{'x'}, 17<<20)...)
+	body = append(append(body, '\n'), paddedText(t, "ior-easy-1m-shared", 0)...)
+	want := fmt.Sprintf("darshan: line %d (byte %d): line too long", bytes.Count(first, []byte{'\n'})+1, len(first))
+
+	_, err := darshan.ParseText(bytes.NewReader(body))
+	if err == nil || err.Error() != want {
+		t.Fatalf("ParseText: %v, want %s", err, want)
+	}
+	if _, err := darshan.ParseTextParallel(body, 2); err == nil || err.Error() != want {
+		t.Fatalf("ParseTextParallel: %v, want %s", err, want)
+	}
+	srv, svc := jobServer(t, jobs.Config{Paused: true})
+	if _, _, err := svc.Submit("probe", body); !errors.Is(err, jobs.ErrBadTrace) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Submit: %v, want ErrBadTrace with %s", err, want)
+	}
+	for _, route := range []struct {
+		path string
+		body io.Reader
+	}{
+		{"/api/jobs?name=probe", bytes.NewReader(body)},
+		{"/api/jobs/stream?name=probe", io.MultiReader(bytes.NewReader(body))}, // no Len: chunked
+	} {
+		resp, err := http.Post(srv.URL+route.path, "application/octet-stream", route.body)
+		if err != nil {
+			t.Fatalf("POST %s: %v", route.path, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), want) {
+			t.Fatalf("POST %s: status %d, %q; want 400 with %s", route.path, resp.StatusCode, msg, want)
+		}
+	}
+	if jobs := svc.List(); len(jobs) != 0 {
+		t.Fatalf("%d jobs admitted, want none", len(jobs))
 	}
 }
