@@ -48,8 +48,6 @@ func main() {
 		baseURL     = flag.String("base-url", "https://api.openai.com/v1", "OpenAI-compatible endpoint (backend=openai)")
 		apiKey      = flag.String("api-key", os.Getenv("OPENAI_API_KEY"), "API key (backend=openai)")
 		model       = flag.String("model", "gpt-4-1106-preview", "model name (backend=openai)")
-		record      = flag.String("record", "", "record completions into this directory")
-		replay      = flag.String("replay", "", "replay completions from this directory")
 		ledgerPath  = flag.String("ledger", "", "append every LLM call to this audit-ledger journal (JSONL)")
 		ledgerText  = flag.Bool("ledger-capture-text", false, "store raw prompt/response text in the ledger (default: prompt hashes and accounting only)")
 		priceTable  = flag.String("llm-price-table", "", "JSON per-model price table overriding the built-in rates (USD per 1M tokens)")
@@ -89,15 +87,15 @@ func main() {
 	reg := obs.NewRegistry()
 	obs.RegisterRuntimeMetrics(reg)
 
-	client, err := buildClient(*backend, *baseURL, *apiKey, *model, *record, *replay)
+	client, err := buildClient(*backend, *baseURL, *apiKey, *model)
 	if err != nil {
 		fatal(err)
 	}
 	if *replayLed != "" {
 		// Deterministic re-run: every prompt must resolve from the
-		// recorded set — no fallback, so drift fails loudly instead of
-		// silently burning tokens.
-		rp, err := ledger.NewReplay(*replayLed, nil)
+		// recorded set, so drift fails loudly instead of silently
+		// burning tokens.
+		rp, err := ledger.NewReplay(*replayLed)
 		if err != nil {
 			fatal(err)
 		}
@@ -126,7 +124,7 @@ func main() {
 			Registry:    reg,
 		})
 	}
-	// Instrument outermost, after record/replay/ledger composition, so
+	// Instrument outermost, after replay/ledger composition, so
 	// the telemetry measures what the pipeline actually waited on.
 	client = llm.Instrument(client, reg)
 
@@ -249,35 +247,18 @@ func main() {
 	}
 }
 
-func buildClient(backend, baseURL, apiKey, model, record, replay string) (llm.Client, error) {
-	var client llm.Client
+func buildClient(backend, baseURL, apiKey, model string) (llm.Client, error) {
 	switch backend {
 	case "expertsim":
-		client = expertsim.New()
+		return expertsim.New(), nil
 	case "openai":
 		c, err := llm.NewOpenAI(llm.OpenAIConfig{BaseURL: baseURL, APIKey: apiKey, Model: model})
 		if err != nil {
 			return nil, err
 		}
-		client = c
-	default:
-		return nil, fmt.Errorf("ion: unknown backend %q", backend)
+		return c, nil
 	}
-	if record != "" {
-		rec, err := llm.NewRecorder(client, record)
-		if err != nil {
-			return nil, err
-		}
-		client = rec
-	}
-	if replay != "" {
-		rp, err := llm.NewReplay(replay, client)
-		if err != nil {
-			return nil, err
-		}
-		client = rp
-	}
-	return client, nil
+	return nil, fmt.Errorf("ion: unknown backend %q", backend)
 }
 
 func repl(client llm.Client, rep *ion.Report, useRAG bool) error {

@@ -366,7 +366,6 @@ func main() {
 	}
 	if ledgerClient != nil {
 		js.WithLLMLedger(ledgerClient)
-		fmt.Printf("ionserve: LLM audit ledger at http://%s/dashboard/llm\n", *addr)
 	}
 	if profiler != nil {
 		js.WithProf(profiler)
@@ -375,8 +374,6 @@ func main() {
 	}
 	if qstore != nil {
 		js.WithQuality(qstore)
-		fmt.Printf("ionserve: diagnosis quality at http://%s/dashboard/quality (shadow sample rate %.2f)\n",
-			*addr, *shadowRate)
 	}
 
 	if *scrapeInt > 0 {

@@ -1,6 +1,9 @@
 package darshan
 
-import "errors"
+import (
+	"errors"
+	"slices"
+)
 
 // Sharded text parsing.
 //
@@ -93,6 +96,25 @@ func mergeShards(shards []*shardResult) (*Log, error) {
 		baseOff += int64(len(sh.chunk))
 	}
 
+	// Count each trace's events across the shards, orphan rows
+	// included, so a trace that spans cuts grows its event slice once
+	// instead of once per shard. Orphans join the trace the earlier
+	// shards left open, as in the merge below.
+	need := map[uint64]int{}
+	var open uint64
+	for _, sh := range shards {
+		need[open] += len(sh.p.orphans)
+		for _, t := range sh.p.log.DXT {
+			need[t.FileID] += len(t.Events)
+		}
+		if sh.p.dxtTrace != nil {
+			open = sh.p.dxtTrace.FileID
+		}
+	}
+	adopt := func(t *DXTFileTrace) {
+		t.Events = slices.Grow(t.Events, need[t.FileID]-len(t.Events))
+	}
+
 	// Adopt the first shard's log wholesale and fold the rest in.
 	merged := shards[0].p.log
 	mountSet := make(map[string]struct{}, len(merged.Mounts)+4)
@@ -101,6 +123,7 @@ func mergeShards(shards []*shardResult) (*Log, error) {
 	}
 	dxtIdx := make(map[uint64]*DXTFileTrace, len(merged.DXT)+4)
 	for _, t := range merged.DXT {
+		adopt(t)
 		dxtIdx[t.FileID] = t
 	}
 	cur := shards[0].p.dxtTrace
@@ -198,6 +221,7 @@ func mergeShards(shards []*shardResult) (*Log, error) {
 		for _, t := range sl.DXT {
 			mt, ok := dxtIdx[t.FileID]
 			if !ok {
+				adopt(t)
 				merged.DXT = append(merged.DXT, t)
 				dxtIdx[t.FileID] = t
 				continue

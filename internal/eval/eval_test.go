@@ -253,6 +253,36 @@ func TestAggregateSuperiority(t *testing.T) {
 	}
 }
 
+// TestIOREasyVariantsMatchTruth scores ION on every IOR-Easy variant
+// the sweeps build (eight transfer sizes, shared and file-per-process)
+// against the labels the generator derives from its own parameters:
+// small-io is not-detected at or above the RPC size, misaligned-io
+// detected below the stripe size.
+func TestIOREasyVariantsMatchTruth(t *testing.T) {
+	var ws []workloads.Workload
+	for _, xfer := range []int64{2 << 10, 8 << 10, 64 << 10, 256 << 10, 512 << 10, 1 << 20, 4 << 20, 8 << 20} {
+		ws = append(ws, workloads.IOREasy(xfer, true), workloads.IOREasy(xfer, false))
+	}
+	results, err := runner().RunAll(context.Background(), ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matched, expected := 0, 0
+	for _, res := range results {
+		matched += res.IONScore.Matched
+		expected += res.IONScore.Expected
+		for _, m := range res.IONScore.Mismatches {
+			t.Errorf("%s: %s = %s, label %s", res.Workload.Name, m.Issue, m.Got, m.Want)
+		}
+		if fp := res.IONScore.FalsePositives; len(fp) > 0 {
+			t.Errorf("%s: false positives %v", res.Workload.Name, fp)
+		}
+	}
+	if matched != 50 || expected != 50 {
+		t.Errorf("ION matched %d of %d labelled verdicts, want 50 of 50", matched, expected)
+	}
+}
+
 func TestTransferSweep(t *testing.T) {
 	text, rows, err := runner().TransferSweep(context.Background(),
 		[]int64{2 << 10, 256 << 10, 1 << 20, 4 << 20, 8 << 20})

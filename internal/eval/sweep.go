@@ -26,9 +26,10 @@ type SweepRow struct {
 
 // TransferSweep runs the ior-easy shared-file workload across transfer
 // sizes and records how ION's verdicts and the simulated performance
-// move together: the small-I/O verdict should stay "mitigated" for the
-// sequential stream at every size, the misalignment verdict should flip
-// exactly at the stripe boundary, and the simulated makespan should
+// move together: the small-I/O verdict should read "mitigated" for the
+// sequential stream below the RPC size and "not-detected" at or above
+// it, where no transfer is small; the misalignment verdict should flip
+// exactly at the stripe boundary; and the simulated makespan should
 // track the aggregation behavior — verdicts grounded in physics rather
 // than thresholds.
 func (r *Runner) TransferSweep(ctx context.Context, transfers []int64) (string, []SweepRow, error) {

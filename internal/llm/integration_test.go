@@ -1,43 +1,38 @@
 package llm_test
 
-// Integration tests for the record/replay flow against the real ION
-// pipeline: a full analysis is recorded once, then replayed with the
-// backend disabled — the reproducibility workflow users rely on when a
-// live LLM backs the analyzer.
+// Integration test for the record/replay flow against the real ION
+// pipeline: a full analysis is recorded once into a text-captured
+// ledger, then replayed from it with no backend at all — the
+// reproducibility workflow users rely on when a live LLM backs the
+// analyzer (ion -ledger PATH -ledger-capture-text, then
+// ion -replay-ledger PATH).
 
 import (
 	"context"
-	"errors"
+	"path/filepath"
 	"testing"
 
 	"ion/internal/expertsim"
 	"ion/internal/ion"
 	"ion/internal/issue"
-	"ion/internal/llm"
+	"ion/internal/llm/ledger"
 	"ion/internal/testutil"
 )
-
-// deadClient fails every request; replay must never reach it.
-type deadClient struct{}
-
-func (deadClient) Name() string { return "dead" }
-func (deadClient) Complete(ctx context.Context, req llm.Request) (llm.Completion, error) {
-	return llm.Completion{}, errors.New("backend must not be called during replay")
-}
 
 func TestRecordThenReplayFullAnalysis(t *testing.T) {
 	log, err := testutil.Log("ior-hard")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cassettes := t.TempDir()
+	path := filepath.Join(t.TempDir(), "ledger.jsonl")
 	workdir := t.TempDir()
 
-	// Pass 1: record a full analysis.
-	rec, err := llm.NewRecorder(expertsim.New(), cassettes)
+	// Pass 1: record a full analysis with its prompt and response text.
+	st, err := ledger.Open(ledger.StoreOptions{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := ledger.Wrap(expertsim.New(), st, ledger.WrapOptions{CaptureText: true})
 	fw1, err := ion.New(ion.Config{Client: rec})
 	if err != nil {
 		t.Fatal(err)
@@ -46,10 +41,11 @@ func TestRecordThenReplayFullAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.Close()
 
-	// Pass 2: replay with a dead backend. The extraction must land in
-	// the same workdir so the prompts (and fingerprints) are identical.
-	replay, err := llm.NewReplay(cassettes, deadClient{})
+	// Pass 2: replay. Replay is strict, so a prompt that drifted from
+	// the recording fails the analysis instead of reaching a backend.
+	replay, err := ledger.NewReplay(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +55,7 @@ func TestRecordThenReplayFullAnalysis(t *testing.T) {
 	}
 	rep2, err := fw2.AnalyzeLog(context.Background(), log, "ior-hard", workdir)
 	if err != nil {
-		t.Fatalf("replayed analysis failed (cassette miss?): %v", err)
+		t.Fatalf("replayed analysis failed (recording miss?): %v", err)
 	}
 
 	for _, id := range issue.All {
@@ -74,46 +70,5 @@ func TestRecordThenReplayFullAnalysis(t *testing.T) {
 	}
 	if rep1.Summary != rep2.Summary {
 		t.Error("summary changed through replay")
-	}
-}
-
-func TestReplayDifferentTraceFallsBack(t *testing.T) {
-	// A cassette dir recorded for one trace cannot serve another: the
-	// fallback client must be consulted.
-	log, err := testutil.Log("ior-easy-1m-fpp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cassettes := t.TempDir()
-	rec, err := llm.NewRecorder(expertsim.New(), cassettes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw, err := ion.New(ion.Config{Client: rec, SkipSummary: true, Issues: []issue.ID{issue.SmallIO}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fw.AnalyzeLog(context.Background(), log, "a", t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-
-	other, err := testutil.Log("md-workbench")
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay, err := llm.NewReplay(cassettes, expertsim.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw2, err := ion.New(ion.Config{Client: replay, SkipSummary: true, Issues: []issue.ID{issue.SmallIO}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := fw2.AnalyzeLog(context.Background(), other, "b", t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Verdict(issue.SmallIO) != issue.VerdictDetected {
-		t.Errorf("fallback analysis wrong: %s", rep.Verdict(issue.SmallIO))
 	}
 }

@@ -210,12 +210,14 @@ func (st *Store) Append(e Entry) error {
 	return nil
 }
 
-// Entries returns retained entries newest first, filtered.
+// Entries returns retained entries newest first, filtered. The result
+// grows with the matches, so one job's calls cost no more than they
+// hold however long the ledger is.
 func (st *Store) Entries(f Filter) []Entry {
 	if st == nil {
 		return nil
 	}
-	out := make([]Entry, 0, st.j.Len())
+	var out []Entry
 	st.j.Each(func(e Entry) bool {
 		if (f.Job == "" || e.Job == f.Job) && (f.Backend == "" || e.Backend == f.Backend) {
 			out = append(out, e)
@@ -292,7 +294,7 @@ func (st *Store) JobSums(limit int) []JobSum {
 }
 
 // TemplateTokens sums tokens by prompt template over the retained
-// entries, for the per-template histogram on /dashboard/llm.
+// entries, served as "templates" by /api/llm/ledger.
 func (st *Store) TemplateTokens() map[string]int64 {
 	if st == nil {
 		return nil

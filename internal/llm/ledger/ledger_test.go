@@ -380,7 +380,7 @@ func TestReplayRoundTrip(t *testing.T) {
 	}
 	st.Close()
 
-	rep, err := NewReplay(path, nil)
+	rep, err := NewReplay(path)
 	if err != nil {
 		t.Fatalf("NewReplay: %v", err)
 	}
@@ -395,20 +395,14 @@ func TestReplayRoundTrip(t *testing.T) {
 	other := testReq()
 	other.Messages[0].Content = "something new"
 	if _, err := rep.Complete(context.Background(), other); err == nil {
-		t.Fatal("replay answered an unrecorded prompt without a fallback")
-	}
-	// With a fallback, the miss goes live.
-	fb := &fakeClient{}
-	rep2, _ := NewReplay(path, fb)
-	if _, err := rep2.Complete(context.Background(), other); err != nil || fb.calls != 1 {
-		t.Fatalf("fallback not used: %v calls=%d", err, fb.calls)
+		t.Fatal("replay answered an unrecorded prompt")
 	}
 }
 
 func TestReplayErrors(t *testing.T) {
 	dir := t.TempDir()
 	// Missing file.
-	if _, err := NewReplay(filepath.Join(dir, "absent.jsonl"), nil); err == nil {
+	if _, err := NewReplay(filepath.Join(dir, "absent.jsonl")); err == nil {
 		t.Fatal("NewReplay accepted a missing file")
 	}
 	// Hash-only ledger (default privacy posture): nothing to replay.
@@ -416,7 +410,7 @@ func TestReplayErrors(t *testing.T) {
 	st, _ := Open(StoreOptions{Path: path})
 	Wrap(&fakeClient{}, st, WrapOptions{}).Complete(context.Background(), testReq())
 	st.Close()
-	if _, err := NewReplay(path, nil); err == nil {
+	if _, err := NewReplay(path); err == nil {
 		t.Fatal("NewReplay accepted a ledger without captured text")
 	}
 	// Truncated mid-record line is skipped, rest replays.
@@ -429,7 +423,7 @@ func TestReplayErrors(t *testing.T) {
 	f, _ := os.OpenFile(mixed, os.O_WRONLY|os.O_APPEND, 0o644)
 	f.WriteString(`{"id":"torn","prompt_sha":"abc","response_text":"x`)
 	f.Close()
-	rep, err := NewReplay(mixed, nil)
+	rep, err := NewReplay(mixed)
 	if err != nil || rep.Len() != 1 {
 		t.Fatalf("mixed replay: %v len=%d", err, rep.Len())
 	}
@@ -457,7 +451,7 @@ func TestReplaySkipsOverLimitLine(t *testing.T) {
 	f.WriteString(strings.Repeat("x", journal.MaxLine+1) + "\n")
 	f.Close()
 	record("after")
-	rep, err := NewReplay(path, nil)
+	rep, err := NewReplay(path)
 	if err != nil {
 		t.Fatalf("NewReplay: %v", err)
 	}

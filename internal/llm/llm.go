@@ -8,12 +8,8 @@ package llm
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
-	"strings"
 )
 
 // Role labels a chat message author.
@@ -88,38 +84,6 @@ func PromptTokens(req Request) int {
 		total += EstimateTokens(m.Content)
 	}
 	return total
-}
-
-// Fingerprint returns a stable hash of a request, used by the
-// record/replay clients as the storage key. Message order matters;
-// metadata is serialized in sorted key order.
-func Fingerprint(req Request) string {
-	var b strings.Builder
-	b.WriteString(req.Model)
-	b.WriteByte(0)
-	for _, m := range req.Messages {
-		b.WriteString(string(m.Role))
-		b.WriteByte(0)
-		b.WriteString(m.Content)
-		b.WriteByte(0)
-	}
-	for _, f := range req.Files {
-		b.WriteString(f)
-		b.WriteByte(0)
-	}
-	keys := make([]string, 0, len(req.Metadata))
-	for k := range req.Metadata {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte(0)
-		b.WriteString(req.Metadata[k])
-		b.WriteByte(0)
-	}
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:16])
 }
 
 // MarshalRequest serializes a request as stable JSON (for recording).

@@ -3,7 +3,6 @@ package llm
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,7 +10,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -23,48 +21,6 @@ func sampleRequest() Request {
 			{Role: RoleUser, Content: "analyze this"},
 		},
 		Metadata: map[string]string{"ion-issue": "small-io"},
-	}
-}
-
-func TestFingerprintStability(t *testing.T) {
-	a := Fingerprint(sampleRequest())
-	b := Fingerprint(sampleRequest())
-	if a != b {
-		t.Error("fingerprint not deterministic")
-	}
-	mod := sampleRequest()
-	mod.Messages[1].Content = "analyze that"
-	if Fingerprint(mod) == a {
-		t.Error("content change did not change fingerprint")
-	}
-	mod2 := sampleRequest()
-	mod2.Metadata["ion-issue"] = "metadata"
-	if Fingerprint(mod2) == a {
-		t.Error("metadata change did not change fingerprint")
-	}
-}
-
-func TestFingerprintMetadataOrderInsensitive(t *testing.T) {
-	a := sampleRequest()
-	a.Metadata = map[string]string{"k1": "v1", "k2": "v2", "k3": "v3"}
-	b := sampleRequest()
-	b.Metadata = map[string]string{"k3": "v3", "k1": "v1", "k2": "v2"}
-	if Fingerprint(a) != Fingerprint(b) {
-		t.Error("fingerprint sensitive to map iteration order")
-	}
-}
-
-func TestFingerprintCollisionResistanceProperty(t *testing.T) {
-	f := func(a, b string) bool {
-		if a == b {
-			return true
-		}
-		ra := Request{Messages: []Message{{Role: RoleUser, Content: a}}}
-		rb := Request{Messages: []Message{{Role: RoleUser, Content: b}}}
-		return Fingerprint(ra) != Fingerprint(rb)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -266,99 +222,6 @@ func TestOpenAIRequiresBaseURL(t *testing.T) {
 }
 
 // --- record / replay ---
-
-type stubClient struct {
-	reply string
-	calls int32
-	err   error
-}
-
-func (s *stubClient) Name() string { return "stub" }
-func (s *stubClient) Complete(ctx context.Context, req Request) (Completion, error) {
-	atomic.AddInt32(&s.calls, 1)
-	if s.err != nil {
-		return Completion{}, s.err
-	}
-	return Completion{Content: s.reply, Model: "stub"}, nil
-}
-
-func TestRecordReplayRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	stub := &stubClient{reply: "recorded answer"}
-	rec, err := NewRecorder(stub, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := sampleRequest()
-	comp, err := rec.Complete(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp.Content != "recorded answer" {
-		t.Errorf("content = %q", comp.Content)
-	}
-
-	replay, err := NewReplay(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := replay.Complete(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Content != "recorded answer" {
-		t.Errorf("replayed = %q", got.Content)
-	}
-	if stub.calls != 1 {
-		t.Errorf("inner called %d times, want 1", stub.calls)
-	}
-}
-
-func TestReplayStrictMissing(t *testing.T) {
-	replay, err := NewReplay(t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := replay.Complete(context.Background(), sampleRequest()); err == nil {
-		t.Error("missing cassette accepted in strict mode")
-	}
-}
-
-func TestReplayFallback(t *testing.T) {
-	stub := &stubClient{reply: "live answer"}
-	replay, err := NewReplay(t.TempDir(), stub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, err := replay.Complete(context.Background(), sampleRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp.Content != "live answer" {
-		t.Errorf("fallback not used: %q", comp.Content)
-	}
-}
-
-func TestRecorderPropagatesErrors(t *testing.T) {
-	rec, err := NewRecorder(&stubClient{err: errors.New("down")}, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rec.Complete(context.Background(), sampleRequest()); err == nil {
-		t.Error("inner error swallowed")
-	}
-}
-
-func TestReplayRejectsNonDirectory(t *testing.T) {
-	f, err := os.CreateTemp(t.TempDir(), "file")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if _, err := NewReplay(f.Name(), nil); err == nil {
-		t.Error("file path accepted as cassette dir")
-	}
-}
 
 func TestMarshalRequest(t *testing.T) {
 	data, err := MarshalRequest(sampleRequest())

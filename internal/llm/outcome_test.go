@@ -2,12 +2,8 @@ package llm
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"ion/internal/obs"
@@ -138,61 +134,5 @@ func TestInstrumentOutcomeLabels(t *testing.T) {
 	// one, whose partial content still cost real tokens.
 	if promptTokens != 5 || completionTokens != 7+64 {
 		t.Errorf("token counters = %v prompt / %v completion, want 5 / 71", promptTokens, completionTokens)
-	}
-}
-
-// TestReplayCorruptCassettes covers the cassette-file failure modes: an
-// empty file and a mid-record truncation both fail loudly (naming the
-// cassette), and neither falls through to the fallback — only a missing
-// file does.
-func TestReplayCorruptCassettes(t *testing.T) {
-	dir := t.TempDir()
-	req := Request{Model: "m", Messages: []Message{{Role: "user", Content: "hi"}}}
-
-	// A valid cassette for an unknown model name replays fine: replay is
-	// keyed on the fingerprint, not on model validity.
-	odd := Request{Model: "totally-unknown-model", Messages: req.Messages}
-	valid, err := json.Marshal(cassette{Request: odd, Completion: Completion{Content: "recorded", Model: odd.Model}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeCassette(t, dir, Fingerprint(odd), valid)
-
-	// Empty file and torn JSON for the other request's fingerprint.
-	for name, body := range map[string]string{
-		"empty":     "",
-		"truncated": `{"request": {"model": "m"}, "completion": {"content": "cut`,
-	} {
-		t.Run(name, func(t *testing.T) {
-			writeCassette(t, dir, Fingerprint(req), []byte(body))
-			rp, err := NewReplay(dir, &outcomeFake{comp: Completion{Content: "fallback"}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := rp.Complete(context.Background(), req); err == nil {
-				t.Fatal("corrupt cassette replayed without error")
-			} else if !strings.Contains(err.Error(), "corrupt cassette") {
-				t.Fatalf("error = %v, want corrupt-cassette", err)
-			}
-		})
-	}
-
-	rp, err := NewReplay(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, err := rp.Complete(context.Background(), odd)
-	if err != nil {
-		t.Fatalf("unknown-model cassette: %v", err)
-	}
-	if comp.Content != "recorded" || comp.Model != "totally-unknown-model" {
-		t.Fatalf("replayed %+v", comp)
-	}
-}
-
-func writeCassette(t *testing.T, dir, fingerprint string, body []byte) {
-	t.Helper()
-	if err := os.WriteFile(filepath.Join(dir, fingerprint+".json"), body, 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -2,8 +2,9 @@
 // completed LLM diagnosis against the iongen ground-truth labels when
 // the trace name identifies a bundled workload, persists the per-job
 // scorecards in a journaled store, and aggregates label matches and
-// shadow-rerun flip statistics for metrics, alerting, and the
-// /dashboard/quality page.
+// shadow-rerun flip statistics for metrics, alerting and /api/quality.
+// Each job's scorecard is also part of its explain value
+// (/api/jobs/{id}/explain and the job page).
 //
 // The paper validates ION's verdicts against expert-labeled IO500 and
 // OpenPMD workloads once, offline; this package keeps the same labels

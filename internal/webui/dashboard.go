@@ -202,7 +202,10 @@ func dashboardPanels() []dashPanel {
 		{title: "LLM latency p95", unit: "s", queries: []series.Query{
 			q("ion_llm_request_seconds", map[string]string{"quantile": "0.95"}),
 		}},
+		{title: "LLM spend rate", unit: "USD/s", queries: []series.Query{q("ion_llm_cost_usd_total", nil)}},
+		{title: "LLM backend health", queries: []series.Query{q("ion_llm_backend_health", nil)}},
 		{title: "Semantic cache hit ratio", unit: "%", queries: []series.Query{q("ion_semcache_hit_ratio", nil)}},
+		{title: "Shadow flip ratio", unit: "%", queries: []series.Query{q("ion_semcache_flip_ratio", nil)}},
 		{title: "HTTP requests", unit: "/s", queries: []series.Query{q("ion_http_requests_total", nil)}},
 		{title: "Heap", unit: "B", queries: []series.Query{q("ion_go_heap_bytes", nil)}},
 		{title: "Goroutines", queries: []series.Query{q("ion_go_goroutines", nil)}},
@@ -300,7 +303,7 @@ func (s *JobServer) renderPanel(b *strings.Builder, p dashPanel, from, to time.T
 		b.WriteString(`<p class="nodata">no data yet</p></div>`)
 		return
 	}
-	lo, hi := sparkline(b, lines, sparkColors, from, to, 260, 56, false)
+	lo, hi := sparkline(b, lines, from, to)
 
 	last := lines[0][len(lines[0])-1].V
 	fmt.Fprintf(b, `<p class="readout"><strong>%s</strong> <span class="range">min %s &middot; max %s</span></p>`,
@@ -325,12 +328,12 @@ func (s *JobServer) sparkWindow() time.Duration {
 	return min(10*time.Minute, s.series.Retention())
 }
 
-// sparkline draws each line as an SVG polyline across [from, to] in a
-// w×h box, stroked in colors[i%len(colors)]. The lines share one
-// y-scale: [0,1] when unitScale is set (higher values are drawn at the
-// top), otherwise the range of their points. Lines with fewer than two
-// points are not drawn. It returns the range of the points.
-func sparkline(b *strings.Builder, lines [][]series.Point, colors []string, from, to time.Time, w, h int, unitScale bool) (lo, hi float64) {
+// sparkline draws each line as a 260×56 SVG polyline across [from,
+// to], stroked in sparkColors. The lines share one y-scale, the range
+// of their points. Lines with fewer than two points are not drawn. It
+// returns the range of the points.
+func sparkline(b *strings.Builder, lines [][]series.Point, from, to time.Time) (lo, hi float64) {
+	const w, h, pad = 260, 56, 3
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for _, pts := range lines {
 		for _, pt := range pts {
@@ -338,13 +341,10 @@ func sparkline(b *strings.Builder, lines [][]series.Point, colors []string, from
 		}
 	}
 	bottom, top := lo, hi
-	if unitScale {
-		bottom, top = 0, 1
-	} else if hi == lo {
+	if hi == lo {
 		bottom, top = lo-1, hi+1
 	}
 
-	const pad = 3
 	fromMs, toMs := from.UnixMilli(), to.UnixMilli()
 	fmt.Fprintf(b, `<svg viewBox="0 0 %d %d" width="%d" height="%d" role="img">`, w, h, w, h)
 	for i, pts := range lines {
@@ -354,35 +354,17 @@ func sparkline(b *strings.Builder, lines [][]series.Point, colors []string, from
 		var path strings.Builder
 		for j, pt := range pts {
 			x := pad + float64(w-2*pad)*float64(pt.T-fromMs)/float64(toMs-fromMs)
-			y := float64(h-pad) - float64(h-2*pad)*(math.Min(pt.V, top)-bottom)/(top-bottom)
+			y := float64(h-pad) - float64(h-2*pad)*(pt.V-bottom)/(top-bottom)
 			if j > 0 {
 				path.WriteByte(' ')
 			}
 			fmt.Fprintf(&path, "%.1f,%.1f", x, y)
 		}
 		fmt.Fprintf(b, `<polyline fill="none" stroke="%s" stroke-width="1.5" points="%s"/>`,
-			colors[i%len(colors)], path.String())
+			sparkColors[i%len(sparkColors)], path.String())
 	}
 	b.WriteString(`</svg>`)
 	return lo, hi
-}
-
-// foldSeries merges every series of the named metric over [from, to]
-// into one, combining the values that share a timestamp with combine
-// (starting from 0), in time order.
-func (s *JobServer) foldSeries(name string, from, to time.Time, combine func(acc, v float64) float64) []series.Point {
-	byT := map[int64]float64{}
-	for _, res := range s.series.Query(series.Query{Name: name, From: from, To: to}) {
-		for _, pt := range res.Points {
-			byT[pt.T] = combine(byT[pt.T], pt.V)
-		}
-	}
-	pts := make([]series.Point, 0, len(byT))
-	for ts, v := range byT {
-		pts = append(pts, series.Point{T: ts, V: v})
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].T < pts[j].T })
-	return pts
 }
 
 // legendFor labels one plotted series; single-series panels with no

@@ -1,12 +1,9 @@
 package webui
 
 import (
-	"encoding/xml"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -86,17 +83,19 @@ func TestLLMLedgerAPI(t *testing.T) {
 		t.Fatalf("job cost = %+v, want attributed calls", job.Cost)
 	}
 
-	var body struct {
-		Totals  ledger.Totals          `json:"totals"`
-		Health  []ledger.BackendHealth `json:"health"`
-		Jobs    []ledger.JobSum        `json:"jobs"`
-		Entries []ledger.Entry         `json:"entries"`
-	}
+	var body llmLedgerResponse
 	if st := getJSON(t, srv.URL+"/api/llm/ledger", &body); st != http.StatusOK {
 		t.Fatalf("ledger status = %d", st)
 	}
 	if len(body.Entries) == 0 || body.Totals.Calls == 0 {
 		t.Fatalf("ledger empty: %d entries, %d calls", len(body.Entries), body.Totals.Calls)
+	}
+	// Tokens by prompt template: every retained token is a diagnosis
+	// or summary token.
+	if body.Templates[prompt.KindDiagnosis] == 0 || body.Templates[prompt.KindSummary] == 0 ||
+		body.Templates[prompt.KindDiagnosis]+body.Templates[prompt.KindSummary] != body.Totals.TokensIn+body.Totals.TokensOut {
+		t.Errorf("templates = %v, want diagnosis and summary tokens summing to %d",
+			body.Templates, body.Totals.TokensIn+body.Totals.TokensOut)
 	}
 	for _, e := range body.Entries {
 		if e.Job != sr.Job.ID {
@@ -146,81 +145,16 @@ func TestLLMLedgerAPI(t *testing.T) {
 	}
 }
 
-// TestLLMDashboardXML proves the zero-JS dashboard is well-formed XML
-// end to end (the CI smoke parses it with an XML parser) and carries
-// the expected sections.
-func TestLLMDashboardXML(t *testing.T) {
-	srv, _ := llmServer(t)
-	sr, st := postTrace(t, srv.URL+"/api/jobs", workloadTrace(t))
-	if st != http.StatusAccepted {
-		t.Fatalf("submit status = %d", st)
-	}
-	waitJobDone(t, srv.URL, sr.Job.ID)
-
-	resp, err := http.Get(srv.URL + "/dashboard/llm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("dashboard status = %d", resp.StatusCode)
-	}
-	page, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := xml.NewDecoder(strings.NewReader(string(page)))
-	for {
-		if _, err := dec.Token(); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatalf("page is not well-formed XML: %v\n%s", err, page)
-		}
-	}
-	for _, want := range []string{
-		"LLM cost &amp; audit",
-		"Tokens by prompt template",
-		"Backend health",
-		"Most expensive jobs",
-		"diagnosis",
-		"expertsim",
-		sr.Job.ID,
-	} {
-		if !strings.Contains(string(page), want) {
-			t.Errorf("dashboard missing %q", want)
-		}
-	}
-
-	// The job page surfaces the attribution banner, and the index page
-	// the cumulative totals.
-	for path, want := range map[string]string{
-		"/jobs/" + sr.Job.ID: "LLM cost:",
-		"/":                  "LLM calls",
-	} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if !strings.Contains(string(body), want) {
-			t.Errorf("%s missing %q", path, want)
-		}
-	}
-}
-
-// TestLLMRoutesDisabled verifies the ledger routes 404 cleanly when no
+// TestLLMRoutesDisabled verifies the ledger route 404s cleanly when no
 // ledger is wired in.
 func TestLLMRoutesDisabled(t *testing.T) {
 	srv, _ := jobServer(t, jobs.Config{Workers: 1})
-	for _, path := range []string{"/api/llm/ledger", "/dashboard/llm"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s status = %d, want 404", path, resp.StatusCode)
-		}
+	resp, err := http.Get(srv.URL + "/api/llm/ledger")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/api/llm/ledger status = %d, want 404", resp.StatusCode)
 	}
 }

@@ -3,7 +3,6 @@ package webui
 import (
 	"context"
 	"encoding/json"
-	"encoding/xml"
 	"fmt"
 	"io"
 	"log/slog"
@@ -210,9 +209,8 @@ func TestSemcacheFlipIncident(t *testing.T) {
 // TestQualityLabelMismatchSurfaces: a contradicting backend (expertsim
 // with every verdict forced to not-detected) diagnoses ior-hard under
 // its own name, and every quality surface reports the label
-// mismatches: the scorecard, the job's quality provenance and page
-// banner, /api/quality with its issue filter, and /dashboard/quality,
-// which stays well-formed XML.
+// mismatches: the scorecard, the job's quality provenance and page,
+// and /api/quality with its issue filter.
 func TestQualityLabelMismatchSurfaces(t *testing.T) {
 	srv, svc, _, qstore := qualityServer(t,
 		&expertsim.Contradictor{Inner: expertsim.New()}, jobs.Config{Workers: 1}, nil)
@@ -275,45 +273,23 @@ func TestQualityLabelMismatchSurfaces(t *testing.T) {
 		t.Errorf("job filter: status=%d cards=%d", code, len(qr.Scorecards))
 	}
 
-	dash := getBody(t, srv.URL+"/dashboard/quality")
-	dec := xml.NewDecoder(strings.NewReader(dash))
-	for {
-		if _, err := dec.Token(); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatalf("quality dashboard is not well-formed XML: %v\n%s", err, dash)
-		}
-	}
-	for _, want := range []string{
-		"Verdicts against ground-truth labels",
-		"Recent label mismatches and flips",
-		job.ID,
-		fmt.Sprintf("%d/%d", matched, matched+mismatched),
-		wrong + " (label detected, got not-detected)",
-	} {
-		if !strings.Contains(dash, want) {
-			t.Errorf("quality dashboard is missing %q", want)
-		}
-	}
 }
 
-// TestQualityRoutesWithoutStore: without WithQuality the quality routes
-// 404 with a JSON error pointing at the flag.
+// TestQualityRoutesWithoutStore: without WithQuality the quality route
+// 404s with a JSON error pointing at the flag.
 func TestQualityRoutesWithoutStore(t *testing.T) {
 	srv, _ := jobServer(t, jobs.Config{Paused: true})
-	for _, path := range []string{"/api/quality", "/dashboard/quality"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var body struct {
-			Error string `json:"error"`
-		}
-		json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound || !strings.Contains(body.Error, "-quality") {
-			t.Errorf("GET %s = %d %q, want 404 pointing at -quality", path, resp.StatusCode, body.Error)
-		}
+	resp, err := http.Get(srv.URL + "/api/quality")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || !strings.Contains(body.Error, "-quality") {
+		t.Errorf("GET /api/quality = %d %q, want 404 pointing at -quality", resp.StatusCode, body.Error)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,9 +39,9 @@ type JobServer struct {
 	log       *slog.Logger
 	series    *series.Store    // nil disables /dashboard and the query/alerts APIs
 	flight    *flight.Recorder // nil disables the incident APIs
-	prof      *prof.Profiler   // nil disables /dashboard/profile and the prof APIs
-	llmLedger *ledger.Client   // nil disables /dashboard/llm and /api/llm/ledger
-	quality   *quality.Store   // nil disables /dashboard/quality and /api/quality
+	prof      *prof.Profiler   // nil disables /dashboard/profile, the prof APIs and explain's profile window
+	llmLedger *ledger.Client   // nil disables /api/llm/ledger and explain's model calls
+	quality   *quality.Store   // nil disables /api/quality and explain's scorecard
 	reqSeq    atomic.Int64     // request-id source for latency exemplars
 	chats     chats            // per-job chat sessions, least recently used evicted
 }
@@ -99,7 +98,7 @@ func (s *JobServer) WithFlight(rec *flight.Recorder) *JobServer {
 // Handler returns the HTTP routes of the analysis service:
 //
 //	GET  /                     the job list page (HTML)
-//	GET  /jobs/{id}            a finished job's diagnosis page (HTML)
+//	GET  /jobs/{id}            a job's page (HTML): the diagnosis once finished, and its explain section
 //	POST /api/jobs             submit a trace (raw Darshan bytes; ?name=), parsed during upload
 //	POST /api/jobs/stream      the same handler, kept for clients that send chunked bodies there
 //	GET  /api/jobs             list jobs (JSON)
@@ -107,6 +106,7 @@ func (s *JobServer) WithFlight(rec *flight.Recorder) *JobServer {
 //	GET  /api/jobs/{id}/report the finished report (JSON)
 //	POST /api/jobs/{id}/ask    {"question": ...} against that job's report
 //	GET  /api/jobs/{id}/trace  the analysis span timeline (JSON)
+//	GET  /api/jobs/{id}/explain  the record, critical path, model calls, reuse, scorecard and profile window (JSON)
 //	GET  /api/stats            queue/worker/cache counters (JSON)
 //	GET  /api/semcache         semantic-cache stats, thresholds, entries (JSON)
 //	GET  /api/metrics/query    windowed series from the in-process store (JSON)
@@ -116,12 +116,10 @@ func (s *JobServer) WithFlight(rec *flight.Recorder) *JobServer {
 //	POST /api/debug/capture    capture an on-demand incident bundle
 //	GET  /api/prof/windows     decoded profile windows (JSON; ?kind=&limit=)
 //	GET  /api/prof/flamegraph  one window as an SVG flamegraph (?window=)
-//	GET  /api/llm/ledger       LLM call audit ledger (JSON; ?limit=&backend=&job=)
+//	GET  /api/llm/ledger       LLM call audit ledger, health, top jobs and tokens by template (JSON; ?limit=&backend=&job=)
 //	GET  /api/quality          diagnosis-quality scorecards (JSON; ?limit=&issue=&job=)
 //	GET  /dashboard            live self-observation page (HTML, inline SVG)
 //	GET  /dashboard/profile    continuous-profiling page (flamegraph, hot functions)
-//	GET  /dashboard/llm        LLM cost, token, and backend-health page (XML-clean HTML)
-//	GET  /dashboard/quality    verdicts against labels, shadow flips, mismatches (XML-clean HTML)
 //	GET  /healthz              liveness probe (always 200 while serving)
 //	GET  /readyz               readiness probe (503 while paused or draining)
 //	GET  /metrics              Prometheus text exposition (gzip-aware)
@@ -141,6 +139,7 @@ func (s *JobServer) Handler() http.Handler {
 	handle("GET /api/jobs/{id}", s.handleJob)
 	handle("GET /api/jobs/{id}/report", s.handleJobReport)
 	handle("GET /api/jobs/{id}/trace", s.handleJobTrace)
+	handle("GET /api/jobs/{id}/explain", s.handleJobExplain)
 	handle("POST /api/jobs/{id}/ask", s.handleJobAsk)
 	handle("GET /api/stats", s.handleStats)
 	handle("GET /api/semcache", s.handleSemcache)
@@ -155,8 +154,6 @@ func (s *JobServer) Handler() http.Handler {
 	handle("GET /api/quality", s.handleQualityAPI)
 	handle("GET /dashboard", s.handleDashboard)
 	handle("GET /dashboard/profile", s.handleProfileDashboard)
-	handle("GET /dashboard/llm", s.handleLLMDashboard)
-	handle("GET /dashboard/quality", s.handleQualityDashboard)
 	handle("GET /metrics", withGzip(s.obs.Handler()).ServeHTTP)
 	// Probes bypass the instrument middleware: they are hit every few
 	// seconds by orchestrators and would dominate the request metrics.
@@ -360,10 +357,12 @@ func (s *JobServer) handleJobPage(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	var why strings.Builder
+	renderExplain(&why, s.explain(job))
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if !job.State.Succeeded() {
 		fmt.Fprintf(w, pendingPage, html.EscapeString(job.Trace), html.EscapeString(string(job.State)),
-			job.Attempts, html.EscapeString(job.Error), html.EscapeString(job.ID))
+			job.Attempts, html.EscapeString(job.Error), html.EscapeString(job.ID), why.String())
 		return
 	}
 	rep, err := s.svc.Report(job.ID)
@@ -376,67 +375,8 @@ func (s *JobServer) handleJobPage(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	widget := ingestBanner(job) + reuseBanner(job) + costBanner(job) + qualityBanner(job) + navLink + chatWidgetFor("/api/jobs/"+job.ID+"/ask")
+	widget := why.String() + navLink + chatWidgetFor("/api/jobs/"+job.ID+"/ask")
 	fmt.Fprint(w, strings.Replace(page.String(), "</body>", widget+"</body>", 1))
-}
-
-// ingestBanner renders how a darshan-parser text trace was ingested:
-// body size, how many parse shards it was cut into, and whether parsing
-// overlapped the upload. Empty for a binary container, which is decoded
-// whole.
-func ingestBanner(job jobs.Job) string {
-	in := job.Ingest
-	if in == nil || in.Shards == 0 {
-		return ""
-	}
-	overlap := "parsed after the upload completed"
-	if in.ParseOverlapped {
-		overlap = "parsing overlapped the upload"
-	}
-	return fmt.Sprintf(`<div style="margin-top:2rem;padding:0.75rem 1rem;border:1px solid #059669;border-radius:6px;background:#ecfdf5">
-<strong>Streamed ingestion:</strong> %.1f MiB cut into %d parse shard(s) as it arrived; %s.</div>`,
-		float64(in.Bytes)/(1<<20), in.Shards, overlap)
-}
-
-// reuseBanner renders the semantic-cache provenance of a job: where
-// its diagnosis came from, how similar the neighbor was, and which
-// signature dimensions moved. Empty for jobs analyzed cold.
-func reuseBanner(job jobs.Job) string {
-	ru := job.ReusedFrom
-	if ru == nil {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString(`<div style="margin-top:2rem;padding:0.75rem 1rem;border:1px solid #2563eb;border-radius:6px;background:#eff6ff">`)
-	switch ru.Mode {
-	case jobs.ReuseSemanticHit:
-		fmt.Fprintf(&b, `<strong>Semantic hit:</strong> this report was served verbatim from job
-<a href="/jobs/%s"><code>%s</code></a> (signature similarity %.4f, no LLM calls).`,
-			html.EscapeString(ru.From), html.EscapeString(ru.From), ru.Similarity)
-	case jobs.ReuseConditioned:
-		fmt.Fprintf(&b, `<strong>Conditioned run:</strong> this analysis was conditioned on job
-<a href="/jobs/%s"><code>%s</code></a> (signature similarity %.4f): every issue was asked,
-with that job's conclusions retrieved as context.`,
-			html.EscapeString(ru.From), html.EscapeString(ru.From), ru.Similarity)
-	default:
-		fmt.Fprintf(&b, `<strong>Reused:</strong> derived from job <code>%s</code> (similarity %.4f).`,
-			html.EscapeString(ru.From), ru.Similarity)
-	}
-	if len(ru.Deltas) > 0 {
-		dims := make([]string, 0, len(ru.Deltas))
-		for d := range ru.Deltas {
-			dims = append(dims, d)
-		}
-		sort.Strings(dims)
-		parts := make([]string, 0, len(dims))
-		for _, d := range dims {
-			parts = append(parts, fmt.Sprintf("%s %+.3f", d, ru.Deltas[d]))
-		}
-		fmt.Fprintf(&b, ` <span style="color:#555">Signature deltas: %s.</span>`,
-			html.EscapeString(strings.Join(parts, ", ")))
-	}
-	b.WriteString(`</div>`)
-	return b.String()
 }
 
 func (s *JobServer) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -567,6 +507,7 @@ const pendingPage = `<!DOCTYPE html>
 <p>State: <strong>%s</strong> (attempt %d)</p>
 <p style="color:#a33">%s</p>
 <p>This page refreshes until job <code>%s</code> completes.</p>
+%s
 <p><a href="/">&larr; all jobs</a></p>
 </body></html>
 `
@@ -589,7 +530,7 @@ completed %d &middot; failed %d &middot; retries %d &middot; cache hits %d (%.0f
 &middot; <a href="/api/stats">stats JSON</a> &middot; <a href="/api/semcache">semcache</a>
 &middot; <a href="/metrics">metrics</a></p>
 <p style="color:#555">LLM calls %d &middot; tokens %d in / %d out &middot; est. $%.4f
-&middot; <a href="/dashboard/llm">LLM dashboard</a></p>
+</p>
 <script>
 document.getElementById("upload").addEventListener("click", async function() {
   var f = document.getElementById("trace").files[0];

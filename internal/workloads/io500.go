@@ -27,14 +27,20 @@ func IOREasy(transfer int64, shared bool) Workload {
 	name := fmt.Sprintf("ior-easy-%s-%s", sizeName(transfer), layoutName(shared))
 	title := fmt.Sprintf("IOR-Easy-%s-%s", sizeLabel(transfer), layoutLabel(shared))
 	const ranks = 4
+	cfg := iosim.ExampleConfig()
 
+	smallIO := Expect(issue.SmallIO, issue.VerdictMitigated,
+		"small transfers, but sequential and consecutive: aggregatable into bulk RPCs")
+	if transfer >= cfg.RPCSize {
+		smallIO = Expect(issue.SmallIO, issue.VerdictNotDetected,
+			"every transfer fills at least one bulk RPC: there is no small I/O")
+	}
 	truth := []issue.Expectation{
-		Expect(issue.SmallIO, issue.VerdictMitigated,
-			"small transfers, but sequential and consecutive: aggregatable into bulk RPCs"),
+		smallIO,
 		Expect(issue.Interface, issue.VerdictDetected,
 			"multiple ranks perform I/O through POSIX only; MPI-IO is never used"),
 	}
-	if transfer < 1<<20 {
+	if transfer < cfg.StripeSize {
 		truth = append(truth, Expect(issue.MisalignedIO, issue.VerdictDetected,
 			"2 KiB transfers land off the 1 MiB stripe boundary almost always"))
 	}
