@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"ion/internal/darshan"
@@ -58,4 +59,46 @@ func BenchmarkStreamIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// tileTrace repeats a rendered trace until it reaches minBytes, so the
+// sharded parser has enough input to cut real shards.
+func tileTrace(text []byte, minBytes int) []byte {
+	big := make([]byte, 0, minBytes+len(text))
+	for len(big) < minBytes {
+		big = append(big, text...)
+	}
+	return big
+}
+
+// workerSweep returns the deduplicated shard-pool sizes the parse
+// benchmark sweeps: 1, 2, 4, and whatever GOMAXPROCS is here.
+func workerSweep() []int {
+	sweep := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
+	seen := map[int]bool{}
+	out := sweep[:0]
+	for _, w := range sweep {
+		if !seen[w] {
+			seen[w] = true
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// streamOnce pushes the body through a StreamParser in 64 KiB writes,
+// the same cadence the HTTP handler reads a chunked upload at.
+func streamOnce(body []byte) error {
+	sp := darshan.NewStreamParser(darshan.StreamOptions{})
+	for off := 0; off < len(body); off += 64 << 10 {
+		end := off + 64<<10
+		if end > len(body) {
+			end = len(body)
+		}
+		if _, err := sp.Write(body[off:end]); err != nil {
+			break
+		}
+	}
+	_, _, err := sp.Finish()
+	return err
 }

@@ -29,21 +29,12 @@ func main() {
 		all      = flag.Bool("all", false, "run every experiment")
 		stages   = flag.Bool("stages", false, "print the per-stage latency summary (p50/p95/p99) after the run")
 		workdir  = flag.String("workdir", "", "directory for extracted CSVs (default: temp)")
-		benchOut = flag.String("bench-out", "", "run the ingestion stage benchmarks (parse, extract, analyze e2e) and write the JSON trajectory to this file, e.g. BENCH_3.json")
 		version  = flag.Bool("version", false, "print version and build info, then exit")
 	)
 	flag.Parse()
 	if *version {
 		fmt.Println(obs.GetBuildInfo().String())
 		return
-	}
-	if *benchOut != "" {
-		if err := runBenchOut(*benchOut); err != nil {
-			fatal(err)
-		}
-		if *figure == 0 && !*pitfalls && !*sweep && !*scale && !*all {
-			return
-		}
 	}
 	if *figure == 0 && !*pitfalls && !*sweep && !*scale && !*all {
 		flag.Usage()

@@ -175,8 +175,7 @@ func main() {
 
 	// Continuous profiler: a rolling CPU window plus heap/goroutine
 	// snapshots every cycle, decoded in-process and journaled under
-	// <data>/prof so "what was hot before the restart" survives. Windows
-	// feed the ion_prof_* gauges the HotFunctionRegression rule watches.
+	// <data>/prof so "what was hot before the restart" survives.
 	var profiler *prof.Profiler
 	if *profInterval > 0 {
 		profStore, err := prof.OpenStore(prof.StoreOptions{
@@ -369,8 +368,6 @@ func main() {
 	}
 	if profiler != nil {
 		js.WithProf(profiler)
-		fmt.Printf("ionserve: continuous profiling at http://%s/dashboard/profile (%s window every %s)\n",
-			*addr, profiler.Window(), profiler.Interval())
 	}
 	if qstore != nil {
 		js.WithQuality(qstore)

@@ -152,31 +152,23 @@ func (s *StreamParser) dispatch(chunk []byte, early bool) {
 }
 
 // Finish flushes any buffered tail, waits for all shards, and returns
-// the merged log together with the bytes written, reassembled (valid
-// even when parsing failed, so callers can persist or inspect them).
-// After a line too long, the tail is that line's start, and its shard
-// fails with the error ParseText gives.
-func (s *StreamParser) Finish() (*Log, []byte, error) {
+// the merged log together with the segments written, in order: their
+// concatenation is every byte written, valid even when parsing failed,
+// so callers can persist or inspect them. After a line too long, the
+// last segment is that line's start, and its shard fails with the
+// error ParseText gives.
+func (s *StreamParser) Finish() (*Log, [][]byte, error) {
 	if len(s.seg) > 0 {
 		s.dispatch(s.seg, false)
 		s.seg = nil
 	}
 	s.wg.Wait()
-	var data []byte
-	if len(s.shards) == 1 {
-		data = s.shards[0].chunk
-	} else {
-		n := 0
-		for _, sh := range s.shards {
-			n += len(sh.chunk)
-		}
-		data = make([]byte, 0, n)
-		for _, sh := range s.shards {
-			data = append(data, sh.chunk...)
-		}
+	segs := make([][]byte, len(s.shards))
+	for i, sh := range s.shards {
+		segs[i] = sh.chunk
 	}
 	log, err := mergeShards(s.shards)
-	return log, data, err
+	return log, segs, err
 }
 
 // EarlyShards reports how many shards were dispatched to the parse

@@ -31,11 +31,11 @@ func TestStreamParserMatchesSequential(t *testing.T) {
 	for _, piece := range []int{7, 1021, 64 << 10} {
 		sp := NewStreamParser(StreamOptions{Workers: 3, segBytes: 8 << 10})
 		feedStream(t, sp, text, piece)
-		log, data, err := sp.Finish()
+		log, segs, err := sp.Finish()
 		if err != nil {
 			t.Fatalf("piece %d: %v", piece, err)
 		}
-		if !bytes.Equal(data, text) {
+		if data := bytes.Join(segs, nil); !bytes.Equal(data, text) {
 			t.Fatalf("piece %d: reassembled body differs (%d vs %d bytes)", piece, len(data), len(text))
 		}
 		if got, want := render(t, log), render(t, seq); !bytes.Equal(got, want) {
@@ -67,26 +67,26 @@ func TestStreamParserErrorMatchesSequential(t *testing.T) {
 			break // early failure notice is allowed; Finish has the real error
 		}
 	}
-	_, body, err := sp.Finish()
+	_, segs, err := sp.Finish()
 	if err == nil {
 		t.Fatal("streamed parse unexpectedly succeeded")
 	}
 	if err.Error() != seqErr.Error() {
 		t.Fatalf("error mismatch:\nsequential: %v\nstreamed:   %v", seqErr, err)
 	}
-	if !bytes.Equal(body, data) {
+	if !bytes.Equal(bytes.Join(segs, nil), data) {
 		t.Fatal("Finish did not return the full body alongside the error")
 	}
 }
 
 func TestStreamParserEmpty(t *testing.T) {
 	sp := NewStreamParser(StreamOptions{})
-	log, data, err := sp.Finish()
+	log, segs, err := sp.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != 0 || len(log.Modules) != 0 || len(log.DXT) != 0 {
-		t.Fatalf("empty stream produced data=%d modules=%d dxt=%d", len(data), len(log.Modules), len(log.DXT))
+	if len(segs) != 0 || len(log.Modules) != 0 || len(log.DXT) != 0 {
+		t.Fatalf("empty stream produced segments=%d modules=%d dxt=%d", len(segs), len(log.Modules), len(log.DXT))
 	}
 }
 
@@ -195,7 +195,8 @@ func TestLineLengthLimit(t *testing.T) {
 		} {
 			sp := NewStreamParser(opts)
 			written, werr := sp.Write(body)
-			_, data, err := sp.Finish()
+			_, segs, err := sp.Finish()
+			data := bytes.Join(segs, nil)
 			if got := errText(err); got != want {
 				t.Fatalf("%d-byte line, %s segments: error %q, want %q", n, name, got, want)
 			}

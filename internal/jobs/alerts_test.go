@@ -270,8 +270,8 @@ func checkLabels(t *testing.T, card quality.Scorecard) {
 // time: once per job or chat turn, then for 3 more minutes after each
 // stream, longer than any rule's For. On the three correct streams
 // (the interactive one continues over the reuse stream's jobs) every
-// rule stays ok with no transition, and every rule whose metric the
-// stack exports is evaluated on data (a missing series also reads ok).
+// rule stays ok with no transition and is evaluated on data (a
+// missing series would also read ok).
 // Each fault row drives the rules it names ok → pending → firing on
 // their own For and leaves every other rule ok.
 func TestDefaultRulesCalibration(t *testing.T) {
@@ -364,8 +364,8 @@ func TestDefaultRulesCalibration(t *testing.T) {
 
 // check asserts the alert states after a stream: every rule in fires
 // went ok → pending → firing on its own For, and every other rule is ok
-// with no transition. With fires nil (correct traffic), every rule but
-// the profiler's was also evaluated on data.
+// with no transition. With fires nil (correct traffic), every rule was
+// also evaluated on data.
 func (c *calibration) check(fires []string) {
 	t := c.t
 	t.Helper()
@@ -390,9 +390,7 @@ func (c *calibration) check(fires []string) {
 				t.Errorf("%s (%s): state %s, value %v, history %+v; want ok throughout",
 					a.Rule.Name, a.Rule.Expr, a.State, a.Value, a.History)
 			}
-			// The continuous profiler is not part of this stack, so its
-			// rule alone has no series.
-			if fires == nil && a.NoData != (a.Rule.Name == "HotFunctionRegression") {
+			if fires == nil && a.NoData {
 				t.Errorf("%s (%s): no_data = %v on correct traffic", a.Rule.Name, a.Rule.Expr, a.NoData)
 			}
 			continue

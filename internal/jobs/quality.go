@@ -41,9 +41,9 @@ func (s *Service) observeQuality(ctx context.Context, id, hash string, rep *ion.
 	defer span.End()
 
 	name := s.snapshotName(id)
-	// iongen traces are named after their workload, whose definition
-	// carries the paper's ground-truth labels (the expertsim evaluation
-	// set): by the workload itself, by a path (ionserve -log
+	// iongen traces are named after their workload, a bundled one or an
+	// IOR-Easy variant, whose definition carries its ground-truth
+	// labels: by the workload itself, by a path (ionserve -log
 	// dir/ior-hard.darshan) or by a file name (a browser upload of
 	// ior-hard.darshan.txt). Unknown names score without labels.
 	workload := strings.TrimSuffix(strings.TrimSuffix(filepath.Base(name), ".darshan.txt"), ".darshan")

@@ -112,6 +112,7 @@ func TestTraceFileNameGetsLabels(t *testing.T) {
 	for _, tc := range []struct{ name, workload string }{
 		{"some/dir/openpmd-baseline.darshan.txt", "openpmd-baseline"},
 		{"ior-hard.darshan", "ior-hard"},
+		{"ior-easy-4m-fpp.darshan", "ior-easy-4m-fpp"}, // an eval sweep variant
 	} {
 		w, err := workloads.ByName(tc.workload)
 		if err != nil {
@@ -131,6 +132,18 @@ func TestTraceFileNameGetsLabels(t *testing.T) {
 		}
 		if card.Trace != tc.name {
 			t.Errorf("scorecard trace %q, want the job name %q", card.Trace, tc.name)
+		}
+		if tc.workload == "ior-easy-4m-fpp" {
+			// 4 MiB transfers fill the RPC: there is no small I/O.
+			var label issue.Verdict
+			for _, is := range card.Issues {
+				if is.Issue == issue.SmallIO {
+					label = is.Label
+				}
+			}
+			if label != issue.VerdictNotDetected {
+				t.Errorf("%s: small-io label %q, want %q", tc.name, label, issue.VerdictNotDetected)
+			}
 		}
 	}
 }

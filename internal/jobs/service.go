@@ -463,7 +463,7 @@ func (s *Service) admit(name string, b body, pre parsedTrace) (Job, bool, error)
 		return j, dedup, err
 	}
 	id := newID()
-	if err := s.store.PutTrace(id, b.data); err != nil {
+	if err := s.store.PutTrace(id, b.segs...); err != nil {
 		return Job{}, false, err
 	}
 	s.mu.Lock()

@@ -77,9 +77,10 @@ func (s *Store) WorkDir(id string) string {
 	return filepath.Join(s.dir, "work", id)
 }
 
-// PutTrace persists the submitted trace bytes for a job.
-func (s *Store) PutTrace(id string, data []byte) error {
-	return s.write("traces", id, ".darshan", data)
+// PutTrace persists the submitted trace bytes for a job, given as
+// segments written in order.
+func (s *Store) PutTrace(id string, segs ...[]byte) error {
+	return s.write("traces", id, ".darshan", segs...)
 }
 
 // Trace opens the submitted trace of a job for reading and returns its
@@ -156,9 +157,9 @@ func (s *Store) read(sub, id, suffix string) ([]byte, error) {
 	return data, nil
 }
 
-// write writes a job's file through a temp file and a rename, so
-// readers never observe a partial file.
-func (s *Store) write(sub, id, suffix string, data []byte) error {
+// write writes a job's file, the concatenation of data, through a temp
+// file and a rename, so readers never observe a partial file.
+func (s *Store) write(sub, id, suffix string, data ...[]byte) error {
 	if err := validID(id); err != nil {
 		return err
 	}
@@ -166,7 +167,11 @@ func (s *Store) write(sub, id, suffix string, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("jobs: %w", err)
 	}
-	_, err = tmp.Write(data)
+	for _, d := range data {
+		if _, err = tmp.Write(d); err != nil {
+			break
+		}
+	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}

@@ -63,9 +63,11 @@ func (s *Service) SubmitStream(name string, r io.Reader) (Job, bool, error) {
 
 // body is a trace as ingest read it.
 type body struct {
-	log    *darshan.Log
-	data   []byte // the bytes read, for the store
-	hash   string // hex SHA-256 of data
+	log *darshan.Log
+	// segs are the bytes read, in order, for the store: the text
+	// parser's segments, or a binary container as one.
+	segs   [][]byte
+	hash   string // hex SHA-256 of the bytes
 	ingest Ingest
 }
 
@@ -143,18 +145,18 @@ func (s *Service) ingest(ctx context.Context, r io.Reader, size int64, shed bool
 
 	var perr error
 	if sp != nil {
-		b.log, b.data, perr = sp.Finish()
+		b.log, b.segs, perr = sp.Finish()
 		b.ingest.Shards, b.ingest.ParseOverlapped = sp.Shards(), sp.EarlyShards() > 0
 	} else {
-		b.data = bin.Bytes()
+		b.segs = [][]byte{bin.Bytes()}
 		if readErr == nil {
-			b.log, perr = darshan.ReadBinary(bytes.NewReader(b.data))
+			b.log, perr = darshan.ReadBinary(bytes.NewReader(bin.Bytes()))
 		}
 	}
 	switch {
 	case readErr != nil:
 		return body{}, fmt.Errorf("jobs: reading stream: %w", readErr)
-	case len(b.data) == 0:
+	case reserved == 0:
 		return body{}, fmt.Errorf("%w: empty body", ErrBadTrace)
 	case perr != nil:
 		return body{}, fmt.Errorf("%w: %v", ErrBadTrace, perr)
@@ -163,9 +165,11 @@ func (s *Service) ingest(ctx context.Context, r io.Reader, size int64, shed bool
 	}
 	// Reading and parsing overlap, so this is end-to-end ingest
 	// throughput: bytes from the first read to the merged log.
-	s.recordParseRate(int64(len(b.data)), time.Since(start))
+	// Every byte read was charged to the budget, so reserved counts
+	// the body.
+	s.recordParseRate(reserved, time.Since(start))
 	b.hash = hex.EncodeToString(hasher.Sum(nil))
-	b.ingest.Bytes = int64(len(b.data))
+	b.ingest.Bytes = reserved
 	return b, nil
 }
 

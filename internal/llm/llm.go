@@ -6,11 +6,7 @@
 // exercised identically whichever backend is plugged in.
 package llm
 
-import (
-	"context"
-	"encoding/json"
-	"fmt"
-)
+import "context"
 
 // Role labels a chat message author.
 type Role string
@@ -84,13 +80,4 @@ func PromptTokens(req Request) int {
 		total += EstimateTokens(m.Content)
 	}
 	return total
-}
-
-// MarshalRequest serializes a request as stable JSON (for recording).
-func MarshalRequest(req Request) ([]byte, error) {
-	data, err := json.MarshalIndent(req, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("llm: marshaling request: %w", err)
-	}
-	return data, nil
 }

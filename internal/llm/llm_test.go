@@ -220,19 +220,3 @@ func TestOpenAIRequiresBaseURL(t *testing.T) {
 		t.Error("missing BaseURL accepted")
 	}
 }
-
-// --- record / replay ---
-
-func TestMarshalRequest(t *testing.T) {
-	data, err := MarshalRequest(sampleRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Request
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Model != "test-model" || len(back.Messages) != 2 {
-		t.Errorf("round trip lost data: %+v", back)
-	}
-}

@@ -49,7 +49,7 @@ func TestCapturePreemptsContinuousProfiler(t *testing.T) {
 	}
 
 	r := newTestRecorder(t, Options{CPUGuard: guard, CPUProfile: 100 * time.Millisecond})
-	m, err := r.Capture("alert:HotFunctionRegression")
+	m, err := r.Capture("alert:JobFailureRatioHigh")
 	if err != nil {
 		t.Fatalf("Capture while the continuous profiler held the CPU: %v", err)
 	}
@@ -67,8 +67,8 @@ func TestCapturePreemptsContinuousProfiler(t *testing.T) {
 	deadline = time.Now().Add(5 * time.Second)
 	for {
 		if w, ok := st.Latest(prof.KindCPU); ok {
-			if w.DurationSeconds() >= 9 {
-				t.Fatalf("window ran its full %vs despite the preemption", w.DurationSeconds())
+			if d := w.End.Sub(w.Start); d >= 9*time.Second {
+				t.Fatalf("window ran its full %v despite the preemption", d)
 			}
 			break
 		}

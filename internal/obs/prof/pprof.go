@@ -2,13 +2,13 @@
 // overhead capture of rolling CPU profile windows (N seconds of every
 // M) plus periodic heap/goroutine snapshots, decoded from the runtime's
 // gzipped pprof protobuf into per-function sample tables and folded
-// stacks, journaled into a retention-bounded window store, diffed
-// against a trailing baseline, and exported as registry gauges so the
-// existing SLO rule grammar can fire on a hot function creeping up
-// between builds. Where the series store answers "analyze p95
-// regressed", this package answers "because darshan.ParseText went
-// from 5% to 18% of CPU" — the same localization step Drishti applies
-// to I/O cost, applied to the service itself.
+// stacks, and journaled into a retention-bounded window store. The
+// windows are evidence, read next to other evidence: the profile
+// window an explained job overlapped, the windows an incident bundle
+// carries, and a flamegraph of any window. No rule fires on them: a
+// fixed threshold on one short window's shares fires on near-idle
+// windows, where a handful of samples give one function the whole
+// share.
 //
 // Like the rest of the telemetry layer the package is stdlib-only; the
 // pprof wire format is decoded by a hand-rolled varint reader rather

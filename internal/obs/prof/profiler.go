@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime/pprof"
-	"sort"
 	"sync"
 	"time"
 
@@ -41,21 +40,16 @@ type Options struct {
 	// Guard coordinates CPU-profiler ownership with the flight
 	// recorder; nil uses a private guard (no contention to manage).
 	Guard *obs.CPUProfileGuard
-	// TopFunctions bounds the per-function share/delta gauges exported
-	// per window; 0 means the default (20).
-	TopFunctions int
-	// MaxFunctions bounds the per-window function table; 0 means the
-	// default (40).
-	MaxFunctions int
-	// MaxStacks bounds the folded stacks kept per window for the
-	// flamegraph; 0 means the default (96).
-	MaxStacks int
-	// BaselineWindows is how many trailing CPU windows form the diff
-	// baseline; 0 means the default (5).
-	BaselineWindows int
 	// Logger receives profiler lifecycle logs; nil discards.
 	Logger *slog.Logger
 }
+
+// Per-window bounds: the function table and the folded stacks kept
+// for the flamegraph.
+const (
+	maxFunctions = 40
+	maxStacks    = 96
+)
 
 func (o *Options) applyDefaults() {
 	if o.Window <= 0 {
@@ -73,38 +67,9 @@ func (o *Options) applyDefaults() {
 	if o.Guard == nil {
 		o.Guard = obs.NewCPUProfileGuard()
 	}
-	if o.TopFunctions <= 0 {
-		o.TopFunctions = 20
-	}
-	if o.MaxFunctions <= 0 {
-		o.MaxFunctions = 40
-	}
-	if o.MaxStacks <= 0 {
-		o.MaxStacks = 96
-	}
-	if o.BaselineWindows <= 0 {
-		o.BaselineWindows = 5
-	}
 	if o.Logger == nil {
 		o.Logger = obs.NopLogger()
 	}
-}
-
-// HotFunc is one function's standing in the latest CPU window against
-// the trailing baseline: the /dashboard/profile table row and the
-// source of the share/delta gauges.
-type HotFunc struct {
-	Name string `json:"name"`
-	// Share is the flat share of the latest window.
-	Share float64 `json:"share"`
-	// CumShare is the cumulative share of the latest window.
-	CumShare float64 `json:"cum_share"`
-	// Baseline is the mean flat share over the trailing baseline
-	// windows (0 when there is no baseline yet).
-	Baseline float64 `json:"baseline"`
-	// Delta is Share − Baseline: positive means the function got
-	// hotter.
-	Delta float64 `json:"delta"`
 }
 
 // Profiler runs the always-on capture loop. All methods are safe for
@@ -113,14 +78,10 @@ type Profiler struct {
 	opts  Options
 	store *Store
 
-	skipped  *obs.Counter
-	maxDelta *obs.Gauge
+	skipped *obs.Counter
 
 	mu         sync.Mutex
 	lastWindow time.Time
-	lastCPU    time.Time
-	hot        []HotFunc
-	exported   map[string]bool // fn labels with live share/delta gauges
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -137,17 +98,19 @@ func New(opts Options) (*Profiler, error) {
 	}
 	opts.applyDefaults()
 	p := &Profiler{
-		opts:     opts,
-		store:    opts.Store,
-		exported: map[string]bool{},
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		opts:  opts,
+		store: opts.Store,
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
+	}
+	// A restarted process dates its last window from the journal, so
+	// the dashboard's staleness light does not read "never".
+	if w, ok := p.store.Latest(KindCPU); ok {
+		p.lastWindow = w.End
 	}
 	reg := opts.Registry
 	p.skipped = reg.Counter("ion_prof_skipped_total",
 		"Profile windows skipped because the CPU profiler was owned elsewhere.")
-	p.maxDelta = reg.Gauge("ion_prof_max_share_delta",
-		"Largest positive flat-share delta of any hot function in the latest CPU window vs the trailing baseline.")
 	reg.GaugeFunc("ion_prof_window_store_windows",
 		"Profile windows retained by the window store.",
 		func() float64 { return float64(p.store.Len()) })
@@ -162,18 +125,6 @@ func New(opts Options) (*Profiler, error) {
 			}
 			return 0
 		})
-
-	// A restarted process shows the newest replayed window's shares but
-	// publishes no deltas for it: that window was diffed by the process
-	// that captured it, and its deltas would go stale here until the
-	// next window. The first new window diffs against the replayed
-	// history.
-	if w, ok := p.store.Latest(KindCPU); ok {
-		p.refreshDiff(w, false)
-		p.mu.Lock()
-		p.lastWindow, p.lastCPU = w.End, w.End
-		p.mu.Unlock()
-	}
 	return p, nil
 }
 
@@ -192,14 +143,6 @@ func (p *Profiler) LastWindowTime() time.Time {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.lastWindow
-}
-
-// HotFunctions returns the latest CPU window's top functions with
-// their baseline shares and deltas, hottest first.
-func (p *Profiler) HotFunctions() []HotFunc {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]HotFunc(nil), p.hot...)
 }
 
 // Start launches the capture loop: one cycle immediately, then one per
@@ -337,12 +280,12 @@ func (p *Profiler) windowFromProfile(kind string, data []byte, start, end time.T
 	if vi >= 0 && vi < len(profile.SampleTypes) {
 		unit = profile.SampleTypes[vi].Unit
 	}
-	if len(funcs) > p.opts.MaxFunctions {
-		funcs = funcs[:p.opts.MaxFunctions]
+	if len(funcs) > maxFunctions {
+		funcs = funcs[:maxFunctions]
 	}
 	var kept int64
-	if len(stacks) > p.opts.MaxStacks {
-		stacks = stacks[:p.opts.MaxStacks]
+	if len(stacks) > maxStacks {
+		stacks = stacks[:maxStacks]
 	}
 	for _, s := range stacks {
 		kept += s.Value
@@ -360,9 +303,8 @@ func (p *Profiler) windowFromProfile(kind string, data []byte, start, end time.T
 	}, nil
 }
 
-// AddWindow journals one window and, for CPU windows, recomputes the
-// hot-function diff and its gauges. Exported so tests (and replayed
-// journals) can inject synthetic windows.
+// AddWindow journals one window and counts it by kind. Exported so
+// tests can inject synthetic windows.
 func (p *Profiler) AddWindow(w Window) error {
 	if err := p.store.Add(w); err != nil {
 		return err
@@ -373,88 +315,6 @@ func (p *Profiler) AddWindow(w Window) error {
 	if w.End.After(p.lastWindow) {
 		p.lastWindow = w.End
 	}
-	if w.Kind == KindCPU && w.End.After(p.lastCPU) {
-		p.lastCPU = w.End
-	}
 	p.mu.Unlock()
-	if w.Kind == KindCPU {
-		p.refreshDiff(w, true)
-	}
 	return nil
-}
-
-// refreshDiff recomputes the hot-function table for the given (latest)
-// CPU window and re-exports the per-function share/delta gauges,
-// zeroing functions that dropped out so stale series decay instead of
-// lying. With diff, deltas are taken against the trailing baseline;
-// without, every delta is zero, as for a first window.
-func (p *Profiler) refreshDiff(latest Window, diff bool) {
-	// Baseline: the mean flat share per function over the trailing
-	// windows (excluding the latest itself).
-	var baseline []Window
-	if diff {
-		for _, w := range p.store.Windows(KindCPU, p.opts.BaselineWindows+1) {
-			if w.ID != latest.ID {
-				baseline = append(baseline, w)
-			}
-		}
-	}
-	base := map[string]float64{}
-	if len(baseline) > 0 {
-		for _, w := range baseline {
-			for _, f := range w.Functions {
-				base[f.Name] += f.FlatShare
-			}
-		}
-		for fn := range base {
-			base[fn] /= float64(len(baseline))
-		}
-	}
-
-	hot := make([]HotFunc, 0, len(latest.Functions))
-	maxDelta := 0.0
-	for _, f := range latest.Functions {
-		h := HotFunc{Name: f.Name, Share: f.FlatShare, CumShare: f.CumShare}
-		if len(baseline) > 0 {
-			h.Baseline = base[f.Name]
-			h.Delta = h.Share - h.Baseline
-		}
-		if h.Delta > maxDelta {
-			maxDelta = h.Delta
-		}
-		hot = append(hot, h)
-	}
-	sort.Slice(hot, func(i, j int) bool {
-		if hot[i].Share != hot[j].Share {
-			return hot[i].Share > hot[j].Share
-		}
-		return hot[i].Name < hot[j].Name
-	})
-
-	top := hot
-	if len(top) > p.opts.TopFunctions {
-		top = top[:p.opts.TopFunctions]
-	}
-	reg := p.opts.Registry
-	p.mu.Lock()
-	live := map[string]bool{}
-	for _, h := range top {
-		live[h.Name] = true
-		reg.Gauge("ion_prof_hot_function_share",
-			"Flat CPU share of a hot function in the latest profile window.",
-			obs.L("fn", h.Name)).Set(h.Share)
-		reg.Gauge("ion_prof_hot_function_delta",
-			"Flat-share delta of a hot function vs the trailing-baseline mean.",
-			obs.L("fn", h.Name)).Set(h.Delta)
-	}
-	for fn := range p.exported {
-		if !live[fn] {
-			reg.Gauge("ion_prof_hot_function_share", "", obs.L("fn", fn)).Set(0)
-			reg.Gauge("ion_prof_hot_function_delta", "", obs.L("fn", fn)).Set(0)
-		}
-	}
-	p.exported = live
-	p.hot = hot
-	p.mu.Unlock()
-	p.maxDelta.Set(maxDelta)
 }

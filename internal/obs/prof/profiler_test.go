@@ -81,95 +81,30 @@ func syntheticCPUWindow(n int, at time.Time, shares map[string]float64) Window {
 	return w
 }
 
-// TestProfilerRegressionTripsRule is the end-to-end regression path:
-// five quiet baseline windows, then a window where one function jumps
-// from 5% to 60% of CPU — the delta gauge must move and a stock SLO
-// rule over it must reach firing via the ordinary scrape path.
-func TestProfilerRegressionTripsRule(t *testing.T) {
-	p, reg := newTestProfiler(t, Options{BaselineWindows: 5})
+// TestProfilerGaugesDoNotGrow feeds CPU windows that each name a
+// function no earlier window had. The registry must not grow with
+// them: every series the profiler exports is per kind or per process,
+// never per function, so /metrics and the series store it feeds stay
+// bounded however many functions a window's table names.
+func TestProfilerGaugesDoNotGrow(t *testing.T) {
+	p, reg := newTestProfiler(t, Options{})
 	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-
-	for i := 0; i < 5; i++ {
+	samples := 0
+	for i := 0; i < 8; i++ {
 		w := syntheticCPUWindow(i, base.Add(time.Duration(i)*time.Minute),
-			map[string]float64{"ion.ParseText": 0.05, "ion.Serve": 0.30})
+			map[string]float64{fmt.Sprintf("ion.Func%d", i): 0.9})
 		if err := p.AddWindow(w); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if v, ok := gatherValue(t, reg, "ion_prof_hot_function_delta", map[string]string{"fn": "ion.ParseText"}); !ok || v > 0.01 || v < -0.01 {
-		t.Fatalf("steady-state delta = %v ok=%v, want ≈0", v, ok)
-	}
-
-	spike := syntheticCPUWindow(9, base.Add(10*time.Minute),
-		map[string]float64{"ion.ParseText": 0.60, "ion.Serve": 0.20})
-	if err := p.AddWindow(spike); err != nil {
-		t.Fatal(err)
-	}
-
-	v, ok := gatherValue(t, reg, "ion_prof_hot_function_delta", map[string]string{"fn": "ion.ParseText"})
-	if !ok || v < 0.5 {
-		t.Fatalf("regression delta = %v ok=%v, want ≈0.55", v, ok)
-	}
-	if v, _ := gatherValue(t, reg, "ion_prof_max_share_delta", nil); v < 0.5 {
-		t.Fatalf("ion_prof_max_share_delta = %v, want ≈0.55", v)
-	}
-	hot := p.HotFunctions()
-	if len(hot) == 0 || hot[0].Name != "ion.ParseText" || hot[0].Delta < 0.5 {
-		t.Fatalf("HotFunctions = %+v, want ion.ParseText on top with delta ≈0.55", hot)
-	}
-
-	// The same registry scraped into a series store must trip the
-	// hot-function rule.
-	rules := series.MustRules([]byte(`[
-	  {"name": "HotFunctionRegression", "expr": "max(ion_prof_hot_function_delta) > 0.25", "for": "0s", "severity": "warn"}
-	]`))
-	ss := series.New(reg, series.Options{Interval: time.Second, Rules: rules})
-	ss.Scrape(base.Add(11 * time.Minute))
-	var got series.AlertStatus
-	for _, a := range ss.Alerts() {
-		if a.Rule.Name == "HotFunctionRegression" {
-			got = a
+		n := len(reg.Gather())
+		if i == 0 {
+			samples = n
+		} else if n != samples {
+			t.Fatalf("after %d windows Gather returns %d samples, %d after the first", i+1, n, samples)
 		}
 	}
-	if got.State != series.StateFiring {
-		t.Fatalf("HotFunctionRegression state = %q (value %v), want firing", got.State, got.Value)
-	}
-
-	// Counter bookkeeping rode along.
-	if v, ok := gatherValue(t, reg, "ion_prof_windows_total", map[string]string{"kind": "cpu"}); !ok || v != 6 {
-		t.Fatalf("ion_prof_windows_total{kind=cpu} = %v ok=%v, want 6", v, ok)
-	}
-}
-
-// TestProfilerFirstWindowHasNoDelta: with no trailing baseline the
-// delta must stay zero — a fresh process is not a regression.
-func TestProfilerFirstWindowHasNoDelta(t *testing.T) {
-	p, reg := newTestProfiler(t, Options{})
-	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	p.AddWindow(syntheticCPUWindow(0, base, map[string]float64{"ion.Hot": 0.9}))
-	if v, ok := gatherValue(t, reg, "ion_prof_hot_function_share", map[string]string{"fn": "ion.Hot"}); !ok || v != 0.9 {
-		t.Fatalf("share = %v ok=%v, want 0.9", v, ok)
-	}
-	if v, _ := gatherValue(t, reg, "ion_prof_hot_function_delta", map[string]string{"fn": "ion.Hot"}); v != 0 {
-		t.Fatalf("delta = %v, want 0 without a baseline", v)
-	}
-	if v, _ := gatherValue(t, reg, "ion_prof_max_share_delta", nil); v != 0 {
-		t.Fatalf("max delta = %v, want 0 without a baseline", v)
-	}
-}
-
-// TestProfilerZeroesStaleGauges: a function that drops out of the top
-// table must have its gauges reset so the rule stops seeing it.
-func TestProfilerZeroesStaleGauges(t *testing.T) {
-	p, reg := newTestProfiler(t, Options{})
-	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	p.AddWindow(syntheticCPUWindow(0, base, map[string]float64{"ion.Gone": 0.7}))
-	p.AddWindow(syntheticCPUWindow(1, base.Add(time.Minute), map[string]float64{"ion.Other": 0.6}))
-	if v, ok := gatherValue(t, reg, "ion_prof_hot_function_share", map[string]string{"fn": "ion.Gone"}); !ok || v != 0 {
-		t.Fatalf("stale share = %v ok=%v, want 0", v, ok)
-	}
-	if v, ok := gatherValue(t, reg, "ion_prof_hot_function_share", map[string]string{"fn": "ion.Other"}); !ok || v != 0.6 {
-		t.Fatalf("live share = %v ok=%v, want 0.6", v, ok)
+	if v, ok := gatherValue(t, reg, "ion_prof_windows_total", map[string]string{"kind": "cpu"}); !ok || v != 8 {
+		t.Fatalf("ion_prof_windows_total{kind=cpu} = %v ok=%v, want 8", v, ok)
 	}
 }
 
@@ -245,55 +180,12 @@ func TestProfilerRealCaptureCycle(t *testing.T) {
 	if v, ok := gatherValue(t, reg, "ion_prof_last_window_unix_seconds", nil); !ok || v <= 0 {
 		t.Fatalf("ion_prof_last_window_unix_seconds = %v ok=%v", v, ok)
 	}
-	if len(p.HotFunctions()) == 0 {
-		t.Fatal("HotFunctions empty after a real window")
-	}
 }
 
-// TestProfilerResumesBaselineFromJournal: a restarted profiler over a
-// replayed store starts with the previous hot-function table instead of
-// an empty baseline.
-func TestProfilerResumesBaselineFromJournal(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "windows.jsonl")
-	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-
-	st, err := OpenStore(StoreOptions{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, _ := newTestProfiler(t, Options{Store: st})
-	for i := 0; i < 3; i++ {
-		p1.AddWindow(syntheticCPUWindow(i, base.Add(time.Duration(i)*time.Minute),
-			map[string]float64{"ion.Steady": 0.4}))
-	}
-	st.Close()
-
-	st2, err := OpenStore(StoreOptions{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	p2, reg2 := newTestProfiler(t, Options{Store: st2})
-	hot := p2.HotFunctions()
-	if len(hot) == 0 || hot[0].Name != "ion.Steady" {
-		t.Fatalf("restarted profiler hot table = %+v, want ion.Steady", hot)
-	}
-	if v, ok := gatherValue(t, reg2, "ion_prof_hot_function_share", map[string]string{"fn": "ion.Steady"}); !ok || v != 0.4 {
-		t.Fatalf("restarted share gauge = %v ok=%v, want 0.4", v, ok)
-	}
-	if p2.LastWindowTime().IsZero() {
-		t.Fatal("restarted LastWindowTime zero despite replayed windows")
-	}
-}
-
-// TestProfilerRestartPublishesNoStaleDelta: the newest replayed window
-// was diffed by the process that captured it. Reopened over a store
-// whose newest window gives one function the whole CPU share, over a
-// baseline where it had none, a profiler publishes no delta for that
-// window, so the default hot-function rule stays ok with no new
-// traffic. The first window it captures still diffs against the
-// replayed baseline.
+// TestProfilerRestartPublishesNoStaleDelta: reopened over a journal
+// whose newest CPU window gives one function the whole share after
+// five windows where it had none, a profiler dates its last window
+// from the journal and publishes nothing a default rule fires on.
 func TestProfilerRestartPublishesNoStaleDelta(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "windows.jsonl")
 	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
@@ -315,20 +207,16 @@ func TestProfilerRestartPublishesNoStaleDelta(t *testing.T) {
 	}
 	defer st2.Close()
 	p2, reg := newTestProfiler(t, Options{Store: st2})
-	if v, _ := gatherValue(t, reg, "ion_prof_max_share_delta", nil); v != 0 {
-		t.Fatalf("ion_prof_max_share_delta after a restart = %v, want 0", v)
+	if got := p2.LastWindowTime(); !got.Equal(base.Add(5 * time.Minute)) {
+		t.Fatalf("restarted LastWindowTime = %v, want the newest replayed window's end", got)
 	}
 	ss := series.New(reg, series.Options{Interval: time.Second, Rules: series.DefaultRules()})
-	ss.Scrape(base.Add(6 * time.Minute))
+	p2.AddWindow(syntheticCPUWindow(6, base.Add(6*time.Minute), map[string]float64{"ion.Idle": 1}))
+	ss.Scrape(base.Add(7 * time.Minute))
 	for _, a := range ss.Alerts() {
-		if a.Rule.Name == "HotFunctionRegression" && a.State != series.StateOK {
-			t.Fatalf("HotFunctionRegression = %q (value %v) after a restart with no traffic, want ok", a.State, a.Value)
+		if a.State != series.StateOK {
+			t.Fatalf("%s = %q (value %v) after a restart and an idle window, want ok", a.Rule.Name, a.State, a.Value)
 		}
-	}
-
-	p2.AddWindow(syntheticCPUWindow(6, base.Add(7*time.Minute), map[string]float64{"ion.Idle": 1}))
-	if v, _ := gatherValue(t, reg, "ion_prof_max_share_delta", nil); v < 0.5 {
-		t.Fatalf("first new window's max delta = %v, want it diffed against the replayed baseline", v)
 	}
 }
 

@@ -34,9 +34,6 @@ type Window struct {
 	KeptValue int64   `json:"kept_value,omitempty"`
 }
 
-// DurationSeconds is the covered wall time (0 for snapshot kinds).
-func (w Window) DurationSeconds() float64 { return w.End.Sub(w.Start).Seconds() }
-
 // size estimates the retained bytes of a window (≈ its journal-line
 // cost), used for the store's byte bound.
 func (w Window) size() int64 {

@@ -282,18 +282,18 @@ func MustRules(data []byte) []Rule {
 // -rules file is given. Each has a fault that fires it: a failing
 // backend (the failure ratio, and the ledger's backend health score),
 // a backend that stops answering while jobs queue (queue saturation),
-// a backend contradicting the verdicts a reused report served (shadow
-// flips, max across reuse modes), and a hot function (the profiler's
-// share delta). internal/jobs TestDefaultRulesCalibration shows the
-// first four silent on correct traffic and firing on their fault. No
-// rule pages on diagnosis quality: the only oracle is the bundled
-// workloads' labels, which production traces lack.
+// and a backend contradicting the verdicts a reused report served
+// (shadow flips, max across reuse modes). internal/jobs
+// TestDefaultRulesCalibration shows each evaluated on data and silent
+// on correct traffic, and firing on its fault. No rule pages on
+// diagnosis quality: the only oracle is the bundled workloads' labels,
+// which production traces lack. None fires on the profiler's windows:
+// one function's share of a near-idle window reads 1.0.
 func DefaultRules() []Rule {
 	return MustRules([]byte(`[
   {"name": "JobFailureRatioHigh", "expr": "ion_jobs_failure_ratio > 0.1", "for": "1m", "severity": "page"},
   {"name": "QueueNearCapacity",   "expr": "ion_jobs_queue_utilization > 0.9", "for": "1m", "severity": "warn"},
   {"name": "SemcacheFlipRateHigh", "expr": "max(ion_semcache_flip_ratio) > 0.25", "for": "2m", "severity": "warn"},
-  {"name": "HotFunctionRegression", "expr": "max(ion_prof_hot_function_delta) > 0.25", "for": "2m", "severity": "warn"},
   {"name": "LLMBackendDegraded",  "expr": "min(ion_llm_backend_health) < 0.5", "for": "1m", "severity": "page"}
 ]`))
 }

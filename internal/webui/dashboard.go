@@ -8,11 +8,16 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"ion/internal/obs"
 	"ion/internal/obs/series"
 )
+
+// buildInfo is resolved once per process: it feeds the dashboard
+// header and never changes after link time.
+var buildInfo = sync.OnceValue(obs.GetBuildInfo)
 
 // seriesDisabled answers the observability endpoints when no series
 // store is wired in (WithSeries was not called).
@@ -210,7 +215,6 @@ func dashboardPanels() []dashPanel {
 		{title: "Heap", unit: "B", queries: []series.Query{q("ion_go_heap_bytes", nil)}},
 		{title: "Goroutines", queries: []series.Query{q("ion_go_goroutines", nil)}},
 		{title: "GC pause", unit: "s/s", queries: []series.Query{q("ion_go_gc_pause_seconds_total", nil)}},
-		{title: "Hot function max Δshare", unit: "%", queries: []series.Query{q("ion_prof_max_share_delta", nil)}},
 		{title: "Alerts firing", queries: []series.Query{q("ion_alerts_firing", nil)}},
 	}
 }
@@ -265,7 +269,7 @@ func (s *JobServer) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, ` &middot; <a href="/api/incidents">%d incident(s)</a>`, len(s.flight.List()))
 	}
 	if s.prof != nil {
-		b.WriteString(` &middot; <a href="/dashboard/profile">profiling</a>`)
+		b.WriteString(` &middot; <a href="/api/prof/flamegraph">CPU flamegraph</a> &middot; <a href="/api/prof/windows">profile windows</a>`)
 	}
 	b.WriteString(` &middot; <a href="/metrics">metrics</a> &middot; <a href="/">jobs</a></p>`)
 
@@ -406,6 +410,35 @@ func formatUnit(v float64, unit string) string {
 		return strconv.FormatFloat(v, 'g', 4, 64)
 	default:
 		return strconv.FormatFloat(v, 'g', 4, 64) + " " + unit
+	}
+}
+
+// staleSpan renders "label 12s ago", wrapped in the amber .stale class
+// once the age passes the limit (two cadence intervals): the dashboard
+// equivalent of a watchdog light. A zero stamp renders as "never".
+func staleSpan(label string, at time.Time, limit time.Duration) string {
+	if at.IsZero() {
+		return fmt.Sprintf(`<span class="stale">%s: never</span>`, html.EscapeString(label))
+	}
+	age := time.Since(at)
+	text := fmt.Sprintf("%s %s ago", html.EscapeString(label), formatAge(age))
+	if limit > 0 && age > limit {
+		return `<span class="stale">` + text + `</span>`
+	}
+	return text
+}
+
+// formatAge renders a duration at dashboard granularity.
+func formatAge(d time.Duration) string {
+	switch {
+	case d < time.Second:
+		return "<1s"
+	case d < time.Minute:
+		return strconv.Itoa(int(d/time.Second)) + "s"
+	case d < time.Hour:
+		return strconv.Itoa(int(d/time.Minute)) + "m"
+	default:
+		return strconv.Itoa(int(d/time.Hour)) + "h"
 	}
 }
 

@@ -369,8 +369,8 @@ func TestCriticalPath(t *testing.T) {
 func TestDashboardAbsorbsLLMAndQualityTrends(t *testing.T) {
 	srv, _, _ := observedServer(t, nil, jobs.Config{Paused: true}, nil)
 	page := getBody(t, srv.URL+"/dashboard")
-	if n := strings.Count(page, `<div class="panel">`); n != 16 {
-		t.Errorf("dashboard renders %d panels, want 16", n)
+	if n := strings.Count(page, `<div class="panel">`); n != 15 {
+		t.Errorf("dashboard renders %d panels, want 15", n)
 	}
 	for _, title := range []string{"LLM spend rate", "LLM backend health", "Shadow flip ratio"} {
 		if !strings.Contains(page, "<h2>"+title+"</h2>") {

@@ -1,26 +1,17 @@
 package webui
 
 import (
-	"fmt"
-	"html"
 	"net/http"
 	"strconv"
-	"strings"
-	"sync"
 	"time"
 
-	"ion/internal/obs"
 	"ion/internal/obs/prof"
 )
 
-// buildInfo is resolved once per process: it feeds the dashboard
-// headers and never changes after link time.
-var buildInfo = sync.OnceValue(obs.GetBuildInfo)
-
 // WithProf wires the continuous profiler behind /api/prof/windows,
-// /api/prof/flamegraph, and /dashboard/profile, and returns the server
-// for chaining. Without it those routes answer 404. The caller owns the
-// profiler's capture loop (Start/Stop).
+// /api/prof/flamegraph and explain's profile window, and returns the
+// server for chaining. Without it the two routes answer 404. The
+// caller owns the profiler's capture loop (Start/Stop).
 func (s *JobServer) WithProf(p *prof.Profiler) *JobServer {
 	s.prof = p
 	return s
@@ -43,9 +34,6 @@ type profWindowsResponse struct {
 	Window   string `json:"window"`
 	// LastWindow is when the most recent window of any kind completed.
 	LastWindow time.Time `json:"last_window,omitempty"`
-	// HotFunctions is the latest CPU window's top functions with their
-	// baseline shares and deltas, hottest first.
-	HotFunctions []prof.HotFunc `json:"hot_functions"`
 	// Windows lists retained windows newest first. Folded stacks are
 	// elided (fetch a window's flamegraph for those); the function
 	// tables are included.
@@ -80,16 +68,11 @@ func (s *JobServer) handleProfWindows(w http.ResponseWriter, r *http.Request) {
 	if wins == nil {
 		wins = []prof.Window{}
 	}
-	hot := s.prof.HotFunctions()
-	if hot == nil {
-		hot = []prof.HotFunc{}
-	}
 	s.writeJSON(w, http.StatusOK, profWindowsResponse{
-		Interval:     s.prof.Interval().String(),
-		Window:       s.prof.Window().String(),
-		LastWindow:   s.prof.LastWindowTime(),
-		HotFunctions: hot,
-		Windows:      wins,
+		Interval:   s.prof.Interval().String(),
+		Window:     s.prof.Window().String(),
+		LastWindow: s.prof.LastWindowTime(),
+		Windows:    wins,
 	})
 }
 
@@ -126,142 +109,3 @@ func (s *JobServer) handleProfFlamegraph(w http.ResponseWriter, r *http.Request)
 	w.Header().Set("Content-Type", "image/svg+xml; charset=utf-8")
 	w.Write(prof.FlamegraphSVG(win))
 }
-
-// handleProfileDashboard renders /dashboard/profile: the hot-function
-// table with baseline deltas, the latest CPU flamegraph inline, and the
-// retained window list — zero JavaScript, same discipline as
-// /dashboard.
-func (s *JobServer) handleProfileDashboard(w http.ResponseWriter, r *http.Request) {
-	if s.profDisabled(w) {
-		return
-	}
-	refresh := int(s.prof.Interval() / time.Second)
-	if refresh < 5 {
-		refresh = 5
-	}
-	bi := buildInfo()
-
-	var b strings.Builder
-	fmt.Fprintf(&b, profileHead, refresh)
-	fmt.Fprintf(&b, `<p class="meta">%s &middot; duty cycle %s of %s &middot; %s`,
-		html.EscapeString(bi.String()), s.prof.Window(), s.prof.Interval(),
-		staleSpan("last window", s.prof.LastWindowTime(), 2*s.prof.Interval()))
-	b.WriteString(` &middot; <a href="/api/prof/windows">windows JSON</a> &middot; <a href="/dashboard">dashboard</a> &middot; <a href="/">jobs</a></p>`)
-
-	// Hot functions vs the trailing baseline.
-	hot := s.prof.HotFunctions()
-	b.WriteString(`<h2>Hot functions (latest CPU window vs trailing baseline)</h2>`)
-	if len(hot) == 0 {
-		b.WriteString(`<p class="nodata">no CPU window decoded yet — the first lands after one duty cycle</p>`)
-	} else {
-		b.WriteString(`<table><tr><th>function</th><th>share</th><th>baseline</th><th>delta</th></tr>`)
-		for i, h := range hot {
-			if i >= 15 {
-				break
-			}
-			cls := ""
-			switch {
-			case h.Delta > 0.10:
-				cls = ` class="regressed"`
-			case h.Delta < -0.10:
-				cls = ` class="improved"`
-			}
-			fmt.Fprintf(&b, `<tr><td><code>%s</code></td><td>%.1f%%</td><td>%.1f%%</td><td%s>%+.1f%%</td></tr>`,
-				html.EscapeString(h.Name), 100*h.Share, 100*h.Baseline, cls, 100*h.Delta)
-		}
-		b.WriteString(`</table>`)
-	}
-
-	// Latest CPU flamegraph, inline.
-	if win, ok := s.prof.Store().Latest(prof.KindCPU); ok {
-		b.WriteString(`<h2>CPU flamegraph (latest window)</h2><div class="flame">`)
-		b.Write(prof.FlamegraphSVG(win))
-		b.WriteString(`</div>`)
-	}
-
-	// The retained windows, newest first.
-	wins := s.prof.Store().Windows("", 40)
-	b.WriteString(`<h2>Profile windows</h2>`)
-	if len(wins) == 0 {
-		b.WriteString(`<p class="nodata">no windows retained yet</p>`)
-	} else {
-		b.WriteString(`<table><tr><th>window</th><th>kind</th><th>captured</th><th>duration</th><th>total</th><th>functions</th><th></th></tr>`)
-		for _, win := range wins {
-			dur := ""
-			if d := win.DurationSeconds(); d > 0 {
-				dur = strconv.FormatFloat(d, 'f', 1, 64) + "s"
-			}
-			fmt.Fprintf(&b, `<tr><td><code>%s</code></td><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%d</td><td><a href="/api/prof/flamegraph?window=%s">flamegraph</a></td></tr>`,
-				html.EscapeString(win.ID), html.EscapeString(win.Kind),
-				win.End.UTC().Format(time.RFC3339), dur,
-				html.EscapeString(formatWindowTotal(win)), len(win.Functions),
-				html.EscapeString(win.ID))
-		}
-		b.WriteString(`</table>`)
-	}
-	b.WriteString("</body></html>\n")
-
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, b.String())
-}
-
-// formatWindowTotal renders a window's sample total in its unit.
-func formatWindowTotal(w prof.Window) string {
-	switch w.Unit {
-	case "nanoseconds":
-		return strconv.FormatFloat(float64(w.Total)/1e9, 'f', 2, 64) + "s"
-	case "bytes":
-		return formatUnit(float64(w.Total), "B")
-	default:
-		return strconv.FormatInt(w.Total, 10)
-	}
-}
-
-// staleSpan renders "label 12s ago", wrapped in the amber .stale class
-// once the age passes the limit (two cadence intervals): the dashboard
-// equivalent of a watchdog light. A zero stamp renders as "never".
-func staleSpan(label string, at time.Time, limit time.Duration) string {
-	if at.IsZero() {
-		return fmt.Sprintf(`<span class="stale">%s: never</span>`, html.EscapeString(label))
-	}
-	age := time.Since(at)
-	text := fmt.Sprintf("%s %s ago", html.EscapeString(label), formatAge(age))
-	if limit > 0 && age > limit {
-		return `<span class="stale">` + text + `</span>`
-	}
-	return text
-}
-
-// formatAge renders a duration at dashboard granularity.
-func formatAge(d time.Duration) string {
-	switch {
-	case d < time.Second:
-		return "<1s"
-	case d < time.Minute:
-		return strconv.Itoa(int(d/time.Second)) + "s"
-	case d < time.Hour:
-		return strconv.Itoa(int(d/time.Minute)) + "m"
-	default:
-		return strconv.Itoa(int(d/time.Hour)) + "h"
-	}
-}
-
-const profileHead = `<!DOCTYPE html>
-<html><head><meta charset="utf-8"><title>ION — continuous profiling</title>
-<meta http-equiv="refresh" content="%d">
-<style>
-body { font-family: system-ui, sans-serif; max-width: 76rem; margin: 2rem auto; color: #111 }
-h1 { margin-bottom: 0.25rem }
-h2 { font-size: 1rem; margin: 1.5rem 0 0.5rem }
-.meta { color: #555 }
-.stale { color: #d97706; font-weight: 600 }
-.nodata { color: #999; font-style: italic }
-.regressed { color: #dc2626; font-weight: 600 }
-.improved { color: #059669 }
-.flame svg { width: 100%%; height: auto; border: 1px solid #ddd; border-radius: 6px }
-table { border-collapse: collapse; width: 100%%; font-size: 0.85rem }
-th, td { border: 1px solid #ddd; padding: 4px 8px; text-align: left }
-</style></head>
-<body>
-<h1>ION continuous profiling</h1>
-`

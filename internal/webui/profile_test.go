@@ -102,8 +102,10 @@ func TestProfWindowsAndFlamegraphAPI(t *testing.T) {
 	if len(wr.Windows[0].Functions) != 2 || wr.Windows[0].Functions[0].Name != "ion.ParseText" {
 		t.Fatalf("function table lost: %+v", wr.Windows[0].Functions)
 	}
-	if len(wr.HotFunctions) == 0 || wr.HotFunctions[0].Name != "ion.ParseText" {
-		t.Fatalf("hot functions = %+v", wr.HotFunctions)
+	var raw map[string]any
+	getJSON(t, srv.URL+"/api/prof/windows", &raw)
+	if _, ok := raw["hot_functions"]; ok {
+		t.Fatal("/api/prof/windows still serves hot_functions")
 	}
 	if wr.Interval != "1m0s" || wr.LastWindow.IsZero() {
 		t.Fatalf("interval = %q, last window = %v", wr.Interval, wr.LastWindow)
@@ -157,41 +159,13 @@ func TestProfWindowsAndFlamegraphAPI(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown window status = %d, want 404", resp.StatusCode)
 	}
-}
 
-func TestProfileDashboardPage(t *testing.T) {
-	srv, p, _ := profServer(t)
-	// A stale window: older than twice the interval, so the watchdog
-	// light must be amber.
-	if err := p.AddWindow(webTestWindow(0, time.Now().Add(-10*time.Minute))); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := http.Get(srv.URL + "/dashboard/profile")
-	if err != nil {
-		t.Fatal(err)
-	}
-	page, _ := io.ReadAll(resp.Body)
+	// With a profiler wired in there is still no profiling page: the
+	// windows are served as JSON and flamegraphs only.
+	resp, _ = http.Get(srv.URL + "/dashboard/profile")
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/dashboard/profile status = %d", resp.StatusCode)
-	}
-	html := string(page)
-	for _, want := range []string{
-		"ION continuous profiling",
-		obs.GetBuildInfo().Version, // build identity in the header
-		"Hot functions",
-		"ion.ParseText",
-		"CPU flamegraph",
-		"<svg",
-		"Profile windows",
-		"w-cpu-0",
-		`class="stale"`, // 10m-old window on a 1m cadence
-		"/api/prof/flamegraph?window=w-cpu-0",
-	} {
-		if !strings.Contains(html, want) {
-			t.Errorf("/dashboard/profile missing %q", want)
-		}
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/dashboard/profile status = %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -213,7 +187,8 @@ func TestDashboardStalenessAndBuildInfo(t *testing.T) {
 		obs.GetBuildInfo().Version,
 		"scraped",
 		"profile window",
-		`<a href="/dashboard/profile">profiling</a>`,
+		`<a href="/api/prof/flamegraph">CPU flamegraph</a>`,
+		`<a href="/api/prof/windows">profile windows</a>`,
 	} {
 		if !strings.Contains(html, want) {
 			t.Errorf("dashboard missing %q", want)
@@ -223,13 +198,22 @@ func TestDashboardStalenessAndBuildInfo(t *testing.T) {
 	if strings.Contains(html, `class="stale"`) {
 		t.Error("dashboard stale indicator lit despite fresh scrape and window")
 	}
+
+	// A window older than two intervals (10m on a 1m cadence) lights
+	// the profile window's amber span.
+	srv, p, store = profServer(t)
+	p.AddWindow(webTestWindow(0, time.Now().Add(-10*time.Minute)))
+	store.Scrape(time.Now())
+	if page := getBody(t, srv.URL+"/dashboard"); !strings.Contains(page, `<span class="stale">profile window`) {
+		t.Error("dashboard stale indicator dark for a 10m-old profile window")
+	}
 }
 
 // TestProfDisabled404: without WithProf the profiling routes answer 404
 // with a JSON error.
 func TestProfDisabled404(t *testing.T) {
 	srv, _ := jobServer(t, jobs.Config{Paused: true})
-	for _, path := range []string{"/api/prof/windows", "/api/prof/flamegraph", "/dashboard/profile"} {
+	for _, path := range []string{"/api/prof/windows", "/api/prof/flamegraph"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)

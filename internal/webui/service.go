@@ -39,7 +39,7 @@ type JobServer struct {
 	log       *slog.Logger
 	series    *series.Store    // nil disables /dashboard and the query/alerts APIs
 	flight    *flight.Recorder // nil disables the incident APIs
-	prof      *prof.Profiler   // nil disables /dashboard/profile, the prof APIs and explain's profile window
+	prof      *prof.Profiler   // nil disables the prof APIs and explain's profile window
 	llmLedger *ledger.Client   // nil disables /api/llm/ledger and explain's model calls
 	quality   *quality.Store   // nil disables /api/quality and explain's scorecard
 	reqSeq    atomic.Int64     // request-id source for latency exemplars
@@ -119,7 +119,6 @@ func (s *JobServer) WithFlight(rec *flight.Recorder) *JobServer {
 //	GET  /api/llm/ledger       LLM call audit ledger, health, top jobs and tokens by template (JSON; ?limit=&backend=&job=)
 //	GET  /api/quality          diagnosis-quality scorecards (JSON; ?limit=&issue=&job=)
 //	GET  /dashboard            live self-observation page (HTML, inline SVG)
-//	GET  /dashboard/profile    continuous-profiling page (flamegraph, hot functions)
 //	GET  /healthz              liveness probe (always 200 while serving)
 //	GET  /readyz               readiness probe (503 while paused or draining)
 //	GET  /metrics              Prometheus text exposition (gzip-aware)
@@ -153,7 +152,6 @@ func (s *JobServer) Handler() http.Handler {
 	handle("GET /api/llm/ledger", s.handleLLMLedger)
 	handle("GET /api/quality", s.handleQualityAPI)
 	handle("GET /dashboard", s.handleDashboard)
-	handle("GET /dashboard/profile", s.handleProfileDashboard)
 	handle("GET /metrics", withGzip(s.obs.Handler()).ServeHTTP)
 	// Probes bypass the instrument middleware: they are hit every few
 	// seconds by orchestrators and would dominate the request metrics.

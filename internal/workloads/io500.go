@@ -2,7 +2,10 @@ package workloads
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"ion/internal/iosim"
 	"ion/internal/issue"
@@ -272,6 +275,38 @@ func MDWorkbench() Workload {
 			return ops
 		},
 	}
+}
+
+// iorEasyByName resolves a name IOREasy emits,
+// ior-easy-<size>-<shared|fpp> with a size of <n>b, <n>k or <n>m.
+// Names arrive from uploads, so it accepts only the spelling IOREasy
+// itself gives a size (1m, not 1024k or 01m), and only sizes whose
+// per-rank block, transfer × ioEasyOpsPerRank, fits in an int64.
+func iorEasyByName(name string) (Workload, bool) {
+	rest, ok := strings.CutPrefix(name, "ior-easy-")
+	if !ok {
+		return Workload{}, false
+	}
+	size, layout, ok := strings.Cut(rest, "-")
+	if !ok || size == "" || (layout != "shared" && layout != "fpp") {
+		return Workload{}, false
+	}
+	var unit int64
+	switch size[len(size)-1] {
+	case 'b':
+		unit = 1
+	case 'k':
+		unit = 1 << 10
+	case 'm':
+		unit = 1 << 20
+	default:
+		return Workload{}, false
+	}
+	n, err := strconv.ParseInt(size[:len(size)-1], 10, 64)
+	if err != nil || n <= 0 || n > math.MaxInt64/(unit*ioEasyOpsPerRank) || sizeName(n*unit) != size {
+		return Workload{}, false
+	}
+	return IOREasy(n*unit, layout == "shared"), true
 }
 
 func sizeName(n int64) string {

@@ -106,7 +106,8 @@ func All() []Workload {
 }
 
 // ByName returns the named workload, searching the evaluation set and
-// the extra (non-paper) workloads.
+// the extra (non-paper) workloads, then the IOR-Easy variants under
+// the names IOREasy gives them.
 func ByName(name string) (Workload, error) {
 	var names []string
 	for _, w := range append(All(), Extras()...) {
@@ -115,8 +116,11 @@ func ByName(name string) (Workload, error) {
 		}
 		names = append(names, w.Name)
 	}
+	if w, ok := iorEasyByName(name); ok {
+		return w, nil
+	}
 	sort.Strings(names)
-	return Workload{}, fmt.Errorf("workloads: unknown workload %q (have %v)", name, names)
+	return Workload{}, fmt.Errorf("workloads: unknown workload %q (have %v, or ior-easy-<size>-<shared|fpp>)", name, names)
 }
 
 // Figure2 returns the six IO500-derived workloads in paper row order.

@@ -1,6 +1,9 @@
 package workloads
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -325,6 +328,43 @@ func TestByName(t *testing.T) {
 		t.Error("unknown workload accepted")
 	} else if !strings.Contains(err.Error(), "unknown workload") {
 		t.Errorf("unhelpful error: %v", err)
+	}
+
+	// Every IOR-Easy variant the eval sweeps build resolves to itself.
+	for _, xfer := range []int64{2 << 10, 8 << 10, 64 << 10, 256 << 10, 512 << 10, 1 << 20, 4 << 20, 8 << 20} {
+		for _, shared := range []bool{true, false} {
+			want := IOREasy(xfer, shared)
+			got, err := ByName(want.Name)
+			if err != nil {
+				t.Errorf("%s: %v", want.Name, err)
+				continue
+			}
+			if got.Name != want.Name || got.Exe != want.Exe || !reflect.DeepEqual(got.Truth, want.Truth) {
+				t.Errorf("%s resolved to %s (%s)", want.Name, got.Name, got.Exe)
+			}
+		}
+	}
+	if w, err := ByName("ior-easy-1536b-fpp"); err != nil || w.Name != "ior-easy-1536b-fpp" {
+		t.Errorf("ior-easy-1536b-fpp = %q, %v", w.Name, err)
+	}
+	largest := fmt.Sprintf("ior-easy-%dm-shared", math.MaxInt64/(1<<20*ioEasyOpsPerRank))
+	if _, err := ByName(largest); err != nil {
+		t.Errorf("%s: %v", largest, err)
+	}
+
+	// Names arrive from uploads: anything IOREasy would not emit is
+	// unknown.
+	for _, name := range []string{
+		"ior-easy-0k-shared", "ior-easy-0b-fpp", // zero size
+		"ior-easy-1024k-shared", "ior-easy-2048b-fpp", "ior-easy-01m-shared", "ior-easy-+1m-shared", // not canonical
+		"ior-easy--1m-shared", "ior-easy-1g-shared", "ior-easy-m-shared", "ior-easy--shared",
+		"ior-easy-1m", "ior-easy-1m-both", "ior-easy-1m-shared-x", "ior-easy-1m-", "ior-easy-",
+		fmt.Sprintf("ior-easy-%dm-shared", math.MaxInt64/(1<<20*ioEasyOpsPerRank)+1), // block overflows
+		"ior-easy-99999999999999999999b-fpp",
+	} {
+		if w, err := ByName(name); err == nil {
+			t.Errorf("%q resolved to %s", name, w.Name)
+		}
 	}
 }
 
