@@ -710,8 +710,9 @@ func BenchmarkSemcacheLookup(b *testing.B) {
 }
 
 // journalStores opens each journaled store at path with its production
-// defaults, except that prof keeps as many windows as the others keep
-// records, and returns a writer of record i and the store's closer.
+// bounds and returns a writer of record i and the store's closer. prof
+// keeps 360 windows, so its 4,096 appends evict and compact, and its
+// replay reads the compacted journal.
 var journalStores = []struct {
 	name string
 	open func(path string) (put func(i int) error, closeFn func() error, err error)
@@ -768,7 +769,7 @@ var journalStores = []struct {
 		}, st.Close, err
 	}},
 	{"prof", func(path string) (func(int) error, func() error, error) {
-		st, err := prof.OpenStore(prof.StoreOptions{Path: path, MaxWindows: 4096})
+		st, err := prof.OpenStore(prof.StoreOptions{Path: path})
 		return func(i int) error {
 			end := time.Unix(1700000000+int64(i), 0).UTC()
 			w := prof.Window{

@@ -49,10 +49,6 @@ type Config struct {
 	// MaxAttempts bounds analysis attempts per job, counting the first;
 	// 0 means the default (3).
 	MaxAttempts int
-	// RetryDelay is the base backoff before the second attempt, doubled
-	// per retry with ±50% jitter up to maxRetryDelay; 0 means the
-	// default (500ms).
-	RetryDelay time.Duration
 	// ParseWorkers bounds how many segments of one trace parse at once;
 	// with a body's known length it sizes the segments (see
 	// darshan.StreamOptions). 0 or negative means GOMAXPROCS.
@@ -127,9 +123,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
-	}
-	if c.RetryDelay <= 0 {
-		c.RetryDelay = 500 * time.Millisecond
 	}
 	if c.ParseWorkers <= 0 {
 		c.ParseWorkers = runtime.GOMAXPROCS(0)
@@ -215,8 +208,11 @@ type Service struct {
 // defaultStreamMaxBuffer bounds in-flight ingest memory.
 const defaultStreamMaxBuffer = 256 << 20
 
-// maxRetryDelay caps the retry backoff.
-const maxRetryDelay = 10 * time.Second
+// Retry backoff bounds (see backoff).
+const (
+	retryDelay    = 500 * time.Millisecond
+	maxRetryDelay = 10 * time.Second
+)
 
 // maxParked bounds how many parsed submissions wait for their worker.
 // A job admitted while the park is full is not parked; its worker
@@ -824,7 +820,7 @@ func (s *Service) attempts(ctx context.Context, id string, out *extractor.Output
 		s.mu.Unlock()
 		logger.Warn("attempt failed, retrying", "attempt", attempt, "err", err)
 		s.transition(id, StateRetrying, attempt, err.Error())
-		if !s.sleep(backoff(s.cfg.RetryDelay, maxRetryDelay, attempt)) {
+		if !s.sleep(backoff(attempt)) {
 			// Shutdown interrupted the backoff: park the job as queued so
 			// the next Open recovers it.
 			logger.Info("shutdown during backoff, parking job as queued", "attempt", attempt)
@@ -960,15 +956,15 @@ func (s *Service) finish(id string, res outcome) {
 	})
 }
 
-// backoff computes the exponential delay before retry `attempt`+1 with
-// ±50% jitter, capped at max.
-func backoff(base, max time.Duration, attempt int) time.Duration {
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
+// backoff computes the delay before retry attempt+1: retryDelay doubled
+// per retry up to maxRetryDelay, with ±50% jitter.
+func backoff(attempt int) time.Duration {
+	d := retryDelay
+	for i := 1; i < attempt && d < maxRetryDelay; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
+	if d > maxRetryDelay {
+		d = maxRetryDelay
 	}
 	// Jitter in [d/2, 3d/2) de-synchronizes retry storms.
 	return d/2 + time.Duration(mathrand.Int63n(int64(d)+1))

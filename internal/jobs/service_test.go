@@ -175,7 +175,6 @@ func TestRetryThenSucceed(t *testing.T) {
 		Workers:     1,
 		Client:      flaky,
 		MaxAttempts: 5,
-		RetryDelay:  time.Millisecond,
 	})
 	j, _, err := svc.Submit("flaky", traceBytes(t, "ior-hard"))
 	if err != nil {
@@ -204,7 +203,6 @@ func TestRetriesExhausted(t *testing.T) {
 		Workers:     1,
 		Client:      flaky,
 		MaxAttempts: 2,
-		RetryDelay:  time.Millisecond,
 	})
 	data := traceBytes(t, "ior-hard")
 	j, _, err := svc.Submit("doomed", data)
@@ -432,7 +430,7 @@ func TestWaitErrors(t *testing.T) {
 // parallel submissions of distinct and identical traces interleaved
 // with polling and a graceful shutdown.
 func TestConcurrentSubmitPollShutdown(t *testing.T) {
-	svc := openService(t, Config{Workers: 4, QueueDepth: 32, RetryDelay: time.Millisecond})
+	svc := openService(t, Config{Workers: 4, QueueDepth: 32})
 	variants := make([][]byte, 4)
 	for i := range variants {
 		variants[i] = textTrace(t, "ior-hard", i)

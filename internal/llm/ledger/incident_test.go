@@ -26,7 +26,8 @@ import (
 // accounting only, no prompt text (default privacy posture).
 func TestBackendDegradedIncident(t *testing.T) {
 	reg := obs.NewRegistry()
-	lst := testStore(t, StoreOptions{})
+	path := filepath.Join(t.TempDir(), "ledger.jsonl")
+	lst := testStore(t, StoreOptions{Path: path})
 	flaky := &fakeClient{fail: errors.New("backend down")}
 	client := Wrap(flaky, lst, WrapOptions{Registry: reg})
 	ctx := context.Background()
@@ -112,7 +113,7 @@ func TestBackendDegradedIncident(t *testing.T) {
 	if strings.Contains(string(tail), "diagnose this") {
 		t.Fatal("incident bundle leaked raw prompt text")
 	}
-	raw, err := os.ReadFile(lst.opts.Path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,25 +82,17 @@ func (e Entry) check() error {
 	return nil
 }
 
+// A Store retains at most maxEntries entries, and at most maxBytes of
+// their estimated size.
+const (
+	maxEntries = 4096
+	maxBytes   = 16 << 20
+)
+
 // StoreOptions configures a ledger Store.
 type StoreOptions struct {
 	// Path is the JSON-lines journal file; required.
 	Path string
-	// MaxEntries bounds retained entries (default 4096; negative
-	// disables the count bound).
-	MaxEntries int
-	// MaxBytes bounds the estimated retained bytes (default 16 MiB;
-	// negative disables).
-	MaxBytes int64
-}
-
-func (o *StoreOptions) applyDefaults() {
-	if o.MaxEntries == 0 {
-		o.MaxEntries = 4096
-	}
-	if o.MaxBytes == 0 {
-		o.MaxBytes = 16 << 20
-	}
 }
 
 // Totals is the store's cumulative accounting: every entry currently
@@ -139,8 +131,7 @@ type Filter struct {
 // Store is the journaled, retention-bounded audit log. All methods are
 // safe for concurrent use and safe on a nil receiver.
 type Store struct {
-	opts StoreOptions // defaults applied
-	j    *journal.Store[Entry]
+	j *journal.Store[Entry]
 
 	// mu guards the lifetime accounting, which survives eviction (but
 	// not restart beyond what the journal retained — document, don't
@@ -154,15 +145,14 @@ type Store struct {
 // the bounds enforced and re-seeding the lifetime totals from every
 // record it holds.
 func Open(opts StoreOptions) (*Store, error) {
-	opts.applyDefaults()
-	st := &Store{opts: opts}
+	st := &Store{}
 	j, err := journal.Open(journal.Options[Entry]{
 		Path:       opts.Path,
 		Key:        func(e Entry) string { return e.ID },
 		Size:       Entry.size,
 		Check:      Entry.check,
-		MaxRecords: opts.MaxEntries,
-		MaxBytes:   opts.MaxBytes,
+		MaxRecords: maxEntries,
+		MaxBytes:   maxBytes,
 		Replayed:   st.count,
 	})
 	if err != nil {

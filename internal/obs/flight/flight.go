@@ -36,47 +36,39 @@ import (
 // Capture refusal reasons, surfaced to callers so the HTTP layer can
 // map them (429 for rate limiting, 409 for an in-flight capture).
 var (
-	// ErrRateLimited means a bundle was captured too recently; the
+	// ErrRateLimited means a bundle was captured within Cooldown; the
 	// evidence it holds covers this incident too.
 	ErrRateLimited = errors.New("flight: capture rate-limited, recent bundle already covers this window")
 	// ErrCaptureInFlight means another capture is running right now.
 	ErrCaptureInFlight = errors.New("flight: a capture is already in flight")
-	// ErrDisabled means the recorder has no incident directory.
-	ErrDisabled = errors.New("flight: no incident directory configured")
 )
 
-// Options configures a Recorder. Every bound has a default; the zero
-// Options (plus Dir) is a working recorder.
+// Cooldown is the minimum gap between captures: a capture inside it
+// returns ErrRateLimited.
+const Cooldown = time.Minute
+
+// The recorder's ring sizes, snapshot cadence and bundle byte bound.
+const (
+	maxLogRecords    = 512              // log records kept
+	spansPerOp       = 8                // slowest timelines kept per root operation
+	maxOps           = 32               // root operations tracked
+	snapshotInterval = 15 * time.Second // metric-snapshot cadence of the Start loop
+	maxSnapshots     = 20               // metric snapshots kept
+	maxBundleBytes   = 256 << 20        // total bytes of the bundles kept on disk
+)
+
+// Options configures a Recorder. Dir is required; every other field
+// may be left zero.
 type Options struct {
-	// Dir is where incident bundles land. Empty disables Capture (the
-	// rings still run, List is empty).
+	// Dir is where incident bundles land; it is created if missing.
 	Dir string
-	// LogRing bounds retained log records; 0 means the default (512).
-	LogRing int
-	// SpansPerOp bounds retained timelines per root operation; 0 means
-	// the default (8).
-	SpansPerOp int
-	// MaxOps bounds distinct root operations tracked; 0 means the
-	// default (32).
-	MaxOps int
-	// SnapshotInterval is the metric-snapshot cadence of the Start loop;
-	// 0 means the default (15s).
-	SnapshotInterval time.Duration
-	// SnapshotRing bounds retained metric snapshots; 0 means the
-	// default (20).
-	SnapshotRing int
-	// CPUProfile is how long Capture profiles the CPU; 0 skips the CPU
-	// profile entirely (negative means the default of 5s is NOT applied;
-	// use exactly 0 to disable, leave unset for the caller default).
+	// CPUProfile is how long Capture profiles the CPU; zero or negative
+	// skips the CPU profile.
 	CPUProfile time.Duration
-	// Cooldown is the minimum gap between captures; 0 means the default
-	// (1m). Firings inside the window return ErrRateLimited.
-	Cooldown time.Duration
 	// MaxBundles bounds bundles kept on disk; 0 means the default (16).
+	// The bundles kept are also bounded at 256 MiB in all, and the
+	// newest bundle is never deleted.
 	MaxBundles int
-	// MaxBundleBytes bounds the total bytes of retained bundles; 0 means
-	// the default (256 MiB). The newest bundle is never deleted.
-	MaxBundleBytes int64
 	// Registry is snapshotted into the metrics ring and receives the
 	// recorder's own counters; nil uses a private registry.
 	Registry *obs.Registry
@@ -93,29 +85,8 @@ type Options struct {
 }
 
 func (o *Options) applyDefaults() {
-	if o.LogRing <= 0 {
-		o.LogRing = 512
-	}
-	if o.SpansPerOp <= 0 {
-		o.SpansPerOp = 8
-	}
-	if o.MaxOps <= 0 {
-		o.MaxOps = 32
-	}
-	if o.SnapshotInterval <= 0 {
-		o.SnapshotInterval = 15 * time.Second
-	}
-	if o.SnapshotRing <= 0 {
-		o.SnapshotRing = 20
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = time.Minute
-	}
 	if o.MaxBundles <= 0 {
 		o.MaxBundles = 16
-	}
-	if o.MaxBundleBytes <= 0 {
-		o.MaxBundleBytes = 256 << 20
 	}
 	if o.Registry == nil {
 		o.Registry = obs.NewRegistry()
@@ -183,12 +154,15 @@ type Recorder struct {
 // New builds a Recorder, creating Dir if needed and re-indexing any
 // bundles a previous process left there.
 func New(opts Options) (*Recorder, error) {
+	if opts.Dir == "" {
+		return nil, errors.New("flight: an incident directory is required")
+	}
 	opts.applyDefaults()
 	r := &Recorder{
 		opts:  opts,
-		logs:  newLogRing(opts.LogRing),
-		spans: newSpanSampler(opts.SpansPerOp, opts.MaxOps),
-		snaps: make([]metricSnapshot, opts.SnapshotRing),
+		logs:  newLogRing(maxLogRecords),
+		spans: newSpanSampler(spansPerOp, maxOps),
+		snaps: make([]metricSnapshot, maxSnapshots),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
@@ -196,13 +170,11 @@ func New(opts Options) (*Recorder, error) {
 		"Incident bundles written by the flight recorder.")
 	r.suppressed = opts.Registry.Counter("ion_incidents_suppressed_total",
 		"Capture requests refused by rate limiting or an in-flight capture.")
-	if opts.Dir != "" {
-		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("flight: creating incident dir: %w", err)
-		}
-		if err := r.reindex(); err != nil {
-			return nil, err
-		}
+	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("flight: creating incident dir: %w", err)
+	}
+	if err := r.reindex(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -247,7 +219,7 @@ func (r *Recorder) Start() {
 	r.mu.Unlock()
 	go func() {
 		defer close(r.done)
-		t := time.NewTicker(r.opts.SnapshotInterval)
+		t := time.NewTicker(snapshotInterval)
 		defer t.Stop()
 		r.Snapshot(time.Now())
 		for {
@@ -259,10 +231,7 @@ func (r *Recorder) Start() {
 			}
 		}
 	}()
-	r.opts.Logger.Info("flight recorder running",
-		"dir", r.opts.Dir, "log_ring", r.opts.LogRing,
-		"spans_per_op", r.opts.SpansPerOp, "snapshot_interval", r.opts.SnapshotInterval.String(),
-		"cooldown", r.opts.Cooldown.String())
+	r.opts.Logger.Info("flight recorder running", "dir", r.opts.Dir)
 }
 
 // Stop halts the snapshot loop. Safe without Start and safe twice.
@@ -339,9 +308,6 @@ func (r *Recorder) Open(id string) (io.ReadCloser, int64, error) {
 // ErrRateLimited): an alert storm produces one bundle, not a pile of
 // stacked profilers.
 func (r *Recorder) Capture(reason string) (Manifest, error) {
-	if r.opts.Dir == "" {
-		return Manifest{}, ErrDisabled
-	}
 	now := time.Now()
 	r.mu.Lock()
 	if r.capturing {
@@ -349,7 +315,7 @@ func (r *Recorder) Capture(reason string) (Manifest, error) {
 		r.suppressed.Inc()
 		return Manifest{}, ErrCaptureInFlight
 	}
-	if !r.last.IsZero() && now.Sub(r.last) < r.opts.Cooldown {
+	if !r.last.IsZero() && now.Sub(r.last) < Cooldown {
 		r.mu.Unlock()
 		r.suppressed.Inc()
 		return Manifest{}, ErrRateLimited
@@ -553,7 +519,7 @@ func (r *Recorder) enforceRetention() {
 		total += m.SizeBytes
 	}
 	for len(r.manifests) > 1 &&
-		(len(r.manifests) > r.opts.MaxBundles || total > r.opts.MaxBundleBytes) {
+		(len(r.manifests) > r.opts.MaxBundles || total > maxBundleBytes) {
 		victim := r.manifests[0]
 		if err := os.Remove(filepath.Join(r.opts.Dir, victim.ID+".tar.gz")); err != nil && !os.IsNotExist(err) {
 			r.opts.Logger.Warn("deleting expired incident bundle", "id", victim.ID, "err", err)

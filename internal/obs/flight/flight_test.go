@@ -6,6 +6,7 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"os"
@@ -105,7 +106,7 @@ func TestCaptureBundleContents(t *testing.T) {
 }
 
 func TestCaptureRateLimitAndSingleflight(t *testing.T) {
-	r := newTestRecorder(t, Options{Cooldown: time.Hour})
+	r := newTestRecorder(t, Options{})
 	if _, err := r.Capture("first"); err != nil {
 		t.Fatalf("first Capture: %v", err)
 	}
@@ -120,20 +121,27 @@ func TestCaptureRateLimitAndSingleflight(t *testing.T) {
 	}
 }
 
+// TestCaptureDisabledWithoutDir: a recorder without an incident
+// directory could never write a bundle, so New refuses to build one.
 func TestCaptureDisabledWithoutDir(t *testing.T) {
-	r, err := New(Options{})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if _, err := r.Capture("x"); !errors.Is(err, ErrDisabled) {
-		t.Fatalf("err = %v, want ErrDisabled", err)
+	if _, err := New(Options{}); err == nil {
+		t.Fatal("New without a Dir succeeded")
 	}
 }
 
+// resetCooldown forgets the last capture, so the next one is not
+// rate-limited.
+func resetCooldown(r *Recorder) {
+	r.mu.Lock()
+	r.last = time.Time{}
+	r.mu.Unlock()
+}
+
 func TestRetentionByCountAndBytes(t *testing.T) {
-	r := newTestRecorder(t, Options{Cooldown: time.Nanosecond, MaxBundles: 2})
+	r := newTestRecorder(t, Options{MaxBundles: 2})
 	var ids []string
 	for i := 0; i < 4; i++ {
+		resetCooldown(r)
 		m, err := r.Capture("n" + string(rune('a'+i)))
 		if err != nil {
 			t.Fatalf("Capture %d: %v", i, err)
@@ -154,9 +162,17 @@ func TestRetentionByCountAndBytes(t *testing.T) {
 		}
 	}
 
-	// Byte-bound retention: tiny budget keeps only the newest.
-	r2 := newTestRecorder(t, Options{Cooldown: time.Nanosecond, MaxBundleBytes: 1})
-	r2.Capture("one")
+	// Byte-bound retention: a bundle booked at the whole byte bound
+	// leaves room for no other, so the next capture expires it.
+	r2 := newTestRecorder(t, Options{})
+	m1, err := r2.Capture("one")
+	if err != nil {
+		t.Fatalf("Capture: %v", err)
+	}
+	r2.mu.Lock()
+	r2.manifests[0].SizeBytes = maxBundleBytes
+	r2.mu.Unlock()
+	resetCooldown(r2)
 	time.Sleep(2 * time.Millisecond)
 	m2, err := r2.Capture("two")
 	if err != nil {
@@ -164,6 +180,9 @@ func TestRetentionByCountAndBytes(t *testing.T) {
 	}
 	if list := r2.List(); len(list) != 1 || list[0].ID != m2.ID {
 		t.Fatalf("byte retention kept %v, want just %s", list, m2.ID)
+	}
+	if _, err := os.Stat(filepath.Join(r2.opts.Dir, m1.ID+".tar.gz")); !os.IsNotExist(err) {
+		t.Errorf("expired bundle %s still on disk (err=%v)", m1.ID, err)
 	}
 }
 
@@ -200,18 +219,18 @@ func TestOpenRejectsUnknownID(t *testing.T) {
 }
 
 func TestLogRingWrapsAndKeepsBelowSinkLevel(t *testing.T) {
-	r := newTestRecorder(t, Options{LogRing: 4})
+	r := newTestRecorder(t, Options{})
 	sink := slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn})
 	log := slog.New(r.LogHandler(sink))
-	for i := 0; i < 6; i++ {
+	for i := 0; i <= maxLogRecords; i++ {
 		log.Debug("debug line", "i", i)
 	}
 	recs := r.logs.snapshot()
-	if len(recs) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(recs))
+	if len(recs) != maxLogRecords {
+		t.Fatalf("ring holds %d, want %d", len(recs), maxLogRecords)
 	}
-	if recs[0].line != "debug line i=2" || recs[3].line != "debug line i=5" {
-		t.Fatalf("ring contents wrong: %q .. %q", recs[0].line, recs[3].line)
+	if first, last := recs[0].line, recs[maxLogRecords-1].line; first != "debug line i=1" || last != fmt.Sprintf("debug line i=%d", maxLogRecords) {
+		t.Fatalf("ring contents wrong: %q .. %q", first, last)
 	}
 }
 
@@ -291,23 +310,23 @@ func TestSpanSamplerAllocsOnRejection(t *testing.T) {
 }
 
 func TestSnapshotRingWraps(t *testing.T) {
-	r := newTestRecorder(t, Options{SnapshotRing: 3})
+	r := newTestRecorder(t, Options{})
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	for i := 0; i < 5; i++ {
+	for i := 0; i <= maxSnapshots; i++ {
 		r.Snapshot(base.Add(time.Duration(i) * time.Second))
 	}
 	snaps := r.snapshotRing()
-	if len(snaps) != 3 {
-		t.Fatalf("snapshots = %d, want 3", len(snaps))
+	if len(snaps) != maxSnapshots {
+		t.Fatalf("snapshots = %d, want %d", len(snaps), maxSnapshots)
 	}
-	if !snaps[0].t.Equal(base.Add(2*time.Second)) || !snaps[2].t.Equal(base.Add(4*time.Second)) {
-		t.Fatalf("snapshot window wrong: %v .. %v", snaps[0].t, snaps[2].t)
+	if !snaps[0].t.Equal(base.Add(time.Second)) || !snaps[maxSnapshots-1].t.Equal(base.Add(maxSnapshots*time.Second)) {
+		t.Fatalf("snapshot window wrong: %v .. %v", snaps[0].t, snaps[maxSnapshots-1].t)
 	}
 }
 
 func TestStartStop(t *testing.T) {
-	r := newTestRecorder(t, Options{SnapshotInterval: time.Millisecond})
-	r.Start()
+	r := newTestRecorder(t, Options{})
+	r.Start() // snapshots once at start, then every snapshotInterval
 	r.Start() // idempotent
 	deadline := time.Now().Add(2 * time.Second)
 	for len(r.snapshotRing()) == 0 && time.Now().Before(deadline) {

@@ -11,15 +11,11 @@ import (
 	"ion/internal/obs"
 )
 
-// Profile kinds the continuous profiler captures each cycle. Block and
-// mutex profiles are also polled but only journaled when non-empty
-// (their runtime sampling is off unless the operator enables it).
+// Profile kinds the continuous profiler captures each cycle.
 const (
 	KindCPU       = "cpu"
 	KindHeap      = "heap"
 	KindGoroutine = "goroutine"
-	KindBlock     = "block"
-	KindMutex     = "mutex"
 )
 
 // Options configures a Profiler. The zero Options (plus Store) is a
@@ -188,11 +184,11 @@ func (p *Profiler) Stop() {
 
 // CaptureCycle runs one full cycle stamped at now: a CPU profile
 // window (yielding to incident captures via the shared guard) followed
-// by heap/goroutine/block/mutex snapshots. Exported so tests and
-// one-shot tools can drive time explicitly.
+// by heap and goroutine snapshots. Exported so tests and one-shot tools
+// can drive time explicitly.
 func (p *Profiler) CaptureCycle(now time.Time) {
 	p.captureCPUWindow(now)
-	for _, kind := range []string{KindHeap, KindGoroutine, KindBlock, KindMutex} {
+	for _, kind := range []string{KindHeap, KindGoroutine} {
 		p.captureSnapshot(kind, time.Now())
 	}
 }
@@ -242,9 +238,8 @@ func (p *Profiler) captureCPUWindow(now time.Time) {
 	}
 }
 
-// captureSnapshot grabs one runtime profile (heap, goroutine, block,
-// mutex) as a point-in-time window. Block and mutex snapshots are
-// dropped while empty.
+// captureSnapshot grabs one runtime profile (heap or goroutine) as a
+// point-in-time window.
 func (p *Profiler) captureSnapshot(kind string, now time.Time) {
 	prof := pprof.Lookup(kind)
 	if prof == nil {
@@ -258,9 +253,6 @@ func (p *Profiler) captureSnapshot(kind string, now time.Time) {
 	w, err := p.windowFromProfile(kind, buf.Bytes(), now, now)
 	if err != nil {
 		p.opts.Logger.Warn("profile snapshot decode failed", "kind", kind, "err", err)
-		return
-	}
-	if (kind == KindBlock || kind == KindMutex) && w.Total == 0 {
 		return
 	}
 	if err := p.AddWindow(w); err != nil {

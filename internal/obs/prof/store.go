@@ -68,6 +68,13 @@ func (w Window) Share(fn string) float64 {
 	return 0
 }
 
+// A Store keeps at most maxWindows windows across all kinds, and at
+// most maxBytes of their estimated size.
+const (
+	maxWindows = 360
+	maxBytes   = 64 << 20
+)
+
 // StoreOptions configures a window Store.
 type StoreOptions struct {
 	// Path is the JSON-lines journal file; required.
@@ -75,24 +82,6 @@ type StoreOptions struct {
 	// Retention drops windows older than this relative to the newest
 	// (default 2h; negative disables the age bound).
 	Retention time.Duration
-	// MaxWindows bounds retained windows across all kinds (default 360;
-	// negative disables).
-	MaxWindows int
-	// MaxBytes bounds the estimated retained bytes (default 64 MiB;
-	// negative disables).
-	MaxBytes int64
-}
-
-func (o *StoreOptions) applyDefaults() {
-	if o.Retention == 0 {
-		o.Retention = 2 * time.Hour
-	}
-	if o.MaxWindows == 0 {
-		o.MaxWindows = 360
-	}
-	if o.MaxBytes == 0 {
-		o.MaxBytes = 64 << 20
-	}
 }
 
 // Store is the journaled, retention-bounded profile window store:
@@ -107,14 +96,16 @@ type Store struct {
 // OpenStore loads (or creates) the journal at opts.Path, replaying it
 // with the bounds enforced.
 func OpenStore(opts StoreOptions) (*Store, error) {
-	opts.applyDefaults()
+	if opts.Retention == 0 {
+		opts.Retention = 2 * time.Hour
+	}
 	j, err := journal.Open(journal.Options[Window]{
 		Path:       opts.Path,
 		Key:        func(w Window) string { return w.ID },
 		Size:       Window.size,
 		Check:      Window.check,
-		MaxRecords: opts.MaxWindows,
-		MaxBytes:   opts.MaxBytes,
+		MaxRecords: maxWindows,
+		MaxBytes:   maxBytes,
 		MaxAge:     opts.Retention,
 		Time:       func(w Window) time.Time { return w.End },
 	})

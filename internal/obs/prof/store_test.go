@@ -1,217 +1,6 @@
 package prof
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-	"time"
-)
-
-func testWindow(kind string, n int, at time.Time) Window {
-	return Window{
-		ID:    fmt.Sprintf("w-%s-%d", kind, n),
-		Kind:  kind,
-		Start: at.Add(-10 * time.Second),
-		End:   at,
-		Unit:  "nanoseconds",
-		Total: int64(1000 + n),
-		Functions: []FuncStat{
-			{Name: "main.work", Flat: 800, Cum: 900, FlatShare: 0.8, CumShare: 0.9},
-			{Name: "main.idle", Flat: 200, Cum: 1000, FlatShare: 0.2, CumShare: 1.0},
-		},
-		Stacks:    []Stack{{Frames: []string{"main.main", "main.work"}, Value: 800}},
-		KeptValue: 800,
-	}
-}
-
-func openTestStore(t *testing.T, dir string, opts StoreOptions) *Store {
-	t.Helper()
-	if opts.Path == "" {
-		opts.Path = filepath.Join(dir, "windows.jsonl")
-	}
-	st, err := OpenStore(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	return st
-}
-
-func TestStorePersistsAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
-	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	st := openTestStore(t, dir, StoreOptions{})
-	for i := 0; i < 5; i++ {
-		if err := st.Add(testWindow("cpu", i, base.Add(time.Duration(i)*time.Minute))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st.Add(testWindow("heap", 0, base))
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2 := openTestStore(t, dir, StoreOptions{})
-	if st2.Len() != 6 {
-		t.Fatalf("replayed %d windows, want 6", st2.Len())
-	}
-	cpu := st2.Windows("cpu", 0)
-	if len(cpu) != 5 {
-		t.Fatalf("cpu windows = %d, want 5", len(cpu))
-	}
-	// Newest first.
-	if cpu[0].ID != "w-cpu-4" || cpu[4].ID != "w-cpu-0" {
-		t.Fatalf("order wrong: first=%s last=%s", cpu[0].ID, cpu[4].ID)
-	}
-	w, ok := st2.Get("w-cpu-2")
-	if !ok || w.Total != 1002 || len(w.Functions) != 2 || w.Functions[0].Name != "main.work" {
-		t.Fatalf("Get(w-cpu-2) = %+v ok=%v", w, ok)
-	}
-	if w.Stacks[0].Frames[0] != "main.main" {
-		t.Fatalf("stack frames lost: %+v", w.Stacks)
-	}
-	if latest, ok := st2.Latest("heap"); !ok || latest.ID != "w-heap-0" {
-		t.Fatalf("Latest(heap) = %+v ok=%v", latest, ok)
-	}
-}
-
-func TestStoreSupersedeByID(t *testing.T) {
-	st := openTestStore(t, t.TempDir(), StoreOptions{})
-	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	w := testWindow("cpu", 1, base)
-	st.Add(w)
-	w.Total = 9999
-	st.Add(w)
-	if st.Len() != 1 {
-		t.Fatalf("len = %d, want 1 (same ID supersedes)", st.Len())
-	}
-	got, _ := st.Get(w.ID)
-	if got.Total != 9999 {
-		t.Fatalf("total = %d, want the superseding record", got.Total)
-	}
-}
-
-func TestStoreCountAndAgeEviction(t *testing.T) {
-	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	st := openTestStore(t, t.TempDir(), StoreOptions{MaxWindows: 3, Retention: -1})
-	for i := 0; i < 10; i++ {
-		st.Add(testWindow("cpu", i, base.Add(time.Duration(i)*time.Minute)))
-	}
-	if st.Len() != 3 {
-		t.Fatalf("len = %d, want 3 (count bound)", st.Len())
-	}
-	if _, ok := st.Get("w-cpu-0"); ok {
-		t.Fatal("oldest window survived the count bound")
-	}
-	if st.Evicted() != 7 {
-		t.Fatalf("evicted = %d, want 7", st.Evicted())
-	}
-
-	// Age bound: a new window an hour later expires everything older
-	// than the retention, measured against the newest End.
-	st2 := openTestStore(t, t.TempDir(), StoreOptions{Retention: 10 * time.Minute, MaxWindows: -1})
-	for i := 0; i < 5; i++ {
-		st2.Add(testWindow("cpu", i, base.Add(time.Duration(i)*time.Minute)))
-	}
-	if st2.Len() != 5 {
-		t.Fatalf("len = %d, want 5 before the gap", st2.Len())
-	}
-	st2.Add(testWindow("cpu", 99, base.Add(time.Hour)))
-	if st2.Len() != 1 {
-		t.Fatalf("len = %d, want 1 after the age bound", st2.Len())
-	}
-}
-
-func TestStoreByteBound(t *testing.T) {
-	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	w := testWindow("cpu", 0, base)
-	per := w.size()
-	st := openTestStore(t, t.TempDir(), StoreOptions{MaxBytes: per * 3, MaxWindows: -1, Retention: -1})
-	for i := 0; i < 10; i++ {
-		st.Add(testWindow("cpu", i, base.Add(time.Duration(i)*time.Minute)))
-	}
-	if st.Len() > 3 {
-		t.Fatalf("len = %d, want ≤3 under the byte bound", st.Len())
-	}
-	if st.Bytes() > per*3 {
-		t.Fatalf("bytes = %d, want ≤ %d", st.Bytes(), per*3)
-	}
-}
-
-// TestStoreTornTailReplay mixes garbage, a half-written JSON line, and
-// a blank line into the journal: replay must keep every intact record
-// and keep the store appendable.
-func TestStoreTornTailReplay(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "windows.jsonl")
-	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	st := openTestStore(t, dir, StoreOptions{Path: path})
-	for i := 0; i < 3; i++ {
-		st.Add(testWindow("cpu", i, base.Add(time.Duration(i)*time.Minute)))
-	}
-	st.Close()
-
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString("\n")
-	f.WriteString("{\"id\":\"w-cpu-valid\",\"kind\":\"cpu\",\"end\":\"2026-08-07T12:30:00Z\"}\n")
-	f.WriteString("not json at all\n")
-	f.WriteString(`{"id":"w-cpu-torn","kind":"cpu","total":12`) // no close, no newline
-	f.Close()
-
-	st2 := openTestStore(t, dir, StoreOptions{Path: path})
-	if st2.Len() != 4 {
-		t.Fatalf("replayed %d windows, want 4 (3 intact + 1 minimal)", st2.Len())
-	}
-	if _, ok := st2.Get("w-cpu-torn"); ok {
-		t.Fatal("torn tail record should have been skipped")
-	}
-	if _, ok := st2.Get("w-cpu-valid"); !ok {
-		t.Fatal("valid minimal record after garbage should replay")
-	}
-	// The store stays appendable after a dirty replay.
-	if err := st2.Add(testWindow("cpu", 50, base.Add(time.Hour))); err != nil {
-		t.Fatal(err)
-	}
-	st2.Close()
-	st3 := openTestStore(t, dir, StoreOptions{Path: path})
-	if _, ok := st3.Get("w-cpu-50"); !ok {
-		t.Fatal("post-replay append lost on reopen")
-	}
-}
-
-// TestStoreCompaction checks the journal is rewritten once dead lines
-// outnumber live windows, and that the compacted journal replays.
-func TestStoreCompaction(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "windows.jsonl")
-	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	st := openTestStore(t, dir, StoreOptions{Path: path, MaxWindows: 4, Retention: -1})
-	for i := 0; i < 80; i++ {
-		st.Add(testWindow("cpu", i, base.Add(time.Duration(i)*time.Minute)))
-	}
-	st.Close()
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Count(string(data), "\n")
-	if lines > 2*4+16 {
-		t.Fatalf("journal has %d lines after compaction, want ≤ %d", lines, 2*4+16)
-	}
-	st2 := openTestStore(t, dir, StoreOptions{Path: path, MaxWindows: 4, Retention: -1})
-	if st2.Len() != 4 {
-		t.Fatalf("compacted journal replayed %d windows, want 4", st2.Len())
-	}
-	if _, ok := st2.Get("w-cpu-79"); !ok {
-		t.Fatal("newest window missing after compaction")
-	}
-}
+import "testing"
 
 func TestStoreNilSafe(t *testing.T) {
 	var st *Store

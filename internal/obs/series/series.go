@@ -60,6 +60,10 @@ func trimFloat(v float64) string {
 	return fmt.Sprintf("%g", v)
 }
 
+// maxSeries bounds distinct series; past it new series are dropped
+// (counted, logged once).
+const maxSeries = 4096
+
 // Options configures a Store.
 type Options struct {
 	// Interval is the scrape cadence; 0 means the default (5s).
@@ -67,9 +71,6 @@ type Options struct {
 	// Retention is how much history each series keeps; 0 means the
 	// default (15m). Ring capacity is Retention/Interval points.
 	Retention time.Duration
-	// MaxSeries bounds distinct series; past it new series are dropped
-	// (counted, logged once). 0 means the default (4096).
-	MaxSeries int
 	// Rules are the alert rules the engine evaluates after every
 	// scrape; nil means no alerting.
 	Rules []Rule
@@ -89,9 +90,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.Retention <= 0 {
 		o.Retention = 15 * time.Minute
-	}
-	if o.MaxSeries <= 0 {
-		o.MaxSeries = 4096
 	}
 	if o.Logger == nil {
 		o.Logger = obs.NopLogger()
@@ -151,7 +149,7 @@ type Store struct {
 	series  map[string]*memSeries // obs.Sample.SeriesKey() → series
 	order   []string              // insertion-independent sorted keys, rebuilt lazily
 	stale   bool                  // order needs rebuild
-	dropped int64                 // series rejected by MaxSeries
+	dropped int64                 // series rejected by maxSeries
 	scrapes int64
 	lastAt  time.Time // stamp of the most recent scrape
 	warned  bool
@@ -266,12 +264,12 @@ func (s *Store) Scrape(now time.Time) {
 		key := sm.SeriesKey()
 		m, ok := s.series[key]
 		if !ok {
-			if len(s.series) >= s.opts.MaxSeries {
+			if len(s.series) >= maxSeries {
 				s.dropped++
 				if !s.warned {
 					s.warned = true
-					s.opts.Logger.Warn("series store at MaxSeries, dropping new series",
-						"max", s.opts.MaxSeries, "dropped_key", key)
+					s.opts.Logger.Warn("series store at its series bound, dropping new series",
+						"max", maxSeries, "dropped_key", key)
 				}
 				continue
 			}
@@ -328,7 +326,7 @@ func (s *Store) SeriesCount() int {
 	return len(s.series)
 }
 
-// Dropped returns how many new series were rejected by MaxSeries.
+// Dropped returns how many new series were rejected by maxSeries.
 func (s *Store) Dropped() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -182,13 +182,13 @@ func TestRetentionBoundsMemory(t *testing.T) {
 
 func TestMaxSeriesBound(t *testing.T) {
 	reg := obs.NewRegistry()
-	for i := 0; i < 10; i++ {
+	for i := 0; i <= maxSeries; i++ {
 		reg.Gauge("ion_test_g", "g", obs.L("i", fmt.Sprint(i))).Set(1)
 	}
-	st := New(reg, Options{Interval: time.Second, Retention: time.Minute, MaxSeries: 5})
+	st := New(reg, Options{Interval: time.Second, Retention: time.Minute})
 	st.Scrape(at(0))
-	if n := st.SeriesCount(); n != 5 {
-		t.Errorf("series count = %d, want capped at 5", n)
+	if n := st.SeriesCount(); n != maxSeries {
+		t.Errorf("series count = %d, want capped at %d", n, maxSeries)
 	}
 	if st.Dropped() == 0 {
 		t.Error("dropped counter did not record rejected series")

@@ -10,22 +10,17 @@ import (
 	"ion/internal/journal"
 )
 
-// Defaults for Options left at zero.
+// A Store keeps at most maxEntries scorecards, and at most maxBytes of
+// their estimated size.
 const (
-	DefaultMaxEntries = 4096
-	DefaultMaxBytes   = 16 << 20
+	maxEntries = 4096
+	maxBytes   = 16 << 20
 )
 
 // Options configures a Store.
 type Options struct {
 	// Path is the JSON-lines journal file; required.
 	Path string
-	// MaxEntries bounds the scorecard count (default 4096; negative
-	// disables the count bound).
-	MaxEntries int
-	// MaxBytes bounds the estimated retained bytes (default 16 MiB;
-	// negative disables the byte bound).
-	MaxBytes int64
 }
 
 // LabelStat aggregates, for one issue, the labelled verdicts across
@@ -74,19 +69,13 @@ type Store struct {
 // journal: later records supersede earlier ones with the same job id,
 // and the count/byte bounds are enforced oldest-first.
 func Open(opts Options) (*Store, error) {
-	if opts.MaxEntries == 0 {
-		opts.MaxEntries = DefaultMaxEntries
-	}
-	if opts.MaxBytes == 0 {
-		opts.MaxBytes = DefaultMaxBytes
-	}
 	j, err := journal.Open(journal.Options[Scorecard]{
 		Path:       opts.Path,
 		Key:        func(c Scorecard) string { return c.JobID },
 		Size:       Scorecard.size,
 		Check:      Scorecard.check,
-		MaxRecords: opts.MaxEntries,
-		MaxBytes:   opts.MaxBytes,
+		MaxRecords: maxEntries,
+		MaxBytes:   maxBytes,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("quality: %w", err)
@@ -152,7 +141,7 @@ func (st *Store) Tail(n int) []Scorecard {
 // IssueLabels aggregates the labelled verdicts per issue across the
 // live scorecards; issues no scorecard labels are absent. The
 // aggregates are recomputed from the replayed journal, so they survive
-// restarts; the scan is bounded by MaxEntries.
+// restarts; the scan is bounded by the store's 4,096 scorecards.
 func (st *Store) IssueLabels() map[issue.ID]LabelStat {
 	out := map[issue.ID]LabelStat{}
 	if st == nil {

@@ -1,6 +1,7 @@
 package quality
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -127,20 +128,20 @@ func TestStoreTornTailAndGarbage(t *testing.T) {
 }
 
 func TestStoreEviction(t *testing.T) {
-	st := openStore(t, Options{Path: filepath.Join(t.TempDir(), "q.jsonl"), MaxEntries: 2})
+	st := openStore(t, Options{Path: filepath.Join(t.TempDir(), "q.jsonl")})
 	t0 := time.Unix(1719000000, 0)
-	for i, j := range []string{"j-1", "j-2", "j-3"} {
-		if err := st.Put(card(j, t0.Add(time.Duration(i)*time.Second), true)); err != nil {
+	for i := 0; i <= maxEntries; i++ {
+		if err := st.Put(card(fmt.Sprintf("j-%d", i), t0.Add(time.Duration(i)*time.Second), true)); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 	}
-	if st.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", st.Len())
+	if st.Len() != maxEntries {
+		t.Fatalf("Len = %d, want %d", st.Len(), maxEntries)
 	}
-	if _, ok := st.Get("j-1"); ok {
+	if _, ok := st.Get("j-0"); ok {
 		t.Fatal("oldest entry not evicted")
 	}
-	if s := st.Stats(); s.Evictions != 1 || s.Puts != 3 {
+	if s := st.Stats(); s.Evictions != 1 || s.Puts != maxEntries+1 {
 		t.Fatalf("Stats = %+v", s)
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"ion/internal/obs/flight"
 )
@@ -94,14 +96,11 @@ func (s *JobServer) handleDebugCapture(w http.ResponseWriter, r *http.Request) {
 	m, err := s.flight.Capture(reason)
 	switch {
 	case errors.Is(err, flight.ErrRateLimited):
-		w.Header().Set("Retry-After", "60")
+		w.Header().Set("Retry-After", strconv.Itoa(int(flight.Cooldown/time.Second)))
 		s.errorJSON(w, http.StatusTooManyRequests, err.Error())
 		return
 	case errors.Is(err, flight.ErrCaptureInFlight):
 		s.errorJSON(w, http.StatusConflict, err.Error())
-		return
-	case errors.Is(err, flight.ErrDisabled):
-		s.errorJSON(w, http.StatusNotFound, err.Error())
 		return
 	case err != nil:
 		s.errorJSON(w, http.StatusInternalServerError, err.Error())

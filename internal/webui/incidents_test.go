@@ -42,7 +42,6 @@ func flightServer(t *testing.T, client llm.Client, cfg jobs.Config, rules []seri
 	rec, err := flight.New(flight.Options{
 		Dir:      t.TempDir(),
 		Registry: reg,
-		Cooldown: time.Hour, // one bundle per test: the second firing must be suppressed
 		Config:   map[string]string{"addr": "127.0.0.1:0", "api_key": "sk-test"},
 	})
 	if err != nil {
@@ -153,6 +152,9 @@ func TestIncidentCaptureLoop(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(apiErr.Error, "rate-limited") {
 		t.Errorf("debug capture during cooldown = %d %q, want 429 rate-limited", resp.StatusCode, apiErr.Error)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "60" {
+		t.Errorf("debug capture during cooldown: Retry-After %q, want the 60 s cooldown", got)
 	}
 
 	// Download the bundle (plain: no Accept-Encoding) and inspect it.

@@ -44,9 +44,8 @@ type profWindowsResponse struct {
 //
 //	GET /api/prof/windows?kind=cpu&limit=20
 //
-// Parameters: kind filters by profile family (cpu, heap, goroutine,
-// block, mutex; empty matches all), limit bounds the count (default
-// 50).
+// Parameters: kind filters by profile family (cpu, heap, goroutine;
+// empty matches all), limit bounds the count (default 50).
 func (s *JobServer) handleProfWindows(w http.ResponseWriter, r *http.Request) {
 	if s.profDisabled(w) {
 		return

@@ -44,7 +44,6 @@ func qualityServer(t *testing.T, client llm.Client, cfg jobs.Config, rules []ser
 	rec, err := flight.New(flight.Options{
 		Dir:      t.TempDir(),
 		Registry: reg,
-		Cooldown: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

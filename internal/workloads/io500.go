@@ -16,6 +16,7 @@ import (
 // configuration with 1 MiB stripes and a 4 MiB RPC size.
 
 const (
+	ioEasyRanks      = 4
 	ioEasyOpsPerRank = 1024 // writes per rank; same count of reads
 	iorHardXfer      = 47008
 	iorHardIters     = 1024
@@ -29,7 +30,7 @@ const (
 func IOREasy(transfer int64, shared bool) Workload {
 	name := fmt.Sprintf("ior-easy-%s-%s", sizeName(transfer), layoutName(shared))
 	title := fmt.Sprintf("IOR-Easy-%s-%s", sizeLabel(transfer), layoutLabel(shared))
-	const ranks = 4
+	const ranks = ioEasyRanks
 	cfg := iosim.ExampleConfig()
 
 	smallIO := Expect(issue.SmallIO, issue.VerdictMitigated,
@@ -281,7 +282,8 @@ func MDWorkbench() Workload {
 // ior-easy-<size>-<shared|fpp> with a size of <n>b, <n>k or <n>m.
 // Names arrive from uploads, so it accepts only the spelling IOREasy
 // itself gives a size (1m, not 1024k or 01m), and only sizes whose
-// per-rank block, transfer × ioEasyOpsPerRank, fits in an int64.
+// files fit in an int64: a rank's block is transfer × ioEasyOpsPerRank,
+// and a shared file holds every rank's block.
 func iorEasyByName(name string) (Workload, bool) {
 	rest, ok := strings.CutPrefix(name, "ior-easy-")
 	if !ok {
@@ -302,8 +304,12 @@ func iorEasyByName(name string) (Workload, bool) {
 	default:
 		return Workload{}, false
 	}
+	extent := unit * ioEasyOpsPerRank // a file's bytes per unit of transfer
+	if layout == "shared" {
+		extent *= ioEasyRanks
+	}
 	n, err := strconv.ParseInt(size[:len(size)-1], 10, 64)
-	if err != nil || n <= 0 || n > math.MaxInt64/(unit*ioEasyOpsPerRank) || sizeName(n*unit) != size {
+	if err != nil || n <= 0 || n > math.MaxInt64/extent || sizeName(n*unit) != size {
 		return Workload{}, false
 	}
 	return IOREasy(n*unit, layout == "shared"), true

@@ -347,9 +347,15 @@ func TestByName(t *testing.T) {
 	if w, err := ByName("ior-easy-1536b-fpp"); err != nil || w.Name != "ior-easy-1536b-fpp" {
 		t.Errorf("ior-easy-1536b-fpp = %q, %v", w.Name, err)
 	}
-	largest := fmt.Sprintf("ior-easy-%dm-shared", math.MaxInt64/(1<<20*ioEasyOpsPerRank))
-	if _, err := ByName(largest); err != nil {
-		t.Errorf("%s: %v", largest, err)
+	// The largest sizes whose files fit in an int64: a rank's block
+	// per file, every rank's block in a shared file.
+	for _, largest := range []string{
+		fmt.Sprintf("ior-easy-%dm-fpp", math.MaxInt64/(1<<20*ioEasyOpsPerRank)),
+		fmt.Sprintf("ior-easy-%dm-shared", math.MaxInt64/(1<<20*ioEasyOpsPerRank*ioEasyRanks)),
+	} {
+		if _, err := ByName(largest); err != nil {
+			t.Errorf("%s: %v", largest, err)
+		}
 	}
 
 	// Names arrive from uploads: anything IOREasy would not emit is
@@ -359,7 +365,9 @@ func TestByName(t *testing.T) {
 		"ior-easy-1024k-shared", "ior-easy-2048b-fpp", "ior-easy-01m-shared", "ior-easy-+1m-shared", // not canonical
 		"ior-easy--1m-shared", "ior-easy-1g-shared", "ior-easy-m-shared", "ior-easy--shared",
 		"ior-easy-1m", "ior-easy-1m-both", "ior-easy-1m-shared-x", "ior-easy-1m-", "ior-easy-",
-		fmt.Sprintf("ior-easy-%dm-shared", math.MaxInt64/(1<<20*ioEasyOpsPerRank)+1), // block overflows
+		fmt.Sprintf("ior-easy-%dm-fpp", math.MaxInt64/(1<<20*ioEasyOpsPerRank)+1),                // block overflows
+		fmt.Sprintf("ior-easy-%dm-shared", math.MaxInt64/(1<<20*ioEasyOpsPerRank*ioEasyRanks)+1), // shared file overflows
+		"ior-easy-8589934591m-shared", // one block fits, the shared file does not
 		"ior-easy-99999999999999999999b-fpp",
 	} {
 		if w, err := ByName(name); err == nil {
