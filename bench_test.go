@@ -231,23 +231,18 @@ func BenchmarkLogFormats(b *testing.B) {
 	})
 }
 
-// BenchmarkExtractor measures log → CSV extraction.
+// BenchmarkExtractor measures log → CSV extraction, tables written to
+// disk; internal/extractor's BenchmarkExtract measures the in-memory
+// half alone.
 func BenchmarkExtractor(b *testing.B) {
 	log, err := testutil.Log("openpmd-baseline")
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("in-memory", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := extractor.Extract(log); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("to-disk", func(b *testing.B) {
 		dir := b.TempDir()
 		for i := 0; i < b.N; i++ {
-			if _, err := extractor.ExtractToDir(log, filepath.Join(dir, fmt.Sprint(i%8))); err != nil {
+			if _, err := extractor.ExtractToDir(context.Background(), log, filepath.Join(dir, fmt.Sprint(i%8))); err != nil {
 				b.Fatal(err)
 			}
 		}

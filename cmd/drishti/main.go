@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -46,7 +47,7 @@ func main() {
 		if dir == "" {
 			dir = *logPath + ".csv"
 		}
-		out, err = extractor.ExtractFile(*logPath, dir)
+		out, err = extractor.ExtractFile(context.Background(), *logPath, dir)
 	default:
 		fmt.Fprintln(os.Stderr, "drishti: need -log or -csv")
 		flag.Usage()

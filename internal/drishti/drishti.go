@@ -79,17 +79,6 @@ type Report struct {
 	TriggersEvaluated int
 }
 
-// High returns the HIGH-level insights.
-func (r *Report) High() []Insight {
-	var out []Insight
-	for _, in := range r.Insights {
-		if in.Level == LevelHigh {
-			out = append(out, in)
-		}
-	}
-	return out
-}
-
 // Flagged reports whether a HIGH insight maps to the issue — Drishti's
 // headline findings, the level the paper's Figure 3 column shows.
 func (r *Report) Flagged(id issue.ID) bool {

@@ -244,9 +244,6 @@ func TestRenderShape(t *testing.T) {
 	if !strings.Contains(text, "[HIGH]") {
 		t.Error("levels missing")
 	}
-	if len(rep.High()) == 0 {
-		t.Error("no HIGH insights on ior-hard")
-	}
 }
 
 func TestEmptyTraceQuiet(t *testing.T) {

@@ -283,6 +283,33 @@ func TestIOREasyVariantsMatchTruth(t *testing.T) {
 	}
 }
 
+// TestScaleVariantsMatchTruth scores ION on the rank-scaling sweep's
+// variants against the labels Scale derives from its parameters.
+func TestScaleVariantsMatchTruth(t *testing.T) {
+	var ws []workloads.Workload
+	for _, n := range []int{2, 4, 8, 16, 32} {
+		ws = append(ws, workloads.Scale(n))
+	}
+	results, err := runner().RunAll(context.Background(), ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matched, expected := 0, 0
+	for _, res := range results {
+		matched += res.IONScore.Matched
+		expected += res.IONScore.Expected
+		for _, m := range res.IONScore.Mismatches {
+			t.Errorf("%s: %s = %s, label %s", res.Workload.Name, m.Issue, m.Got, m.Want)
+		}
+		if fp := res.IONScore.FalsePositives; len(fp) > 0 {
+			t.Errorf("%s: false positives %v", res.Workload.Name, fp)
+		}
+	}
+	if matched != 25 || expected != 25 {
+		t.Errorf("ION matched %d of %d labelled verdicts, want 25 of 25", matched, expected)
+	}
+}
+
 func TestTransferSweep(t *testing.T) {
 	text, rows, err := runner().TransferSweep(context.Background(),
 		[]int64{2 << 10, 256 << 10, 1 << 20, 4 << 20, 8 << 20})

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"ion/internal/ion"
-	"ion/internal/iosim"
 	"ion/internal/issue"
 	"ion/internal/workloads"
 )
@@ -132,7 +131,7 @@ func (r *Runner) ScaleSweep(ctx context.Context, rankCounts []int) (string, []Sc
 	b.WriteString(strings.Repeat("=", 68) + "\n")
 	fmt.Fprintf(&b, "%-8s %-16s %-14s %-12s\n", "ranks", "lock conflicts", "shared-file", "makespan(s)")
 	for _, n := range rankCounts {
-		w := interleavedWriters(n)
+		w := workloads.Scale(n)
 		log, stats, err := w.GenerateWithStats()
 		if err != nil {
 			return "", nil, err
@@ -158,40 +157,3 @@ absolute op counts.
 `)
 	return b.String(), rows, nil
 }
-
-// interleavedWriters builds the scaling workload: n ranks interleave
-// 64 KiB records into one shared file.
-func interleavedWriters(n int) workloads.Workload {
-	const recSize = 64 << 10
-	const perRank = 128
-	return workloads.Workload{
-		Name:        fmt.Sprintf("scale-%dranks", n),
-		Title:       fmt.Sprintf("Interleaved writers ×%d", n),
-		Description: fmt.Sprintf("%d ranks interleave %d x 64 KiB records on one shared file", n, perRank),
-		Exe:         "./scale-probe",
-		NProcs:      n,
-		Config:      defaultSimConfig,
-		Ops: func() []iosim.Op {
-			const file = "/lustre/scale/shared.dat"
-			var ops []iosim.Op
-			for r := 0; r < n; r++ {
-				ops = append(ops, iosim.Op{Rank: r, Kind: iosim.KindOpen, File: file})
-			}
-			for i := 0; i < perRank; i++ {
-				for r := 0; r < n; r++ {
-					off := int64(i*n+r) * recSize
-					ops = append(ops, iosim.Op{
-						Rank: r, Kind: iosim.KindWrite, File: file,
-						Offset: off, Size: recSize, MemAligned: true,
-					})
-				}
-			}
-			for r := 0; r < n; r++ {
-				ops = append(ops, iosim.Op{Rank: r, Kind: iosim.KindClose, File: file})
-			}
-			return ops
-		},
-	}
-}
-
-func defaultSimConfig() iosim.Config { return iosim.ExampleConfig() }

@@ -73,17 +73,12 @@ func (o *Output) ModuleNames() []string {
 	return out
 }
 
-// Extract converts a Darshan log into module CSV tables in memory.
-func Extract(log *darshan.Log) (*Output, error) {
-	return ExtractContext(context.Background(), log)
-}
-
-// ExtractContext is Extract with span instrumentation: when ctx carries
-// an obs.Tracer, each module's table build is recorded as an
-// extract_module span. The per-module tables build concurrently on a
+// extract converts a Darshan log into module CSV tables in memory. When
+// ctx carries an obs.Tracer, each module's table build is recorded as
+// an extract_module span. The per-module tables build concurrently on a
 // worker pool bounded by GOMAXPROCS; the log is only read, never
 // mutated, so the builders share it without synchronization.
-func ExtractContext(ctx context.Context, log *darshan.Log) (*Output, error) {
+func extract(ctx context.Context, log *darshan.Log) (*Output, error) {
 	type build struct {
 		name string
 		fn   func() (*table.Table, error)
@@ -170,13 +165,8 @@ func jobTable(h darshan.Header) (*table.Table, error) {
 }
 
 // ExtractToDir extracts the log and writes each table as <dir>/<name>.csv.
-func ExtractToDir(log *darshan.Log, dir string) (*Output, error) {
-	return ExtractToDirContext(context.Background(), log, dir)
-}
-
-// ExtractToDirContext is ExtractToDir with span instrumentation.
-func ExtractToDirContext(ctx context.Context, log *darshan.Log, dir string) (*Output, error) {
-	out, err := ExtractContext(ctx, log)
+func ExtractToDir(ctx context.Context, log *darshan.Log, dir string) (*Output, error) {
+	out, err := extract(ctx, log)
 	if err != nil {
 		return nil, err
 	}
@@ -194,14 +184,8 @@ func ExtractToDirContext(ctx context.Context, log *darshan.Log, dir string) (*Ou
 }
 
 // ExtractFile loads a Darshan log file (binary container or parser
-// text) and extracts it to dir.
-func ExtractFile(logPath, dir string) (*Output, error) {
-	return ExtractFileContext(context.Background(), logPath, dir)
-}
-
-// ExtractFileContext is ExtractFile with span instrumentation: the
-// Darshan load is recorded as a parse span.
-func ExtractFileContext(ctx context.Context, logPath, dir string) (*Output, error) {
+// text), recording the load as a parse span, and extracts it to dir.
+func ExtractFile(ctx context.Context, logPath, dir string) (*Output, error) {
 	_, span := obs.StartSpan(ctx, "parse", obs.L("path", logPath))
 	log, err := darshan.Load(logPath)
 	span.SetError(err)
@@ -209,7 +193,7 @@ func ExtractFileContext(ctx context.Context, logPath, dir string) (*Output, erro
 	if err != nil {
 		return nil, fmt.Errorf("extractor: loading %s: %w", logPath, err)
 	}
-	return ExtractToDirContext(ctx, log, dir)
+	return ExtractToDir(ctx, log, dir)
 }
 
 // LoadDir reads previously extracted CSVs back from a directory.

@@ -1,6 +1,7 @@
 package extractor
 
 import (
+	"context"
 	"testing"
 
 	"ion/internal/darshan"
@@ -22,7 +23,7 @@ func testLog(t *testing.T) *darshan.Log {
 
 func TestExtractTables(t *testing.T) {
 	log := testLog(t)
-	out, err := Extract(log)
+	out, err := extract(context.Background(), log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestExtractTables(t *testing.T) {
 func TestExtractToDirAndLoadDir(t *testing.T) {
 	log := testLog(t)
 	dir := t.TempDir()
-	out, err := ExtractToDir(log, dir)
+	out, err := ExtractToDir(context.Background(), log, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestExtractFileFromBinaryLog(t *testing.T) {
 	if err := log.WriteFile(logPath); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ExtractFile(logPath, dir+"/csv")
+	out, err := ExtractFile(context.Background(), logPath, dir+"/csv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestLoadDirErrors(t *testing.T) {
 
 func TestDXTOrderingAndTypes(t *testing.T) {
 	log := testLog(t)
-	out, err := Extract(log)
+	out, err := extract(context.Background(), log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestDXTOrderingAndTypes(t *testing.T) {
 
 func TestModuleNamesOrder(t *testing.T) {
 	log := testLog(t)
-	out, err := Extract(log)
+	out, err := extract(context.Background(), log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestModuleNamesOrder(t *testing.T) {
 
 func TestHistogramColumnsSumToOps(t *testing.T) {
 	log := testLog(t)
-	out, err := Extract(log)
+	out, err := extract(context.Background(), log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +230,25 @@ func TestHistogramColumnsSumToOps(t *testing.T) {
 		}
 		if sum != writes {
 			t.Errorf("row %d: histogram sums to %d, writes = %d", i, sum, writes)
+		}
+	}
+}
+
+// BenchmarkExtract measures in-memory log → table extraction on the
+// openpmd-baseline trace.
+func BenchmarkExtract(b *testing.B) {
+	w, err := workloads.ByName("openpmd-baseline")
+	if err != nil {
+		b.Fatal(err)
+	}
+	log, err := w.Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := extract(context.Background(), log); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -11,12 +11,12 @@ import (
 
 // TestExtractContextConcurrent runs many extractions of a shared,
 // read-only log at once. The parallel module builders inside each
-// ExtractContext call plus the cross-call concurrency make this an
+// extract call plus the cross-call concurrency make this an
 // effective probe under -race: the log must only ever be read, and the
 // outputs must not share mutable state.
 func TestExtractContextConcurrent(t *testing.T) {
 	log := testLog(t)
-	want, err := Extract(log)
+	want, err := extract(context.Background(), log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestExtractContextConcurrent(t *testing.T) {
 			defer wg.Done()
 			tracer := obs.NewTracer()
 			ctx := obs.WithTracer(context.Background(), tracer)
-			out, err := ExtractContext(ctx, log)
+			out, err := extract(ctx, log)
 			if err != nil {
 				t.Errorf("goroutine %d: %v", i, err)
 				return
@@ -67,7 +67,7 @@ func TestExtractContextSpanPerModule(t *testing.T) {
 	log := testLog(t)
 	tracer := obs.NewTracer()
 	ctx := obs.WithTracer(context.Background(), tracer)
-	out, err := ExtractContext(ctx, log)
+	out, err := extract(ctx, log)
 	if err != nil {
 		t.Fatal(err)
 	}

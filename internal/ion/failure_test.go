@@ -26,7 +26,7 @@ func corruptAndAnalyze(t *testing.T, mutate func(dir string) error) error {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := extractor.ExtractToDir(log, dir); err != nil {
+	if _, err := extractor.ExtractToDir(context.Background(), log, dir); err != nil {
 		t.Fatal(err)
 	}
 	if err := mutate(dir); err != nil {
@@ -100,7 +100,7 @@ func TestMissingDXTDegradesGracefully(t *testing.T) {
 		t.Fatal(err2)
 	}
 	dir := t.TempDir()
-	if _, err := extractor.ExtractToDir(log, dir); err != nil {
+	if _, err := extractor.ExtractToDir(context.Background(), log, dir); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(dir, "DXT.csv")); err != nil {

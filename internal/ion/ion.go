@@ -138,7 +138,7 @@ func (r *Report) ContextText() string {
 // extracting CSVs into workDir.
 func (f *Framework) AnalyzeLog(ctx context.Context, log *darshan.Log, trace, workDir string) (*Report, error) {
 	ectx, span := obs.StartSpan(ctx, "extract")
-	out, err := extractor.ExtractToDirContext(ectx, log, workDir)
+	out, err := extractor.ExtractToDir(ectx, log, workDir)
 	span.SetError(err)
 	span.End()
 	if err != nil {
@@ -150,7 +150,7 @@ func (f *Framework) AnalyzeLog(ctx context.Context, log *darshan.Log, trace, wor
 // AnalyzeFile runs the full pipeline on a Darshan log file.
 func (f *Framework) AnalyzeFile(ctx context.Context, logPath, workDir string) (*Report, error) {
 	ectx, span := obs.StartSpan(ctx, "extract")
-	out, err := extractor.ExtractFileContext(ectx, logPath, workDir)
+	out, err := extractor.ExtractFile(ectx, logPath, workDir)
 	span.SetError(err)
 	span.End()
 	if err != nil {

@@ -279,15 +279,18 @@ func TestSession(t *testing.T) {
 		t.Error("empty question accepted")
 	}
 
-	// History is bounded.
-	s.MaxHistory = 2
-	for i := 0; i < 5; i++ {
+	// History keeps the last 8 of 10 turns.
+	for i := 0; i < 9; i++ {
 		if _, err := s.Ask(context.Background(), fmt.Sprintf("question %d about locks?", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(s.History()) > 4 {
-		t.Errorf("history unbounded: %d", len(s.History()))
+	h := s.History()
+	if len(h) != 16 {
+		t.Fatalf("history = %d messages, want 16 (8 turns)", len(h))
+	}
+	if h[0].Content != "question 1 about locks?" {
+		t.Errorf("oldest kept question = %q, want question 1", h[0].Content)
 	}
 }
 

@@ -21,8 +21,6 @@ type Session struct {
 	client  llm.Client
 	builder *prompt.Builder
 	report  *Report
-	// MaxHistory bounds retained turns (pairs); older turns are dropped.
-	MaxHistory int
 	// contextProvider, when set, selects the context block for each
 	// question (e.g. RAG retrieval) instead of the full report text.
 	contextProvider func(question string) string
@@ -38,6 +36,10 @@ func (s *Session) SetContextProvider(f func(question string) string) {
 	s.contextProvider = f
 }
 
+// maxTurns bounds the question-answer pairs a session keeps; older
+// turns are dropped.
+const maxTurns = 8
+
 // NewSession opens an interactive session over a report.
 func NewSession(client llm.Client, report *Report) (*Session, error) {
 	if client == nil {
@@ -47,10 +49,9 @@ func NewSession(client llm.Client, report *Report) (*Session, error) {
 		return nil, fmt.Errorf("ion: session requires a report")
 	}
 	return &Session{
-		client:     client,
-		builder:    prompt.NewBuilder(knowledge.NewBase(knowledge.DefaultHyperparams())),
-		report:     report,
-		MaxHistory: 8,
+		client:  client,
+		builder: prompt.NewBuilder(knowledge.NewBase(knowledge.DefaultHyperparams())),
+		report:  report,
 	}, nil
 }
 
@@ -82,8 +83,8 @@ func (s *Session) Ask(ctx context.Context, question string) (string, error) {
 		llm.Message{Role: llm.RoleUser, Content: question},
 		llm.Message{Role: llm.RoleAssistant, Content: comp.Content},
 	)
-	if s.MaxHistory > 0 && len(s.history) > 2*s.MaxHistory {
-		s.history = s.history[len(s.history)-2*s.MaxHistory:]
+	if len(s.history) > 2*maxTurns {
+		s.history = s.history[len(s.history)-2*maxTurns:]
 	}
 	return comp.Content, nil
 }

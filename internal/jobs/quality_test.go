@@ -113,6 +113,7 @@ func TestTraceFileNameGetsLabels(t *testing.T) {
 		{"some/dir/openpmd-baseline.darshan.txt", "openpmd-baseline"},
 		{"ior-hard.darshan", "ior-hard"},
 		{"ior-easy-4m-fpp.darshan", "ior-easy-4m-fpp"}, // an eval sweep variant
+		{"scale-8ranks.darshan", "scale-8ranks"},       // a rank-scaling sweep variant
 	} {
 		w, err := workloads.ByName(tc.workload)
 		if err != nil {

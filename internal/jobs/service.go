@@ -268,10 +268,6 @@ func Open(cfg Config) (*Service, error) {
 	if s.jobs, err = openJobs(cfg.Dir, func(j Job) { s.dropped[j.ID] = j }); err != nil {
 		return nil, err
 	}
-	if err := importLegacy(cfg.Dir, s.jobs.Put); err != nil {
-		s.jobs.Close()
-		return nil, err
-	}
 	s.settleEvictions()
 	s.baseCtx, s.abort = context.WithCancel(context.Background())
 	s.shadowCtx, s.shadowCancel = context.WithCancel(s.baseCtx)
@@ -763,7 +759,7 @@ func (s *Service) tables(ctx context.Context, id, hash string, log *darshan.Log)
 		log = b.log
 	}
 	ectx, span := obs.StartSpan(ctx, "extract")
-	out, err := extractor.ExtractToDirContext(ectx, log, s.store.WorkDir(id))
+	out, err := extractor.ExtractToDir(ectx, log, s.store.WorkDir(id))
 	span.SetError(err)
 	span.End()
 	return out, err

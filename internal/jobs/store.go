@@ -53,10 +53,20 @@ type Store struct {
 	dir string
 }
 
-// OpenStore creates (if needed) and opens the data directory.
+// OpenStore creates (if needed) and opens the data directory. It
+// refuses a directory in the old one-file-per-job layout.
 func OpenStore(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("jobs: store directory is required")
+	}
+	// Builds before the job table kept one jobs/<id>.json file per job.
+	// Open's sweep would remove those jobs' traces and reports as
+	// record-less, so such a directory is refused before anything else.
+	switch _, err := os.Stat(filepath.Join(dir, "jobs")); {
+	case err == nil:
+		return nil, fmt.Errorf("jobs: %s holds jobs/, the old one-file-per-job layout (jobs/<id>.json), which this build does not read", dir)
+	case !os.IsNotExist(err):
+		return nil, fmt.Errorf("jobs: opening store: %w", err)
 	}
 	for _, sub := range storeDirs {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {

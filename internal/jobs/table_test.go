@@ -2,11 +2,10 @@ package jobs
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -271,49 +270,23 @@ func TestReplayKeepsAJobsLastEviction(t *testing.T) {
 	}
 }
 
-// TestLegacyDataDirImports opens a data directory in the older layout,
-// one jobs/<id>.json file per job: its done job is listed with a
-// readable report, its queued job recovers and runs, and jobs/, the
-// settled job's inputs and stray temp files are gone.
-func TestLegacyDataDirImports(t *testing.T) {
-	src := openService(t, Config{Workers: 1})
-	done := submitWait(t, src, "ior-hard", traceBytes(t, "ior-hard"))
-	rep, err := src.Report(done.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	timeline, err := src.Store().Timeline(done.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := traceBytes(t, "md-workbench")
-	sum := sha256.Sum256(body)
-	queued := Job{ID: newID(), Trace: "md-workbench", Hash: hex.EncodeToString(sum[:]), State: StateQueued,
-		SubmittedAt: done.SubmittedAt.Add(time.Second)}
-
+// TestOldLayoutDataDirRefused: Open refuses a data directory in the
+// older layout, one jobs/<id>.json file per job, and leaves it as it
+// was; its start-up sweep would have removed those jobs' traces and
+// reports as record-less.
+func TestOldLayoutDataDirRefused(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(dir)
+	job := Job{ID: newID(), Trace: "ior-hard", State: StateDone, SubmittedAt: time.Now()}
+	rec, err := json.Marshal(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutReport(done.ID, rep); err != nil {
-		t.Fatal(err)
-	}
-	files := map[string][]byte{
-		"reports/" + done.ID + ".trace.json": timeline,
-		"traces/" + done.ID + ".darshan":     traceBytes(t, "ior-hard"),
-		"traces/" + queued.ID + ".darshan":   body,
-		"work/" + done.ID + "/POSIX.csv":     []byte("rank\n0\n"),
-		"jobs/.tmp-1234":                     []byte(`{"id":`),
-		"reports/.tmp-5678":                  []byte("{"),
-	}
-	for _, j := range []Job{done, queued} {
-		files["jobs/"+j.ID+".json"], err = json.MarshalIndent(j, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for name, data := range files {
+	for name, data := range map[string][]byte{
+		"jobs/" + job.ID + ".json":          rec,
+		"traces/" + job.ID + ".darshan":     traceBytes(t, "ior-hard"),
+		"reports/" + job.ID + ".json":       []byte(`{"trace":"ior-hard"}`),
+		"reports/" + job.ID + ".trace.json": []byte(`{"spans":[]}`),
+	} {
 		path := filepath.Join(dir, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -322,30 +295,14 @@ func TestLegacyDataDirImports(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	svc := openService(t, Config{Dir: dir, Workers: 1})
-	if list := svc.List(); len(list) != 2 || list[0].ID != queued.ID || list[1].ID != done.ID {
-		t.Fatalf("listed %+v, want the queued job and then the done one", list)
+	before := dataFiles(t, dir)
+	if svc, err := Open(Config{Dir: dir, Client: expertsim.New()}); err == nil {
+		svc.Close(context.Background())
+		t.Error("Open accepted a data directory in the old layout")
+	} else if !strings.Contains(err.Error(), "jobs/<id>.json") {
+		t.Errorf("error does not name the old layout: %v", err)
 	}
-	if st := svc.Stats(); st.Recovered != 1 {
-		t.Errorf("recovered %d jobs, want the queued one", st.Recovered)
-	}
-	if back, err := svc.Report(done.ID); err != nil || back.Summary != rep.Summary {
-		t.Errorf("imported done job's report: %v", err)
-	}
-	if got := waitDone(t, svc, queued.ID); got.State != StateDone {
-		t.Fatalf("imported queued job: state %s (%s)", got.State, got.Error)
-	}
-	if _, err := svc.Report(queued.ID); err != nil {
-		t.Errorf("imported queued job's report: %v", err)
-	}
-	for name := range dataFiles(t, dir) {
-		if strings.HasPrefix(name, "jobs/") || strings.Contains(name, ".tmp-") ||
-			strings.HasPrefix(name, "traces/") || strings.HasPrefix(name, "work/") {
-			t.Errorf("%s is left after the import", name)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, "jobs")); !os.IsNotExist(err) {
-		t.Errorf("jobs/ is still there: %v", err)
+	if after := dataFiles(t, dir); !maps.Equal(after, before) {
+		t.Errorf("data directory changed: %v, was %v", after, before)
 	}
 }

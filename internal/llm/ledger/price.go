@@ -3,7 +3,6 @@ package ledger
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -78,14 +77,4 @@ func ParsePriceTable(data []byte) (PriceTable, error) {
 		}
 	}
 	return t, nil
-}
-
-// Models returns the table's model names, sorted, for display.
-func (t PriceTable) Models() []string {
-	out := make([]string, 0, len(t))
-	for m := range t {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
 }

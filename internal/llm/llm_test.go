@@ -120,9 +120,9 @@ func TestOpenAIRetriesOn500(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c, err := NewOpenAI(OpenAIConfig{
-		BaseURL: srv.URL + "/v1", MaxRetries: 3, RetryBackoff: time.Millisecond,
-	})
+	defer func(d time.Duration) { retryBackoff = d }(retryBackoff)
+	retryBackoff = time.Millisecond
+	c, err := NewOpenAI(OpenAIConfig{BaseURL: srv.URL + "/v1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestOpenAIDoesNotRetryOn400(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c, err := NewOpenAI(OpenAIConfig{BaseURL: srv.URL + "/v1", RetryBackoff: time.Millisecond})
+	c, err := NewOpenAI(OpenAIConfig{BaseURL: srv.URL + "/v1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,17 +160,24 @@ func TestOpenAIDoesNotRetryOn400(t *testing.T) {
 }
 
 func TestOpenAIGivesUpAfterRetries(t *testing.T) {
+	var calls int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		atomic.AddInt32(&calls, 1)
 		w.WriteHeader(http.StatusTooManyRequests)
 	}))
 	defer srv.Close()
-	c, err := NewOpenAI(OpenAIConfig{BaseURL: srv.URL + "/v1", MaxRetries: 2, RetryBackoff: time.Millisecond})
+	defer func(d time.Duration) { retryBackoff = d }(retryBackoff)
+	retryBackoff = time.Millisecond
+	c, err := NewOpenAI(OpenAIConfig{BaseURL: srv.URL + "/v1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = c.Complete(context.Background(), sampleRequest())
-	if err == nil || !strings.Contains(err.Error(), "giving up") {
-		t.Errorf("expected give-up error, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), "giving up after 4 attempts") {
+		t.Errorf("expected give-up error after 4 attempts, got %v", err)
+	}
+	if calls != 4 {
+		t.Errorf("calls = %d, want 4 (1 + 3 retries)", calls)
 	}
 }
 

@@ -20,26 +20,31 @@ type OpenAIConfig struct {
 	BaseURL string // e.g. "https://api.openai.com/v1" or "http://localhost:8000/v1"
 	APIKey  string // bearer token; empty for unauthenticated local servers
 	Model   string // default model when the request does not set one
-	// MaxRetries bounds retry attempts on transient failures (429/5xx).
-	MaxRetries int
-	// RetryBackoff is the base backoff, doubled per attempt.
-	RetryBackoff time.Duration
-	// HTTPClient overrides the transport; nil uses a 120 s-timeout client.
-	HTTPClient *http.Client
-	// InlineFiles embeds the contents of Request.Files into the prompt
-	// as fenced blocks, emulating Assistants-API file access for plain
-	// chat endpoints. Enabled by default via NewOpenAI.
-	InlineFiles bool
-	// MaxInlineBytes caps how much of each file is inlined (0 = 256 KiB).
-	MaxInlineBytes int64
 }
+
+// The client's fixed policy: a transient failure (429 or 5xx) is retried
+// maxRetries times, the client gives up on a call after clientTimeout,
+// and each file a request attaches is inlined into the prompt up to
+// maxInlineBytes, emulating Assistants-API file access for plain chat
+// endpoints.
+const (
+	maxRetries     = 3
+	clientTimeout  = 120 * time.Second
+	maxInlineBytes = 256 << 10
+)
+
+// retryBackoff is the wait before the first retry, doubled per attempt.
+// It is a variable only so tests can shorten it.
+var retryBackoff = 500 * time.Millisecond
 
 // OpenAI is an OpenAI-compatible chat-completions client.
 type OpenAI struct {
-	cfg OpenAIConfig
+	cfg    OpenAIConfig
+	client *http.Client
 }
 
-// NewOpenAI returns a client with sane defaults applied.
+// NewOpenAI returns a client for cfg; an empty Model defaults to
+// "gpt-4-1106-preview".
 func NewOpenAI(cfg OpenAIConfig) (*OpenAI, error) {
 	if cfg.BaseURL == "" {
 		return nil, fmt.Errorf("llm: OpenAI BaseURL is required")
@@ -47,20 +52,7 @@ func NewOpenAI(cfg OpenAIConfig) (*OpenAI, error) {
 	if cfg.Model == "" {
 		cfg.Model = "gpt-4-1106-preview"
 	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 3
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 500 * time.Millisecond
-	}
-	if cfg.HTTPClient == nil {
-		cfg.HTTPClient = &http.Client{Timeout: 120 * time.Second}
-	}
-	if cfg.MaxInlineBytes == 0 {
-		cfg.MaxInlineBytes = 256 << 10
-	}
-	cfg.InlineFiles = true
-	return &OpenAI{cfg: cfg}, nil
+	return &OpenAI{cfg: cfg, client: &http.Client{Timeout: clientTimeout}}, nil
 }
 
 // Name implements Client.
@@ -98,8 +90,8 @@ func (c *OpenAI) Complete(ctx context.Context, req Request) (Completion, error) 
 		model = c.cfg.Model
 	}
 	messages := req.Messages
-	if c.cfg.InlineFiles && len(req.Files) > 0 {
-		attach, err := c.inlineFiles(req.Files)
+	if len(req.Files) > 0 {
+		attach, err := inlineFiles(req.Files)
 		if err != nil {
 			return Completion{}, err
 		}
@@ -120,8 +112,8 @@ func (c *OpenAI) Complete(ctx context.Context, req Request) (Completion, error) 
 
 	url := strings.TrimRight(c.cfg.BaseURL, "/") + "/chat/completions"
 	var lastErr error
-	backoff := c.cfg.RetryBackoff
-	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
+	backoff := retryBackoff
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
@@ -139,7 +131,7 @@ func (c *OpenAI) Complete(ctx context.Context, req Request) (Completion, error) 
 			return Completion{}, err
 		}
 	}
-	return Completion{}, fmt.Errorf("llm: giving up after %d attempts: %w", c.cfg.MaxRetries+1, lastErr)
+	return Completion{}, fmt.Errorf("llm: giving up after %d attempts: %w", maxRetries+1, lastErr)
 }
 
 func (c *OpenAI) post(ctx context.Context, url string, body []byte) (Completion, bool, error) {
@@ -151,7 +143,7 @@ func (c *OpenAI) post(ctx context.Context, url string, body []byte) (Completion,
 	if c.cfg.APIKey != "" {
 		httpReq.Header.Set("Authorization", "Bearer "+c.cfg.APIKey)
 	}
-	resp, err := c.cfg.HTTPClient.Do(httpReq)
+	resp, err := c.client.Do(httpReq)
 	if err != nil {
 		return Completion{}, true, fmt.Errorf("llm: POST %s: %w", url, err)
 	}
@@ -186,8 +178,8 @@ func (c *OpenAI) post(ctx context.Context, url string, body []byte) (Completion,
 }
 
 // inlineFiles renders file attachments as fenced CSV blocks, truncated
-// to MaxInlineBytes each.
-func (c *OpenAI) inlineFiles(files []string) (string, error) {
+// to maxInlineBytes each.
+func inlineFiles(files []string) (string, error) {
 	var b strings.Builder
 	b.WriteString("Attached data files:\n")
 	for _, path := range files {
@@ -195,13 +187,13 @@ func (c *OpenAI) inlineFiles(files []string) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("llm: opening attachment: %w", err)
 		}
-		data, err := io.ReadAll(io.LimitReader(f, c.cfg.MaxInlineBytes))
+		data, err := io.ReadAll(io.LimitReader(f, maxInlineBytes))
 		f.Close()
 		if err != nil {
 			return "", fmt.Errorf("llm: reading attachment %s: %w", path, err)
 		}
 		fmt.Fprintf(&b, "\n### %s\n```csv\n%s", filepath.Base(path), data)
-		if int64(len(data)) == c.cfg.MaxInlineBytes {
+		if len(data) == maxInlineBytes {
 			b.WriteString("\n... (truncated)")
 		}
 		b.WriteString("\n```\n")

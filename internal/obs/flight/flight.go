@@ -304,9 +304,9 @@ func (r *Recorder) Open(id string) (io.ReadCloser, int64, error) {
 
 // Capture snapshots the process into a new incident bundle. It is
 // singleflighted (a concurrent call returns ErrCaptureInFlight) and
-// rate-limited (a call within Cooldown of the previous capture returns
-// ErrRateLimited): an alert storm produces one bundle, not a pile of
-// stacked profilers.
+// rate-limited (a call within Cooldown of the last capture that wrote a
+// bundle returns ErrRateLimited): an alert storm produces one bundle,
+// not a pile of stacked profilers.
 func (r *Recorder) Capture(reason string) (Manifest, error) {
 	now := time.Now()
 	r.mu.Lock()
@@ -321,7 +321,6 @@ func (r *Recorder) Capture(reason string) (Manifest, error) {
 		return Manifest{}, ErrRateLimited
 	}
 	r.capturing = true
-	r.last = now
 	r.mu.Unlock()
 	defer func() {
 		r.mu.Lock()
@@ -339,6 +338,7 @@ func (r *Recorder) Capture(reason string) (Manifest, error) {
 		"id", m.ID, "reason", reason, "bytes", m.SizeBytes,
 		"log_records", m.LogRecords, "span_timelines", m.SpanTimelines)
 	r.mu.Lock()
+	r.last = now // only a written bundle starts the cooldown
 	r.manifests = append(r.manifests, m)
 	r.mu.Unlock()
 	r.enforceRetention()

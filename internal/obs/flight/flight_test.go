@@ -121,6 +121,29 @@ func TestCaptureRateLimitAndSingleflight(t *testing.T) {
 	}
 }
 
+// TestFailedCaptureStartsNoCooldown: a capture that wrote no bundle
+// does not rate-limit the next one.
+func TestFailedCaptureStartsNoCooldown(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "incidents")
+	r := newTestRecorder(t, Options{Dir: dir})
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Capture("vanished"); err == nil {
+		t.Fatal("Capture into a removed directory succeeded")
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	m, err := r.Capture("restored")
+	if err != nil {
+		t.Fatalf("Capture after the directory came back: %v", err)
+	}
+	if got := r.List(); len(got) != 1 || got[0].ID != m.ID {
+		t.Fatalf("bundles = %v, want only %s", got, m.ID)
+	}
+}
+
 // TestCaptureDisabledWithoutDir: a recorder without an incident
 // directory could never write a bundle, so New refuses to build one.
 func TestCaptureDisabledWithoutDir(t *testing.T) {

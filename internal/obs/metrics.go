@@ -309,15 +309,6 @@ type Gauge struct {
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add shifts the gauge by v (negative to decrease).
-func (g *Gauge) Add(v float64) { addFloat(&g.bits, v) }
-
-// Inc adds 1; Dec subtracts 1.
-func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec subtracts 1.
-func (g *Gauge) Dec() { g.Add(-1) }
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

@@ -22,8 +22,7 @@ func TestExpositionGolden(t *testing.T) {
 	}
 
 	g := r.Gauge("ion_queue_depth", "Queued jobs.")
-	g.Set(5)
-	g.Dec()
+	g.Set(4)
 
 	h := r.Histogram("ion_stage_seconds", "Stage latency.", []float64{0.1, 1, 10}, L("stage", "extract"))
 	h.Observe(0.05)

@@ -58,16 +58,6 @@ func (w Window) check() error {
 	return nil
 }
 
-// Share returns the flat share of the named function, 0 when absent.
-func (w Window) Share(fn string) float64 {
-	for _, f := range w.Functions {
-		if f.Name == fn {
-			return f.FlatShare
-		}
-	}
-	return 0
-}
-
 // A Store keeps at most maxWindows windows across all kinds, and at
 // most maxBytes of their estimated size.
 const (

@@ -333,23 +333,6 @@ func (s *Store) Dropped() int64 {
 	return s.dropped
 }
 
-// Names returns the distinct metric names with at least one retained
-// series, sorted.
-func (s *Store) Names() []string {
-	s.mu.RLock()
-	set := map[string]bool{}
-	for _, m := range s.series {
-		set[m.name] = true
-	}
-	s.mu.RUnlock()
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Query selects windowed points from the store.
 type Query struct {
 	// Name is the exact metric name (required). Histogram-derived

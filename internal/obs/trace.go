@@ -94,16 +94,6 @@ func (s *Span) SetError(err error) {
 	s.t.mu.Unlock()
 }
 
-// Annotate attaches an attribute to the span after creation.
-func (s *Span) Annotate(key, value string) {
-	if s.t == nil {
-		return
-	}
-	s.t.mu.Lock()
-	s.attrs = append(s.attrs, Label{Key: key, Value: value})
-	s.t.mu.Unlock()
-}
-
 // AdoptRoots makes s the parent of every root span its tracer started
 // before s, so work recorded ahead of s (a parse done when a job was
 // submitted, say) joins s's tree. Adopted spans keep their times, so

@@ -102,7 +102,6 @@ func TestStartSpanWithoutTracer(t *testing.T) {
 	if ctx != context.Background() {
 		t.Error("no-op StartSpan should return the context unchanged")
 	}
-	s.Annotate("k", "v")
 	s.SetError(errors.New("ignored"))
 	s.End() // must not panic
 }

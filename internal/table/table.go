@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"sync"
 )
@@ -24,8 +23,8 @@ type Table struct {
 
 	colIdx map[string]int
 	// cellBytes tracks the bytes appended through Append, used to
-	// size-estimate render buffers. Rows added by bypassing Append
-	// (Filter, GroupBy) are not counted; the estimate is advisory.
+	// size-estimate render buffers. Rows added by bypassing Append are
+	// not counted; the estimate is advisory.
 	cellBytes int
 }
 
@@ -145,93 +144,6 @@ func (t *Table) SumFloat(col string) (float64, error) {
 		sum += v
 	}
 	return sum, nil
-}
-
-// MaxFloat returns the maximum of a numeric column, or an error on an
-// empty table.
-func (t *Table) MaxFloat(col string) (float64, error) {
-	if len(t.Rows) == 0 {
-		return 0, fmt.Errorf("table %s: MaxFloat on empty table", t.Name)
-	}
-	best, err := t.Float(0, col)
-	if err != nil {
-		return 0, err
-	}
-	for i := 1; i < len(t.Rows); i++ {
-		v, err := t.Float(i, col)
-		if err != nil {
-			return 0, err
-		}
-		if v > best {
-			best = v
-		}
-	}
-	return best, nil
-}
-
-// Filter returns a new table with the rows for which keep returns true.
-func (t *Table) Filter(keep func(row int) bool) *Table {
-	out := New(t.Name, t.Cols)
-	for i := range t.Rows {
-		if keep(i) {
-			out.Rows = append(out.Rows, t.Rows[i])
-		}
-	}
-	return out
-}
-
-// GroupBy partitions rows by the value of a column, with deterministic
-// (sorted) key order available through GroupKeys.
-func (t *Table) GroupBy(col string) (map[string]*Table, error) {
-	i, err := t.ColIndex(col)
-	if err != nil {
-		return nil, err
-	}
-	groups := map[string]*Table{}
-	for _, row := range t.Rows {
-		key := row[i]
-		g, ok := groups[key]
-		if !ok {
-			g = New(t.Name+"["+col+"="+key+"]", t.Cols)
-			groups[key] = g
-		}
-		g.Rows = append(g.Rows, row)
-	}
-	return groups, nil
-}
-
-// GroupKeys returns the sorted keys of a GroupBy result.
-func GroupKeys(groups map[string]*Table) []string {
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// SortByFloat sorts rows by a numeric column, descending when desc.
-func (t *Table) SortByFloat(col string, desc bool) error {
-	i, err := t.ColIndex(col)
-	if err != nil {
-		return err
-	}
-	var parseErr error
-	sort.SliceStable(t.Rows, func(a, b int) bool {
-		va, ea := strconv.ParseFloat(t.Rows[a][i], 64)
-		vb, eb := strconv.ParseFloat(t.Rows[b][i], 64)
-		if ea != nil && parseErr == nil {
-			parseErr = fmt.Errorf("table %s: %s = %q is not a number", t.Name, col, t.Rows[a][i])
-		}
-		if eb != nil && parseErr == nil {
-			parseErr = fmt.Errorf("table %s: %s = %q is not a number", t.Name, col, t.Rows[b][i])
-		}
-		if desc {
-			return va > vb
-		}
-		return va < vb
-	})
-	return parseErr
 }
 
 // maxPooledRenderBytes caps the capacity of buffers returned to the

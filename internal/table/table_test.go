@@ -58,57 +58,6 @@ func TestAggregates(t *testing.T) {
 	if s, err := tb.SumFloat("time"); err != nil || s != 4.75 {
 		t.Errorf("SumFloat = %v, %v", s, err)
 	}
-	if m, err := tb.MaxFloat("time"); err != nil || m != 2.5 {
-		t.Errorf("MaxFloat = %v, %v", m, err)
-	}
-	empty := New("E", []string{"x"})
-	if _, err := empty.MaxFloat("x"); err == nil {
-		t.Error("MaxFloat on empty table should error")
-	}
-}
-
-func TestFilterAndGroupBy(t *testing.T) {
-	tb := sample()
-	big := tb.Filter(func(i int) bool {
-		v, _ := tb.Int(i, "ops")
-		return v >= 20
-	})
-	if big.NumRows() != 2 {
-		t.Errorf("filter rows = %d", big.NumRows())
-	}
-	groups, err := tb.GroupBy("rank")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 3 {
-		t.Fatalf("groups = %d", len(groups))
-	}
-	if groups["0"].NumRows() != 2 {
-		t.Errorf("rank 0 rows = %d", groups["0"].NumRows())
-	}
-	keys := GroupKeys(groups)
-	if len(keys) != 3 || keys[0] != "0" || keys[2] != "2" {
-		t.Errorf("keys = %v", keys)
-	}
-	if _, err := tb.GroupBy("nope"); err == nil {
-		t.Error("GroupBy unknown column accepted")
-	}
-}
-
-func TestSortByFloat(t *testing.T) {
-	tb := sample()
-	if err := tb.SortByFloat("time", true); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := tb.Float(0, "time"); v != 2.5 {
-		t.Errorf("descending sort wrong: first = %v", v)
-	}
-	if err := tb.SortByFloat("time", false); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := tb.Float(0, "time"); v != 0.25 {
-		t.Errorf("ascending sort wrong: first = %v", v)
-	}
 }
 
 func TestCSVRoundTrip(t *testing.T) {

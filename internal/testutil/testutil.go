@@ -4,6 +4,7 @@
 package testutil
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -65,7 +66,7 @@ func Extracted(name string) (*extractor.Output, string, error) {
 		}
 	}
 	dir := filepath.Join(tmpDir, name)
-	o, err := extractor.ExtractToDir(l, dir)
+	o, err := extractor.ExtractToDir(context.Background(), l, dir)
 	if err != nil {
 		return nil, "", fmt.Errorf("testutil: extracting %s: %w", name, err)
 	}

@@ -106,8 +106,8 @@ func All() []Workload {
 }
 
 // ByName returns the named workload, searching the evaluation set and
-// the extra (non-paper) workloads, then the IOR-Easy variants under
-// the names IOREasy gives them.
+// the extra (non-paper) workloads, then the IOR-Easy and rank-scaling
+// variants under the names IOREasy and Scale give them.
 func ByName(name string) (Workload, error) {
 	var names []string
 	for _, w := range append(All(), Extras()...) {
@@ -119,8 +119,12 @@ func ByName(name string) (Workload, error) {
 	if w, ok := iorEasyByName(name); ok {
 		return w, nil
 	}
+	if w, ok := scaleByName(name); ok {
+		return w, nil
+	}
 	sort.Strings(names)
-	return Workload{}, fmt.Errorf("workloads: unknown workload %q (have %v, or ior-easy-<size>-<shared|fpp>)", name, names)
+	return Workload{}, fmt.Errorf("workloads: unknown workload %q (have %v, ior-easy-<size>-<shared|fpp> or scale-<2..%d>ranks)",
+		name, names, maxScaleRanks)
 }
 
 // Figure2 returns the six IO500-derived workloads in paper row order.

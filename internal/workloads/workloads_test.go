@@ -374,6 +374,29 @@ func TestByName(t *testing.T) {
 			t.Errorf("%q resolved to %s", name, w.Name)
 		}
 	}
+
+	// Every rank-scaling variant from 2 to maxScaleRanks resolves to
+	// itself; any other spelling or count is unknown.
+	for _, n := range []int{2, 4, 8, 16, 32, maxScaleRanks} {
+		want := Scale(n)
+		got, err := ByName(want.Name)
+		if err != nil {
+			t.Errorf("%s: %v", want.Name, err)
+			continue
+		}
+		if got.Name != want.Name || got.NProcs != n || !reflect.DeepEqual(got.Truth, want.Truth) {
+			t.Errorf("%s resolved to %s (%d ranks)", want.Name, got.Name, got.NProcs)
+		}
+	}
+	for _, name := range []string{
+		"scale-0ranks", "scale-1ranks", fmt.Sprintf("scale-%dranks", maxScaleRanks+1), // out of range
+		"scale-02ranks", "scale-+2ranks", "scale--2ranks", "scale- 2ranks", // not canonical
+		"scale-2rank", "scale-ranks", "scale-2ranks-x", "scale-2", "scale-", "scale-99999999999999999999ranks",
+	} {
+		if w, err := ByName(name); err == nil {
+			t.Errorf("%q resolved to %s", name, w.Name)
+		}
+	}
 }
 
 func TestFigureSplits(t *testing.T) {
